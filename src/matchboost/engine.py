@@ -44,17 +44,6 @@ class TraceHooks:
 # -- auxiliary graph construction ----------------------------------------------
 
 
-def _outer_member_arcs(state: PhaseState, s: Structure):
-    """Arcs (x, y) leaving outer vertices of ``s``, x ascending."""
-    view = state.tree(s)
-    for x in sorted(s.vertices):
-        if not view.is_outer(state.root(x)):
-            continue
-        for y in state.adj_sorted[x]:
-            if not state.g.removed[y] and state.mate[x] != y:
-                yield Arc(x, y)
-
-
 def find_type1_arc(state: PhaseState, s: Structure) -> Arc | None:
     """A same-structure outer-outer arc out of the working vertex, if any."""
     if s.working is None:
@@ -77,24 +66,30 @@ def build_h_prime(state: PhaseState):
 
     Returns ``(owners, pairs)`` where ``owners`` lists all live
     structures and ``pairs`` maps each joined ``(owner_a, owner_b)``
-    (a < b) to its lexicographically smallest witness arc.
+    (a < b) to its lexicographically smallest witness arc, which runs
+    from ``owner_a``'s structure to ``owner_b``'s.  Only arcs out of
+    outer vertices of live structures are scanned.
     """
-    owners = sorted(state.structures)
+    root_of = state.omega.root_of
+    outer_owner: dict[int, int] = {}
+    for s in state.structures.values():
+        view = state.tree(s)
+        for x in s.vertices:
+            if view.is_outer(root_of[x]):
+                outer_owner[x] = s.owner
     pairs: dict[tuple[int, int], Arc] = {}
-    for s in state.live_structures():
-        for arc in _outer_member_arcs(state, s):
-            other = state.structure_of.get(arc.head)
-            if other is None or other == s.owner:
+    for x, a in outer_owner.items():
+        for y in state.adj_sorted[x]:
+            b = outer_owner.get(y)
+            # Live structures hold no removed vertex, outer vertices of two
+            # structures are never matched to each other, and each such
+            # edge is taken once, from its smaller owner.
+            if b is None or b <= a:
                 continue
-            so = state.structures[other]
-            if not state.tree(so).is_outer(state.root(arc.head)):
-                continue
-            key = (s.owner, other) if s.owner < other else (other, s.owner)
-            cand = arc if s.owner < other else arc.reverse()
-            cur = pairs.get(key)
-            if cur is None or tuple(cand) < tuple(cur):
-                pairs[key] = cand
-    return owners, pairs
+            cur = pairs.get((a, b))
+            if cur is None or (x, y) < cur:
+                pairs[(a, b)] = Arc(x, y)
+    return sorted(state.structures), pairs
 
 
 def _eligible_left(state: PhaseState, stage: int) -> list[Structure]:
@@ -125,37 +120,38 @@ def build_h_prime_s(state: PhaseState, stage: int):
     Left: working vertices with entry label ``stage`` of structures that
     are neither on hold nor already extended.  Right: inner or
     unvisited matched vertices whose downward label exceeds
-    ``stage + 1``.  Returns ``(left_owners, right_heads, pairs, arcs)``
-    with one witness arc per (owner, head) pair and the full candidate
-    arc list (used for contamination marking).
+    ``stage + 1`` and that have at least one candidate arc from the
+    left.  Returns ``(left_owners, right_heads, pairs, arcs)`` with one
+    witness arc per (owner, head) pair and the full candidate arc list
+    (used for contamination marking).  Heads are found by walking out
+    of the left side, each tested once per call.
     """
     left = _eligible_left(state, stage)
-    if not left:
-        # No tails means no pairs and no candidate arcs; skip the head scan.
-        return [], [], {}, []
-    right: list[int] = [
-        y
-        for y in range(state.g.n)
-        if not state.g.removed[y]
-        and state.mate[y] is not None
-        and _head_eligible(state, y, stage)
-    ]
-    right_set = set(right)
+    removed, mate = state.g.removed, state.mate
+    head_ok: dict[int, bool] = {}
     pairs: dict[tuple[int, int], Arc] = {}
     arcs: list[Arc] = []
     for s in left:
         for x in sorted(state.omega.members_of(s.working)):
             for y in state.adj_sorted[x]:
-                if y not in right_set or state.mate[x] == y:
+                if mate[x] == y:
                     continue
-                arcs.append(Arc(x, y))
-                key = (s.owner, y)
-                if key not in pairs or (x, y) < tuple(pairs[key]):
-                    pairs[key] = Arc(x, y)
+                ok = head_ok.get(y)
+                if ok is None:
+                    ok = head_ok[y] = not removed[y] and _head_eligible(state, y, stage)
+                if not ok:
+                    continue
+                arc = Arc(x, y)
+                arcs.append(arc)
+                # x ascends, so an owner's first arc to a head is its smallest
+                pairs.setdefault((s.owner, y), arc)
+    right = sorted({y for _, y in pairs})
     return [s.owner for s in left], right, pairs, arcs
 
 
-def _aux_graph_pairs(owners: list[int], pairs) -> tuple[Graph, list[int]]:
+def _aux_graph_pairs(pairs) -> tuple[Graph, list[int]]:
+    """The pair graph on the owners that carry an edge, numbered in ascending order."""
+    owners = sorted({o for key in pairs for o in key})
     idx = {o: i for i, o in enumerate(owners)}
     aux = Graph(len(owners))
     for a, b in sorted(pairs):
@@ -163,10 +159,15 @@ def _aux_graph_pairs(owners: list[int], pairs) -> tuple[Graph, list[int]]:
     return aux, owners
 
 
-def _aux_graph_bipartite(
-    left: list[int], right: list[int], pairs
-) -> tuple[Graph, list[tuple[str, int]]]:
-    nodes = [("L", o) for o in left] + [("R", y) for y in right]
+def _aux_graph_bipartite(pairs) -> tuple[Graph, list[tuple[str, int]]]:
+    """The layer graph on the owners and heads that carry an edge.
+
+    Left owners come first, then right heads, each ascending, so the
+    numbering keeps the order of a graph that also held isolated
+    vertices and a built-in oracle returns the image of its answer there.
+    """
+    nodes = [("L", o) for o in sorted({o for o, _ in pairs})]
+    nodes += [("R", y) for y in sorted({y for _, y in pairs})]
     idx = {node: i for i, node in enumerate(nodes)}
     aux = Graph(len(nodes))
     for o, y in sorted(pairs):
@@ -206,10 +207,10 @@ def simulate_contract_and_augment(
     """Exhaust contractions, then repeatedly augment across oracle matchings."""
     changed = exhaust_type1(state, stats)
     for _ in range(params.sim_iterations(oracle.c)):
-        owners, pairs = build_h_prime(state)
+        _, pairs = build_h_prime(state)
         if not pairs:
             break
-        aux, owners = _aux_graph_pairs(owners, pairs)
+        aux, owners = _aux_graph_pairs(pairs)
         if hooks:
             hooks.on_oracle_graph(aux)
         matched = oracle.find(aux)
@@ -259,10 +260,10 @@ def simulate_extend_active_path(
     changed = False
     for stage in range(0, params.ell_max + 1):
         for _ in range(params.sim_iterations(oracle.c)):
-            left, right, pairs, _ = build_h_prime_s(state, stage)
+            _, _, pairs, _ = build_h_prime_s(state, stage)
             if not pairs:
                 break
-            aux, nodes = _aux_graph_bipartite(left, right, pairs)
+            aux, nodes = _aux_graph_bipartite(pairs)
             if hooks:
                 hooks.on_oracle_graph(aux)
             matched = oracle.find(aux)

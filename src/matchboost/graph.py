@@ -356,21 +356,30 @@ def augment_along(m: Matching, p: AltPath) -> Matching:
     vertices, and alternate unmatched/matched.  Returns a new matching
     one edge larger.
     """
+    out = m.copy()
+    _augment_in_place(out, p)
+    return out
+
+
+def _augment_in_place(m: Matching, p: AltPath) -> None:
     vs = p.vertices
     if len(set(vs)) != len(vs):
         raise InvalidPathError(f"repeated vertex in path {vs}")
     if not p.is_augmenting(m):
         raise InvalidPathError(f"path {vs} is not augmenting for the matching")
-    out = m.copy()
     for i in range(1, len(vs) - 1, 2):
-        out.discard(vs[i], vs[i + 1])
+        m.discard(vs[i], vs[i + 1])
     for i in range(0, len(vs) - 1, 2):
-        out.add(vs[i], vs[i + 1])
-    return out
+        m.add(vs[i], vs[i + 1])
 
 
 def augment_all(m: Matching, paths: Iterable[AltPath]) -> Matching:
-    """Apply a collection of vertex-disjoint augmenting paths in order."""
+    """Apply a collection of vertex-disjoint augmenting paths in order.
+
+    Each path is checked against the matching left by the ones before
+    it.  Returns a new matching; ``m`` itself is not modified.
+    """
+    out = m.copy()
     for p in paths:
-        m = augment_along(m, p)
-    return m
+        _augment_in_place(out, p)
+    return out

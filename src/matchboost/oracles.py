@@ -124,7 +124,9 @@ def _blossom_mcm(n: int, adj: list[list[int]]) -> list[int]:
         return -1
 
     for v in range(n):
-        if match[v] == -1:
+        # A free vertex with no edges has nothing to find, and a search
+        # from it would still cost O(n) to reset the forest.
+        if match[v] == -1 and adj[v]:
             u = find_path(v)
             if u == -1:
                 continue
@@ -250,6 +252,12 @@ class OracleStats:
     ``processing_steps`` holds one entry per engine processing step: the
     largest component (structure) size the step touched.  The simulated
     round models are derived from these numbers by the reporting layer.
+
+    ``queried_vertices`` sums the vertex counts of the graphs given to a
+    matching oracle and the query-set sizes of a weak oracle.  The
+    engine's auxiliary graphs hold only vertices that carry an edge, so
+    for them it counts those; the seed matching's queries on the free
+    vertices count isolated ones too.
     """
 
     calls: int = 0

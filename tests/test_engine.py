@@ -1,14 +1,20 @@
 """Phase driver and boosting loop on small graphs with known optima."""
 
+import hashlib
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchboost.corpus import gen_blossom_gadget, gen_er
+from matchboost.corpus import gen_blossom_gadget, gen_er, standard_corpus
 from matchboost.engine import (
     TraceHooks,
+    _aux_graph_bipartite,
+    _aux_graph_pairs,
+    _head_eligible,
     boost,
     build_h_prime,
     build_h_prime_s,
@@ -87,9 +93,33 @@ class TestAuxBuilders:
         state = PhaseState(g, m, quarter_params())
         left, right, pairs, arcs = build_h_prime_s(state, 0)
         assert left == [0, 5]
-        assert right == [1, 2, 3, 4]
+        assert right == [1, 4]
         assert pairs == {(0, 1): Arc(0, 1), (5, 4): Arc(5, 4)}
         assert arcs == [Arc(0, 1), Arc(5, 4)]
+
+    def test_aux_graphs_hold_only_vertices_with_an_edge(self):
+        # path6 plus an isolated free vertex 6: its structure is a left
+        # owner with no arc, and heads 2 and 3 are eligible but no left
+        # working vertex reaches them
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        m = Matching(7)
+        m.add(1, 2)
+        m.add(3, 4)
+        state = PhaseState(g, m, quarter_params())
+        assert _head_eligible(state, 2, 0) and _head_eligible(state, 3, 0)
+        left, right, pairs, _ = build_h_prime_s(state, 0)
+        assert left == [0, 5, 6]
+        assert right == [1, 4]
+        aux, nodes = _aux_graph_bipartite(pairs)
+        assert nodes == [("L", 0), ("L", 5), ("R", 1), ("R", 4)]
+        assert sorted(aux.edges) == [(0, 2), (1, 3)]
+        state.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        state.op_overtake(Arc(5, 4), Arc(4, 3), 1)
+        owners, pairs = build_h_prime(state)
+        assert owners == [0, 5, 6]
+        aux, owners = _aux_graph_pairs(pairs)
+        assert owners == [0, 5]
+        assert sorted(aux.edges) == [(0, 1)]
 
     def test_layer_graph_empty_without_tails(self):
         g, m = path6()
@@ -269,3 +299,148 @@ class TestBoostProperties:
         res = boost(g, 0.25, make_oracle(spec, seed=1))
         assert is_matching(g, res.matching)
         assert len(res.matching) >= approx_floor(mu, 0.25)
+
+
+def _eligible_owners(state: PhaseState, stage: int) -> list[int]:
+    return [
+        s.owner
+        for s in state.live_structures()
+        if not (s.on_hold or s.extended or s.working is None)
+        and state.entry_label(s, s.working) == stage
+    ]
+
+
+class BuilderAudit(TraceHooks):
+    """Checks both builders against ``PhaseState.classify`` over every arc.
+
+    The reference walks all arcs of the graph, so it shares no scan with
+    the builders: H' is the minimum type-2 witness per owner pair,
+    oriented from the smaller owner, and H'_s at each stage is every
+    type-3 arc whose tail structure is eligible at that stage.  Checks
+    run at the start of each bundle, after its simulations, and before
+    each oracle call of the phase, where the builders' answers are used.
+    """
+
+    def __init__(self, oracle):
+        self.inner = oracle
+        self.c = oracle.c
+        self.state: PhaseState | None = None
+        self.checks = 0
+        self.nonempty = {2: 0, 3: 0}
+
+    def find(self, g):
+        if self.state is not None:
+            self.audit(self.state)
+        return self.inner.find(g)
+
+    def on_bundle_start(self, state, tau):
+        self.state = state
+        self.audit(state)
+
+    def on_after_simulations(self, state, tau):
+        self.audit(state)
+
+    def on_phase_end(self, state):
+        self.state = None
+
+    def audit(self, state: PhaseState) -> None:
+        by_type: dict[int, list[Arc]] = {2: [], 3: []}
+        for arc in sorted(state.g.arcs()):
+            kind = state.classify(*arc)
+            if kind in by_type:
+                by_type[kind].append(arc)
+        want_pairs: dict[tuple[int, int], Arc] = {}
+        for x, y in by_type[2]:
+            a, b = state.structure_of[x], state.structure_of[y]
+            if a < b and (a, b) not in want_pairs:
+                want_pairs[(a, b)] = Arc(x, y)
+        assert build_h_prime(state) == (sorted(state.structures), want_pairs)
+        for stage in range(state.params.ell_max + 1):
+            owners = _eligible_owners(state, stage)
+            want_arcs = [a for a in by_type[3] if state.structure_of[a.tail] in owners]
+            want_layer: dict[tuple[int, int], Arc] = {}
+            for x, y in want_arcs:
+                want_layer.setdefault((state.structure_of[x], y), Arc(x, y))
+            left, right, pairs, arcs = build_h_prime_s(state, stage)
+            assert left == owners
+            assert right == sorted({y for _, y in want_layer})
+            assert pairs == want_layer
+            assert sorted(arcs) == want_arcs and len(set(arcs)) == len(arcs)
+            self.nonempty[3] += bool(pairs)
+        self.nonempty[2] += bool(want_pairs)
+        self.checks += 1
+
+
+class TestBuildersAgainstClassify:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=14),
+        st.sampled_from([0.2, 0.35, 0.5]),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["greedy", "exact", "adversarial:2"]),
+    )
+    def test_builders_match_reference(self, n, p, seed, spec):
+        # A phase from a sparse random matching joins many structures
+        # (H' is rarely nonempty after the seed matching); a whole boost
+        # then runs many bundles of layer graphs.
+        g = gen_er(n, p, seed=seed)
+        rng = random.Random(seed)
+        m = Matching(n)
+        for u, v in sorted(g.edges):
+            if rng.random() < 0.4 and m.mate[u] is None and m.mate[v] is None:
+                m.add(u, v)
+        audit = BuilderAudit(make_oracle(spec))
+        for h in (0.5, 0.125):
+            params = PhaseParams.for_scale(0.25, h)
+            run_phase(g, m, params, CountedOracle(audit), hooks=audit)
+            g.clear_removed()
+        boost(g, 0.25, audit, hooks=audit)
+        assert audit.checks > 0
+
+    def test_reference_sees_both_graphs_nonempty(self):
+        g, m = path6()
+        audit = BuilderAudit(ExactOracle())
+        run_phase(g, m, quarter_params(), CountedOracle(audit), hooks=audit)
+        assert audit.nonempty[2] > 0 and audit.nonempty[3] > 0
+
+
+def _boost_digest(res) -> str:
+    blob = json.dumps(
+        {
+            "matching": sorted(res.matching.edges),
+            "oracle_calls": res.oracle_calls,
+            "per_scale": [
+                [sc.h, sc.phases_run, sc.paths_found, sc.oracle_calls]
+                for sc in res.per_scale
+            ],
+        },
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# Digests of boost at eps = 1/4 on standard_corpus(6, 24, 64, seed=11),
+# recorded before the auxiliary graphs dropped their isolated vertices.
+GOLDEN_BOOST = {
+    ("path-0000-n64", "greedy"): "f7f43c93b3a532dc",
+    ("path-0000-n64", "adversarial:2"): "8b18823f70458fa7",
+    ("cycle-0001-n37", "greedy"): "7b288350efe593ae",
+    ("cycle-0001-n37", "adversarial:2"): "424d794886cac8c6",
+    ("er-0002-n44", "greedy"): "f3947ffe42e21ef4",
+    ("er-0002-n44", "adversarial:2"): "9736386b5f14d070",
+    ("bipartite-0003-n27", "greedy"): "637f4184c2a396d6",
+    ("bipartite-0003-n27", "adversarial:2"): "bd24da7785f5483e",
+    ("blossom-gadget-0004-n19", "greedy"): "f78d4e14b60c5a8b",
+    ("blossom-gadget-0004-n19", "adversarial:2"): "6391f6baffdccd27",
+    ("planted-0005-n54", "greedy"): "cbcaf02ce082d45c",
+    ("planted-0005-n54", "adversarial:2"): "f6a91c491e93735e",
+}
+
+
+class TestGoldenReplay:
+    def test_boost_reproduces_recorded_digests(self):
+        got = {}
+        for name, g in standard_corpus(6, 24, 64, seed=11):
+            for spec in ("greedy", "adversarial:2"):
+                got[(name, spec)] = _boost_digest(boost(g.copy(), 0.25, make_oracle(spec)))
+        assert got == GOLDEN_BOOST

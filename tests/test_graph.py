@@ -197,6 +197,19 @@ class TestAltPath:
         m = Matching(6)
         out = augment_all(m, [AltPath([0, 1]), AltPath([4, 5])])
         assert len(out) == 2
+        assert len(m) == 0 and m.mate == [None] * 6  # input untouched
+
+    def test_augment_all_checks_each_path_against_the_running_matching(self):
+        m = Matching(6, [(1, 2)])
+        out = augment_all(m, [AltPath([0, 1, 2, 3]), AltPath([4, 5])])
+        assert out.edges == {(0, 1), (2, 3), (4, 5)}
+        # the second path was augmenting for m but no longer is after the first
+        with pytest.raises(InvalidPathError):
+            augment_all(m, [AltPath([0, 1, 2, 3]), AltPath([3, 4])])
+        with pytest.raises(InvalidPathError):
+            augment_all(m, [AltPath([4, 5, 4, 5])])
+        assert m.edges == {(1, 2)}
+        assert m.mate == [None, 2, 1, None, None, None]
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from _brute import exhaustive_mcm_edges, exhaustive_mcm_size
 from matchboost.corpus import gen_bipartite, gen_blossom_gadget, gen_er, gen_planted
 from matchboost.errors import InternalConsistencyError
-from matchboost.graph import Graph, Matching, is_matching
+from matchboost.graph import Graph, Matching, edge_key, is_matching
 from matchboost.oracles import (
     AdversarialOracle,
     CountedOracle,
@@ -89,6 +89,34 @@ def test_exact_matches_exhaustive_property(g):
     m = exact_mcm(g)
     assert is_matching(g, m)
     assert len(m) == exhaustive_mcm_size(g.n, g.edges)
+
+
+@st.composite
+def padded_graphs(draw):
+    """(compact, padded, slots): ``padded`` adds isolated vertices to ``compact``.
+
+    Vertex ``v`` of ``compact`` is ``slots[v]`` of ``padded``; ``slots``
+    ascends, and both graphs receive their edges in the same order.
+    """
+    n = draw(st.integers(min_value=0, max_value=14))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    pad = draw(st.integers(min_value=0, max_value=8))
+    slots = sorted(draw(st.permutations(range(n + pad)))[:n])
+    padded = Graph(n + pad, [(slots[u], slots[v]) for u, v in edges])
+    return Graph(n, edges), padded, slots
+
+
+@given(
+    padded_graphs(),
+    st.sampled_from([GreedyOracle(), GreedyOracle(seed=3), ExactOracle(), AdversarialOracle(2)]),
+)
+def test_isolated_vertices_do_not_change_answers(case, oracle):
+    # The engine hands oracles only vertices that carry an edge; this is
+    # why its matchings equal those on graphs padded with isolated ones.
+    compact, padded, slots = case
+    image = sorted(edge_key(slots[u], slots[v]) for u, v in oracle.find(compact).edges)
+    assert sorted(oracle.find(padded).edges) == image
 
 
 class TestGreedy:
