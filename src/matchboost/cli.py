@@ -2,9 +2,10 @@
 
 Verbs: ``gen`` (write a corpus to disk), ``boost`` / ``dynamic`` (run
 experiments), ``problem1`` (update-stream harness), ``verify`` (boost
-with the hard ratio assertion as the only output), ``report`` (round
-accounting over a finished JSON report).  Exit status is 0 iff nothing
-failed an assertion or contract check.
+with the hard ratio assertion as the only output), ``report`` (sums the
+round counts of a finished JSON report and flags component-cap
+violations).  Exit status is 0 iff nothing failed an assertion or
+contract check.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import json
 import os
 import sys
 
-from .bench import ExperimentConfig, RunReport, round_accounting_report, run_experiment, write_report
+from .bench import ExperimentConfig, RunReport, component_cap, run_experiment, write_report
 from .corpus import CorpusSpec, build_corpus, format_update_stream, gen_update_stream
 from .dynamic import DynParams, parse_update_stream, problem1_harness
 from .errors import PreconditionError
-from .oracles import OracleStats, exact_mcm
+from .oracles import exact_mcm
 
 
 def _parse_constants(text: str | None) -> tuple[tuple[str, float], ...]:
@@ -159,15 +160,45 @@ def cmd_problem1(args) -> int:
     return 1 if bad else 0
 
 
+REPORT_COLUMNS = (
+    "trial", "graph", "epsilon", "oracle_calls", "mpc_rounds", "congest_rounds",
+    "cap_violations",
+)
+
+
 def cmd_report(args) -> int:
+    """Sum the rows' own round counts; exit 1 iff a row broke the component cap."""
     with open(args.path) as fh:
-        data = json.load(fh)
-    eps = _parse_epsilons([args.epsilon or "0.25"])[0]
-    stats = OracleStats()
-    stats.calls = sum(r.get("oracle_calls", 0) for r in data.get("rows", []))
-    acct = round_accounting_report(stats, args.model, eps)
+        rows = json.load(fh).get("rows", [])
+    for i, r in enumerate(rows):
+        missing = [k for k in REPORT_COLUMNS if k not in r]
+        if missing:
+            raise PreconditionError(
+                f"{args.path}: row {i} lacks {', '.join(missing)}; rerun the experiment"
+            )
+    over = [
+        {
+            "trial": r["trial"],
+            "graph": r["graph"],
+            "epsilon": r["epsilon"],
+            "component_cap": component_cap(r["epsilon"]),
+            "violations": r["cap_violations"],
+        }
+        for r in rows
+        if r["cap_violations"]
+    ]
+    acct = {
+        "model": args.model,
+        "rows": len(rows),
+        "rounds": sum(r[f"{args.model}_rounds"] for r in rows),
+        "oracle_calls": sum(r["oracle_calls"] for r in rows),
+        "violations": over,
+    }
     print(json.dumps(acct, indent=1, sort_keys=True))
-    return 1 if acct["violations"] else 0
+    if over:
+        print(f"FAIL: {len(over)} row(s) exceed the component cap", file=sys.stderr)
+        return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="round accounting over a finished JSON report")
     p.add_argument("path")
     p.add_argument("--model", choices=("mpc", "congest"), default="mpc")
-    p.add_argument("--epsilon", default="0.25")
     p.set_defaults(func=cmd_report)
     return ap
 

@@ -313,12 +313,7 @@ def sampled_contract_and_augment(
             state.op_augment(Arc(u, v))
             changed = True
         stats.note_step(step_size)
-    if state.contaminated is not None:
-        fresh = []
-        for u, v in sorted(state.g.edges):
-            if state.classify(u, v) == 2:
-                fresh += [(u, v), (v, u)]
-        state.contaminate(fresh)
+    state.contaminate_type2()
     return changed
 
 
@@ -330,16 +325,13 @@ def _in_structure_sweep(state: PhaseState, stage: int) -> bool:
     consumed before the oracle is asked.
     """
     changed = False
-    for owner in sorted(state.structures):
-        s = state.structures.get(owner)
-        if s is None or s.on_hold or s.extended or s.working is None:
-            continue
-        if state.entry_label(s, s.working) != stage:
-            continue
+    # An in-structure overtake changes only its own structure, so the
+    # structures ready at the start stay ready until they are visited.
+    for s in state.ready_at(stage):
         hit = None
         for x in sorted(state.omega.members_of(s.working)):
             for y in state.adj_sorted[x]:
-                if state.structure_of.get(y) != owner:
+                if state.structure_of.get(y) != s.owner:
                     continue
                 if state.mate[x] == y or state.g.removed[y]:
                     continue
@@ -374,6 +366,8 @@ def sampled_extend_active_path(
     contract-and-augment round.
     """
     n = state.g.n
+    # The matching is fixed for the phase, so its vertices are listed once.
+    matched = [v for v in range(n) if state.mate[v] is not None]
     changed = False
     for stage in range(0, params.ell_max + 1):
         changed |= _in_structure_sweep(state, stage)
@@ -398,10 +392,9 @@ def sampled_extend_active_path(
                         query_set.append(v)
                 elif state.head_label(v) > stage + 1:
                     query_set.append(v + n)
-            for v in range(n):
+            for v in matched:
                 if (
                     not state.g.removed[v]
-                    and state.mate[v] is not None
                     and state.structure_of.get(v) is None
                     and state.head_label(v) > stage + 1
                 ):
@@ -447,8 +440,8 @@ def _any_pending_work(state: PhaseState, params: PhaseParams) -> bool:
     Exact: ignores the per-bundle marks except the size-based hold, so
     a run never stops while an op is reachable.
     """
-    for s in state.live_structures():
-        if find_type1_arc(state, s) is not None:
+    for owner in sorted(state.dirty):
+        if find_type1_arc(state, state.structures[owner]) is not None:
             return True
     if build_h_prime(state)[1]:
         return True

@@ -92,16 +92,6 @@ def build_h_prime(state: PhaseState):
     return sorted(state.structures), pairs
 
 
-def _eligible_left(state: PhaseState, stage: int) -> list[Structure]:
-    out = []
-    for s in state.live_structures():
-        if s.on_hold or s.extended or s.working is None:
-            continue
-        if state.entry_label(s, s.working) == stage:
-            out.append(s)
-    return out
-
-
 def _head_eligible(state: PhaseState, y: int, stage: int) -> bool:
     """Head test: inner or unvisited-and-matched, with label headroom."""
     sv = state.structure_at(y)
@@ -118,15 +108,16 @@ def build_h_prime_s(state: PhaseState, stage: int):
     """Bipartite layer graph for one stage.
 
     Left: working vertices with entry label ``stage`` of structures that
-    are neither on hold nor already extended.  Right: inner or
-    unvisited matched vertices whose downward label exceeds
-    ``stage + 1`` and that have at least one candidate arc from the
-    left.  Returns ``(left_owners, right_heads, pairs, arcs)`` with one
-    witness arc per (owner, head) pair and the full candidate arc list
-    (used for contamination marking).  Heads are found by walking out
-    of the left side, each tested once per call.
+    are neither on hold nor already extended, read from
+    ``state.ready_at(stage)``.  Right: inner or unvisited matched
+    vertices whose downward label exceeds ``stage + 1`` and that have at
+    least one candidate arc from the left.  Returns ``(left_owners,
+    right_heads, pairs, arcs)`` with one witness arc per (owner, head)
+    pair and the full candidate arc list (used for contamination
+    marking).  Heads are found by walking out of the left side, each
+    tested once per call.
     """
-    left = _eligible_left(state, stage)
+    left = state.ready_at(stage)
     removed, mate = state.g.removed, state.mate
     head_ok: dict[int, bool] = {}
     pairs: dict[tuple[int, int], Arc] = {}
@@ -179,12 +170,15 @@ def _aux_graph_bipartite(pairs) -> tuple[Graph, list[tuple[str, int]]]:
 
 
 def exhaust_type1(state: PhaseState, stats: OracleStats) -> bool:
-    """Contract until no structure has an outer-outer arc at its working vertex."""
+    """Contract until no structure has an outer-outer arc at its working vertex.
+
+    Only the dirty structures can hold such an arc, so only they are
+    visited, in ascending owner order; a contraction changes no other
+    structure.  Leaves ``state.dirty`` empty.
+    """
     changed = False
-    for owner in sorted(state.structures):
-        s = state.structures.get(owner)
-        if s is None:
-            continue
+    for owner in sorted(state.dirty):
+        s = state.structures[owner]
         contracted = False
         while True:
             arc = find_type1_arc(state, s)
@@ -194,6 +188,7 @@ def exhaust_type1(state: PhaseState, stats: OracleStats) -> bool:
             changed = contracted = True
         if contracted:
             stats.note_step(len(s.vertices))
+    state.dirty.clear()
     return changed
 
 
@@ -231,12 +226,7 @@ def simulate_contract_and_augment(
             state.op_augment(arc)
             changed = True
         stats.note_step(step_size)
-    if state.contaminated is not None:
-        fresh = []
-        for u, v in sorted(state.g.edges):
-            if state.classify(u, v) == 2:
-                fresh += [(u, v), (v, u)]
-        state.contaminate(fresh)
+    state.contaminate_type2()
     return changed
 
 

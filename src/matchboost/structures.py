@@ -3,8 +3,9 @@
 A structure is a vertex- and arc-set owned by one free vertex; its
 contraction by the blossom family is a rooted alternating tree.  All
 structures of a phase share one :class:`PhaseState`: the blossom
-family, the matched-arc labels, the removal flags, and the augmenting
-paths found so far.
+family, the matched-arc labels, the removal flags, the augmenting
+paths found so far, and two indexes of the structures by what they
+can do next.
 
 The matching itself never changes inside a phase.  Augmentations are
 recorded as paths and applied by the driver at phase end.
@@ -30,6 +31,8 @@ class Structure:
     on_hold: bool = False
     modified: bool = False
     extended: bool = False
+    # The entry label under which the structure sits in ``PhaseState.ready``.
+    ready_label: int | None = None
     _view: TreeView | None = None
 
     def invalidate(self) -> None:
@@ -61,7 +64,27 @@ class Structure:
 
 
 class PhaseState:
-    """Shared mutable state of one phase."""
+    """Shared mutable state of one phase.
+
+    Besides the structures themselves it keeps two indexes of them, by
+    what they can do next:
+
+    ``ready``
+        Maps an entry label to the owners of the live structures that
+        have a working vertex with that entry label and are neither on
+        hold nor extended: the left side of that stage's layer graph.
+        Read it through :meth:`ready_at`.
+    ``dirty``
+        The owners of the live structures with two or more vertices
+        that were touched since the last ``exhaust_type1``.  No other
+        live structure has a type-1 arc.
+
+    Both are valid at all times, as long as structures change only
+    through the basic operations, ``backtrack_stuck`` and
+    ``mark_for_pass_bundle``: the operations :meth:`touch` every
+    structure whose working vertex, tree or entry labels they change,
+    and ``mark_for_pass_bundle`` rebuilds ``ready`` with the new marks.
+    """
 
     def __init__(
         self,
@@ -81,6 +104,8 @@ class PhaseState:
         self.structure_of: dict[int, int] = {}
         self.labels: dict[tuple[int, int], int] = {}
         self.found_paths: list[AltPath] = []
+        self.ready: dict[int, set[int]] = {}
+        self.dirty: set[int] = set()
         self.contaminated: set[tuple[int, int]] | None = (
             set() if track_contamination else None
         )
@@ -98,7 +123,49 @@ class PhaseState:
         s = Structure(owner=alpha, vertices={alpha}, working=alpha)
         self.structures[alpha] = s
         self.structure_of[alpha] = alpha
+        self.touch(s)
         return s
+
+    # -- indexes by what a structure can do next ---------------------------------
+
+    def touch(self, s: Structure) -> None:
+        """Re-file ``s`` in ``ready`` and ``dirty`` after a change to it.
+
+        Every change to a structure's working vertex, tree, marks or
+        entry labels must be followed by a touch for the indexes to stay
+        valid.  A structure that is no longer live leaves both indexes.
+        A singleton is never dirty: it has no arc of its own.
+        """
+        self._unfile(s)
+        if self.structures.get(s.owner) is not s:
+            self.dirty.discard(s.owner)
+            return
+        if not (s.on_hold or s.extended):
+            self._file(s)
+        if len(s.vertices) >= 2:
+            self.dirty.add(s.owner)
+        else:
+            self.dirty.discard(s.owner)
+
+    def ready_at(self, stage: int) -> list[Structure]:
+        """The live structures whose working vertex has entry label ``stage``.
+
+        Only those neither on hold nor extended, in ascending owner
+        order; read from ``ready``, so valid whenever it is.
+        """
+        return [self.structures[o] for o in sorted(self.ready.get(stage, ()))]
+
+    def _file(self, s: Structure) -> None:
+        if s.working is None:
+            return
+        label = self.entry_label(s, s.working)
+        self.ready.setdefault(label, set()).add(s.owner)
+        s.ready_label = label
+
+    def _unfile(self, s: Structure) -> None:
+        if s.ready_label is not None:
+            self.ready[s.ready_label].discard(s.owner)
+            s.ready_label = None
 
     def live_structures(self) -> list[Structure]:
         return [self.structures[k] for k in sorted(self.structures)]
@@ -144,11 +211,18 @@ class PhaseState:
         return view
 
     def mark_for_pass_bundle(self) -> None:
-        """Reset marks; large structures go on hold for the bundle."""
+        """Reset marks; large structures go on hold for the bundle.
+
+        Rebuilds ``ready`` from the reset marks in the same pass.
+        """
+        self.ready = {}
         for s in self.live_structures():
             s.on_hold = len(s.vertices) >= self.params.limit_h
             s.modified = False
             s.extended = False
+            s.ready_label = None
+            if not s.on_hold:
+                self._file(s)
 
     # -- label helpers ----------------------------------------------------------
 
@@ -161,9 +235,9 @@ class PhaseState:
 
     def entry_label(self, s: Structure, bid: int) -> int:
         """Label of the matched arc entering the outer blossom ``bid``; 0 at the root."""
-        view = self.tree(s)
-        if bid == view.root:
+        if bid == self.omega.root(s.owner):
             return 0
+        view = self.tree(s)
         arc = view.parent_arc[bid]
         return self.labels[(arc.tail, arc.head)]
 
@@ -227,6 +301,16 @@ class PhaseState:
             self.contaminated.add((a[0], a[1]))
         return len(self.contaminated) - before
 
+    def contaminate_type2(self) -> None:
+        """Mark both directions of every type-2 edge, if contamination is tracked."""
+        if self.contaminated is None:
+            return
+        fresh = []
+        for u, v in sorted(self.g.edges):
+            if self.classify(u, v) == 2:
+                fresh += [(u, v), (v, u)]
+        self.contaminate(fresh)
+
     def is_contaminated_edge(self, u: int, v: int) -> bool:
         return self.contaminated is not None and (
             (u, v) in self.contaminated or (v, u) in self.contaminated
@@ -274,6 +358,8 @@ class PhaseState:
         self.omega.dissolve(su.blossom_ids | sv.blossom_ids)
         del self.structures[su.owner]
         del self.structures[sv.owner]
+        self.touch(su)
+        self.touch(sv)
         return path
 
     # -- basic operation: contract ----------------------------------------------
@@ -308,6 +394,7 @@ class PhaseState:
         s.working = b.id
         s.modified = True
         s.extended = True
+        self.touch(s)
         return b.id
 
     # -- basic operation: overtake ------------------------------------------------
@@ -361,6 +448,7 @@ class PhaseState:
         s.modified = True
         s.extended = True
         s.invalidate()
+        self.touch(s)
 
     def _check_inner_head(self, s_beta: Structure, v: int) -> tuple[int, int]:
         """Common case-2 validation; returns (parent blossom, child blossom) of {v}."""
@@ -395,6 +483,7 @@ class PhaseState:
         s.modified = True
         s.extended = True
         s.invalidate()
+        self.touch(s)
 
     def _overtake_cross(
         self, s_alpha: Structure, s_beta: Structure, g_arc: Arc, a_arc: Arc, k: int
@@ -442,6 +531,10 @@ class PhaseState:
         s_beta.modified = True
         s_alpha.invalidate()
         s_beta.invalidate()
+        # The donor is the one structure whose stage can change in a
+        # bundle without it being marked extended.
+        self.touch(s_alpha)
+        self.touch(s_beta)
 
     # -- backtracking -------------------------------------------------------------
 
@@ -461,5 +554,6 @@ class PhaseState:
                 s.working = None
             else:
                 s.working = view.parent[view.parent[s.working]]
+            self.touch(s)
             changed = True
         return changed

@@ -7,6 +7,7 @@ distinctive failure or formatting behavior.  File outputs land in
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -186,10 +187,20 @@ class TestProblem1Verb:
         assert any(c["over_budget"] for c in doc["chunks"])
 
 
+def _row(trial: int, epsilon: float, calls: int, violations: int = 0) -> dict:
+    """A report row carrying the columns ``report`` reads; rounds differ per model."""
+    return {
+        "trial": trial, "graph": f"g{trial}", "epsilon": epsilon,
+        "oracle_calls": calls, "mpc_rounds": calls + 2,
+        "congest_rounds": calls + 10, "cap_violations": violations,
+    }
+
+
 class TestReportVerb:
-    def write_rows(self, tmp_path) -> str:
+    def write_rows(self, tmp_path, rows=None) -> str:
         path = tmp_path / "rep.json"
-        path.write_text(json.dumps({"rows": [{"oracle_calls": 5}, {"oracle_calls": 7}]}))
+        rows = rows if rows is not None else [_row(0, 0.25, 5), _row(1, 0.25, 7)]
+        path.write_text(json.dumps({"rows": rows}))
         return str(path)
 
     def test_accounting_over_saved_rows(self, tmp_path, capsys):
@@ -197,17 +208,59 @@ class TestReportVerb:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["model"] == "mpc"
-        assert doc["rounds"] == 12
+        assert doc["rounds"] == 16
         assert doc["oracle_calls"] == 12
+        assert doc["violations"] == []
 
     def test_epsilon_controls_the_cap(self, tmp_path, capsys):
+        # each row carries its own epsilon, and with it its cap
+        path = self.write_rows(tmp_path, [_row(0, 0.25, 5, 1), _row(1, 0.5, 7, 2)])
+        rc = main(["report", path, "--model", "congest"])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [v["component_cap"] for v in doc["violations"]] == [64.0, 8.0]
+
+    def test_row_with_violations_exits_nonzero(self, tmp_path, capsys):
+        path = self.write_rows(tmp_path, [_row(0, 0.25, 5), _row(1, 0.25, 7, 3)])
+        rc = main(["report", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        doc = json.loads(captured.out)
+        assert doc["violations"] == [
+            {"trial": 1, "graph": "g1", "epsilon": 0.25,
+             "component_cap": 64.0, "violations": 3}
+        ]
+        assert "FAIL: 1 row(s) exceed the component cap" in captured.err
+
+    def test_rows_without_stored_columns_rejected(self, tmp_path, capsys):
+        path = self.write_rows(tmp_path, [{"oracle_calls": 5}])
+        assert main(["report", path]) == 2
+        assert "row 0 lacks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["mpc", "congest"])
+    def test_agrees_with_a_real_run(self, tmp_path, capsys, model):
+        base = tmp_path / "run"
         rc = main(
-            ["report", self.write_rows(tmp_path), "--model", "congest",
-             "--epsilon", "1/2"]
+            ["boost", "--kind", "mixed", "--trials", "3", "--n", "24", "--seed", "1",
+             "--oracle", "greedy", "--out", str(base)]
         )
         assert rc == 0
-        assert json.loads(capsys.readouterr().out)["component_cap"] == 8.0
+        capsys.readouterr()
+        rows = json.loads((tmp_path / "run.json").read_text())["rows"]
+        with open(tmp_path / "run.csv") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        assert len(rows) == len(csv_rows) == 3
+        rc = main(["report", str(tmp_path / "run.json"), "--model", model])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rounds"] == sum(int(r[f"{model}_rounds"]) for r in csv_rows)
+        assert doc["oracle_calls"] == sum(int(r["oracle_calls"]) for r in csv_rows)
+        assert doc["rows"] == 3
+        assert rc == (1 if any(r["cap_violations"] for r in rows) else 0)
 
     def test_unknown_model_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["report", self.write_rows(tmp_path), "--model", "pram"])
+
+    def test_epsilon_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["report", self.write_rows(tmp_path), "--epsilon", "1/2"])

@@ -1,5 +1,7 @@
 """Weak-oracle pipeline: cover, lifting, sampling, and the stream harness."""
 
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -16,6 +18,7 @@ from matchboost.corpus import (
     gen_er,
     gen_planted,
     gen_update_stream,
+    standard_corpus,
 )
 from matchboost.dynamic import (
     MATERIALIZE_LIMIT,
@@ -460,3 +463,56 @@ class TestProblem1:
     def test_oversized_instance_rejected(self):
         with pytest.raises(PreconditionError, match="materialization limit"):
             problem1_harness(MATERIALIZE_LIMIT + 1, [("+", 0, 1)], 0.25)
+
+
+def _digest(obj) -> str:
+    blob = json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# Digests recorded before the phase state kept its ready and dirty
+# indexes: problem1_harness chunk records without wall_ms, and
+# static_from_weak's matching, weak calls per oracle and per-scale
+# stats on standard_corpus(6, 24, 64, seed=11), all at eps = 1/4.
+GOLDEN_HARNESS = {
+    (40, 48, 3): "c1c1d2d087de5760",
+    (64, 64, 8): "c994632166109370",
+}
+GOLDEN_WEAK = {
+    ("path-0000-n64", "weak-exact"): "7cda9d540fc29f49",
+    ("path-0000-n64", "weak-greedy"): "7cda9d540fc29f49",
+    ("cycle-0001-n37", "weak-exact"): "afa202c90eb545bf",
+    ("cycle-0001-n37", "weak-greedy"): "578651bce6b3d6ce",
+    ("er-0002-n44", "weak-exact"): "10951baea54b187d",
+    ("er-0002-n44", "weak-greedy"): "03b352c95604c2aa",
+    ("bipartite-0003-n27", "weak-exact"): "3f310c8657cdfa3d",
+    ("bipartite-0003-n27", "weak-greedy"): "54c9e1961501b2ae",
+    ("blossom-gadget-0004-n19", "weak-exact"): "fbcefa76239ca29d",
+    ("blossom-gadget-0004-n19", "weak-greedy"): "2c48abd0ecca91cc",
+    ("planted-0005-n54", "weak-exact"): "2e485742e699dbcd",
+    ("planted-0005-n54", "weak-greedy"): "9df2613368e9646b",
+}
+
+
+class TestGoldenReplay:
+    def test_harness_reproduces_recorded_digests(self):
+        got = {}
+        for n, count, seed in GOLDEN_HARNESS:
+            res = problem1_harness(n, gen_update_stream(n, count, seed), 0.25, seed=seed)
+            chunks = [{k: v for k, v in c.items() if k != "wall_ms"} for c in res["chunks"]]
+            got[(n, count, seed)] = _digest(chunks)
+        assert got == GOLDEN_HARNESS
+
+    def test_static_from_weak_reproduces_recorded_digests(self):
+        got = {}
+        for name, g in standard_corpus(6, 24, 64, seed=11):
+            for backend in ("weak-exact", "weak-greedy"):
+                res = static_from_weak(g.copy(), 0.25, backend, seed=5)
+                got[(name, backend)] = _digest(
+                    {
+                        "matching": sorted(res.matching.edges),
+                        "weak_calls": [res.stats_g.weak_calls, res.stats_b.weak_calls],
+                        "per_scale": res.per_scale,
+                    }
+                )
+        assert got == GOLDEN_WEAK

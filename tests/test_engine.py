@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchboost.corpus import gen_blossom_gadget, gen_er, standard_corpus
+from matchboost.dynamic import static_from_weak
 from matchboost.engine import (
     TraceHooks,
     _aux_graph_bipartite,
@@ -310,6 +311,23 @@ def _eligible_owners(state: PhaseState, stage: int) -> list[int]:
     ]
 
 
+def _phases_then_boost(g: Graph, seed: int, audit) -> None:
+    """Two phases from a sparse random matching, then a whole ``boost``.
+
+    ``audit`` is both the oracle and the hooks.
+    """
+    rng = random.Random(seed)
+    m = Matching(g.n)
+    for u, v in sorted(g.edges):
+        if rng.random() < 0.4 and m.mate[u] is None and m.mate[v] is None:
+            m.add(u, v)
+    for h in (0.5, 0.125):
+        params = PhaseParams.for_scale(0.25, h)
+        run_phase(g, m, params, CountedOracle(audit), hooks=audit)
+        g.clear_removed()
+    boost(g, 0.25, audit, hooks=audit)
+
+
 class BuilderAudit(TraceHooks):
     """Checks both builders against ``PhaseState.classify`` over every arc.
 
@@ -383,18 +401,8 @@ class TestBuildersAgainstClassify:
         # A phase from a sparse random matching joins many structures
         # (H' is rarely nonempty after the seed matching); a whole boost
         # then runs many bundles of layer graphs.
-        g = gen_er(n, p, seed=seed)
-        rng = random.Random(seed)
-        m = Matching(n)
-        for u, v in sorted(g.edges):
-            if rng.random() < 0.4 and m.mate[u] is None and m.mate[v] is None:
-                m.add(u, v)
         audit = BuilderAudit(make_oracle(spec))
-        for h in (0.5, 0.125):
-            params = PhaseParams.for_scale(0.25, h)
-            run_phase(g, m, params, CountedOracle(audit), hooks=audit)
-            g.clear_removed()
-        boost(g, 0.25, audit, hooks=audit)
+        _phases_then_boost(gen_er(n, p, seed=seed), seed, audit)
         assert audit.checks > 0
 
     def test_reference_sees_both_graphs_nonempty(self):
@@ -402,6 +410,90 @@ class TestBuildersAgainstClassify:
         audit = BuilderAudit(ExactOracle())
         run_phase(g, m, quarter_params(), CountedOracle(audit), hooks=audit)
         assert audit.nonempty[2] > 0 and audit.nonempty[3] > 0
+
+
+class IndexAudit(TraceHooks):
+    """Checks the phase state's indexes against a full rescan.
+
+    At each bundle start, after the simulations and at each bundle end:
+    for every stage, ``ready_at`` lists exactly the eligible owners in
+    ascending order; and no live structure outside ``dirty`` has a
+    type-1 arc.  Given an oracle, it also wraps it and checks before
+    each call, in the middle of the simulations.
+    """
+
+    def __init__(self, oracle=None):
+        self.inner = oracle
+        self.c = getattr(oracle, "c", 1)
+        self.state: PhaseState | None = None
+        self.checks = 0
+        self.ready_seen = 0
+        self.type1_in_dirty = 0
+
+    def find(self, g):
+        self.audit(self.state)
+        return self.inner.find(g)
+
+    def on_bundle_start(self, state, tau):
+        self.state = state
+        self.audit(state)
+
+    def on_after_simulations(self, state, tau):
+        self.audit(state)
+
+    def on_bundle_end(self, state, tau):
+        self.audit(state)
+
+    def on_phase_end(self, state):
+        self.state = None
+
+    def audit(self, state: PhaseState | None) -> None:
+        if state is None:  # the seed matching's calls come before any phase
+            return
+        top = state.params.ell_max + 1
+        for stage in range(top + 1):
+            owners = [s.owner for s in state.ready_at(stage)]
+            assert owners == _eligible_owners(state, stage)
+            assert all(state.structures[o].ready_label == stage for o in owners)
+            self.ready_seen += bool(owners)
+        assert all(0 <= k <= top for k, owners in state.ready.items() if owners)
+        assert state.dirty <= set(state.structures)
+        for s in state.live_structures():
+            if s.owner not in state.dirty:
+                assert find_type1_arc(state, s) is None
+            elif find_type1_arc(state, s) is not None:
+                self.type1_in_dirty += 1
+        self.checks += 1
+
+
+class TestIndexesAgainstRescan:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=14),
+        st.sampled_from([0.2, 0.35, 0.5]),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["greedy", "exact", "adversarial:2"]),
+    )
+    def test_boost(self, n, p, seed, spec):
+        audit = IndexAudit(make_oracle(spec, seed=1))
+        _phases_then_boost(gen_er(n, p, seed=seed), seed, audit)
+        assert audit.checks > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(er_graphs())
+    def test_static_from_weak(self, g):
+        audit = IndexAudit()
+        static_from_weak(g, 0.25, "weak-exact", seed=3, hooks=audit)
+
+    def test_audit_sees_ready_and_type1_work(self):
+        # a dirty structure holds a type-1 arc at some oracle call, so
+        # the check on the structures outside ``dirty`` is not vacuous
+        audit = IndexAudit(make_oracle("greedy"))
+        _phases_then_boost(gen_er(14, 0.35, seed=4), 4, audit)
+        assert audit.ready_seen > 0 and audit.type1_in_dirty > 0
+        weak = IndexAudit()
+        static_from_weak(gen_er(24, 0.1, seed=2), 0.25, "weak-exact", hooks=weak)
+        assert weak.ready_seen > 0
 
 
 def _boost_digest(res) -> str:

@@ -256,6 +256,15 @@ class TestOvertake:
         assert s5.working == 3
         assert s5.modified and not s5.extended
         assert Arc(3, 2) not in s5.arcs
+        # the donor is filed under its new working vertex's entry label;
+        # the extended taker leaves the ready sets
+        assert st.entry_label(s5, 3) == 1
+        assert s5.ready_label == 1
+        assert [s.owner for s in st.ready_at(1)] == [5]
+        assert st.ready_at(2) == []
+        assert [s.owner for s in st.ready_at(0)] == [6, 7]
+        assert s0.ready_label is None
+        assert st.dirty == {0, 5}
 
     def test_cross_structure_keeps_donor_working(self):
         g, m = branched()
@@ -394,6 +403,62 @@ class TestBundleBookkeeping:
         assert snap["active_path"] == [0, 1, 2]
         assert snap["active_labels"] == [0, 1]
         assert snap["marks"] == {"on_hold": False, "modified": True, "extended": True}
+
+
+def _ready(st: PhaseState) -> dict[int, list[int]]:
+    return {k: sorted(v) for k, v in st.ready.items() if v}
+
+
+class TestIndexes:
+    def test_fresh_state_files_every_free_vertex_at_zero(self):
+        g, m = triangle_tail()
+        st = PhaseState(g, m, params())
+        assert _ready(st) == {0: [0, 3, 4]}
+        assert [s.owner for s in st.ready_at(0)] == [0, 3, 4]
+        assert st.ready_at(1) == []
+        assert st.dirty == set()
+
+    def test_overtake_and_contract_refile(self):
+        g, m = triangle_tail()
+        st = PhaseState(g, m, params())
+        s = st.structure_at(0)
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        # extended: out of the ready sets until the next bundle, and dirty
+        assert _ready(st) == {0: [3, 4]} and st.dirty == {0}
+        st.mark_for_pass_bundle()
+        assert _ready(st) == {0: [3, 4], 1: [0]}
+        st.op_contract(Arc(2, 0))
+        assert s.ready_label is None and _ready(st) == {0: [3, 4]}
+        st.mark_for_pass_bundle()
+        # the blossom holds the root, so its entry label is 0
+        assert _ready(st) == {0: [0, 3, 4]} and s.ready_label == 0
+
+    def test_augment_drops_both_structures(self):
+        g, m = path6()
+        st = PhaseState(g, m, params())
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        st.op_overtake(Arc(2, 3), Arc(3, 4), 2)
+        assert st.dirty == {0} and _ready(st) == {0: [5]}
+        st.op_augment(Arc(4, 5))
+        assert _ready(st) == {} and st.dirty == set()
+
+    def test_backtrack_refiles(self):
+        g, m = path6()
+        st = PhaseState(g, m, params())
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        st.mark_for_pass_bundle()
+        assert _ready(st) == {0: [5], 1: [0]}
+        st.backtrack_stuck()
+        assert _ready(st) == {0: [0]} and st.dirty == {0}
+        st.backtrack_stuck()
+        assert _ready(st) == {}
+
+    def test_structures_on_hold_are_not_ready(self):
+        g, m = path6()
+        st = PhaseState(g, m, params(limit_coeff=1))  # limit_h == 3
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        st.mark_for_pass_bundle()
+        assert st.structure_at(0).on_hold and _ready(st) == {0: [5]}
 
 
 class TestContamination:
