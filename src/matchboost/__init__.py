@@ -21,6 +21,7 @@ from .errors import (
     GraphFormatError,
     InternalConsistencyError,
     MatchboostError,
+    OracleContractError,
     PreconditionError,
 )
 from .graph import (
@@ -71,6 +72,7 @@ __all__ = [
     "InternalConsistencyError",
     "Matching",
     "MatchboostError",
+    "OracleContractError",
     "OracleStats",
     "PhaseParams",
     "PreconditionError",

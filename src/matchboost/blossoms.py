@@ -407,51 +407,3 @@ def lift_full_path(
     final vertex.
     """
     return _stitch_segments(omega, mate, blossom_ids, connectors, end_target=end_target)
-
-
-# -- contracted view ----------------------------------------------------------
-
-
-class ContractedView:
-    """The quotient graph G/Omega restricted to live vertices.
-
-    Stores one lexicographically-smallest witness arc per contracted
-    edge, so lifting is reproducible.
-    """
-
-    def __init__(self, g, omega: LaminarBlossomSet, mate: MateArray | None = None):
-        self.omega = omega
-        self.vertices: set[int] = {
-            omega.root(v) for v in range(g.n) if not g.removed[v]
-        }
-        self.witness: dict[tuple[int, int], Arc] = {}
-        self.matched_pairs: set[tuple[int, int]] = set()
-        for u, v in sorted(g.edges):
-            if g.removed[u] or g.removed[v]:
-                continue
-            bu, bv = omega.root(u), omega.root(v)
-            if bu == bv:
-                continue
-            key = (bu, bv) if bu < bv else (bv, bu)
-            arc = Arc(u, v) if bu < bv else Arc(v, u)
-            cur = self.witness.get(key)
-            if cur is None or tuple(arc) < tuple(cur):
-                self.witness[key] = arc
-            if mate is not None and mate[u] == v:
-                self.matched_pairs.add(key)
-        if mate is not None:
-            seen: set[int] = set()
-            for a, b in self.matched_pairs:
-                if a in seen or b in seen:
-                    raise InternalConsistencyError(
-                        "contracted matching covers a blossom twice"
-                    )
-                seen.add(a)
-                seen.add(b)
-
-    def arc_between(self, b1: int, b2: int) -> Arc | None:
-        key = (b1, b2) if b1 < b2 else (b2, b1)
-        arc = self.witness.get(key)
-        if arc is None:
-            return None
-        return arc if self.omega.root(arc.tail) == b1 else arc.reverse()

@@ -18,8 +18,8 @@ import sys
 from .bench import ExperimentConfig, RunReport, component_cap, run_experiment, write_report
 from .corpus import CorpusSpec, build_corpus, format_update_stream, gen_update_stream
 from .dynamic import DynParams, parse_update_stream, problem1_harness
-from .errors import PreconditionError
-from .oracles import exact_mcm
+from .errors import InternalConsistencyError, MatchboostError, PreconditionError
+from .oracles import exact_mcm, make_oracle, make_weak_backend
 
 
 def _parse_constants(text: str | None) -> tuple[tuple[str, float], ...]:
@@ -39,12 +39,25 @@ def _parse_epsilons(values: list[str]) -> tuple[float, ...]:
     out: list[float] = []
     for v in values:
         for tok in v.split(","):
-            if "/" in tok:
-                a, b = tok.split("/")
-                out.append(float(a) / float(b))
-            else:
-                out.append(float(tok))
+            try:
+                if "/" in tok:
+                    a, b = tok.split("/")
+                    out.append(float(a) / float(b))
+                else:
+                    out.append(float(tok))
+            except (ValueError, ZeroDivisionError):
+                raise PreconditionError(
+                    f"bad epsilon {tok!r}, want a number or a fraction like 1/8"
+                ) from None
     return tuple(out)
+
+
+def _check_oracle(name: str, factory) -> None:
+    """An oracle name ``factory`` rejects is bad input, found before any run."""
+    try:
+        factory(name)
+    except ValueError as exc:
+        raise PreconditionError(f"--oracle: {exc}") from None
 
 
 def _corpus_spec(args) -> CorpusSpec:
@@ -113,6 +126,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_boost(args, mode: str = "boost") -> int:
+    _check_oracle(args.oracle, make_weak_backend if mode == "dynamic" else make_oracle)
     config = ExperimentConfig(
         mode=mode,
         epsilons=_parse_epsilons(args.epsilon or ["0.25"]),
@@ -136,6 +150,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_problem1(args) -> int:
+    _check_oracle(args.oracle, make_weak_backend)
     eps = _parse_epsilons([args.epsilon or "0.25"])[0]
     updates = gen_update_stream(args.n, args.updates, args.seed)
     if args.stream:
@@ -250,7 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PreconditionError as exc:
+    except InternalConsistencyError:
+        raise
+    except MatchboostError as exc:
         # bad inputs get one line; internal errors still traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

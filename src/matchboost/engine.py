@@ -67,29 +67,43 @@ def build_h_prime(state: PhaseState):
     Returns ``(owners, pairs)`` where ``owners`` lists all live
     structures and ``pairs`` maps each joined ``(owner_a, owner_b)``
     (a < b) to its lexicographically smallest witness arc, which runs
-    from ``owner_a``'s structure to ``owner_b``'s.  Only arcs out of
-    outer vertices of live structures are scanned.
+    from ``owner_a``'s structure to ``owner_b``'s.  Only the arcs out of
+    ``state.fresh`` are scanned, since every type-2 arc has an endpoint
+    there.  Fresh vertices that are no longer outer in a live structure
+    leave it, and it is cleared when no pair is found.
     """
     root_of = state.omega.root_of
-    outer_owner: dict[int, int] = {}
-    for s in state.structures.values():
-        view = state.tree(s)
-        for x in s.vertices:
-            if view.is_outer(root_of[x]):
-                outer_owner[x] = s.owner
+    structures, structure_of = state.structures, state.structure_of
+
+    def outer_owner(x: int) -> int | None:
+        o = structure_of.get(x)
+        if o is None or not state.tree(structures[o]).is_outer(root_of[x]):
+            return None
+        return o
+
+    fresh = state.fresh
+    stale = []
     pairs: dict[tuple[int, int], Arc] = {}
-    for x, a in outer_owner.items():
+    for x in fresh:
+        a = outer_owner(x)
+        if a is None:
+            stale.append(x)
+            continue
         for y in state.adj_sorted[x]:
-            b = outer_owner.get(y)
-            # Live structures hold no removed vertex, outer vertices of two
-            # structures are never matched to each other, and each such
-            # edge is taken once, from its smaller owner.
-            if b is None or b <= a:
+            b = outer_owner(y)
+            # Live structures hold no removed vertex, and outer vertices of
+            # two structures are never matched to each other.
+            if b is None or b == a:
                 continue
-            cur = pairs.get((a, b))
-            if cur is None or (x, y) < cur:
-                pairs[(a, b)] = Arc(x, y)
-    return sorted(state.structures), pairs
+            key, arc = ((a, b), Arc(x, y)) if a < b else ((b, a), Arc(y, x))
+            cur = pairs.get(key)
+            if cur is None or arc < cur:
+                pairs[key] = arc
+    if pairs:
+        fresh.difference_update(stale)
+    else:
+        fresh.clear()
+    return sorted(structures), pairs
 
 
 def _head_eligible(state: PhaseState, y: int, stage: int) -> bool:
@@ -355,6 +369,9 @@ def run_phase(
         if hooks:
             hooks.on_bundle_start(state, tau)
         changed = simulate_extend_active_path(state, oracle, params, stats, hooks)
+        # Near-free: the extension round ends with a contract-and-augment
+        # of its own, so unless that one stopped at its iteration cap the
+        # dirty and fresh sets are both empty here.
         changed |= simulate_contract_and_augment(state, oracle, params, stats, hooks)
         if hooks:
             hooks.on_after_simulations(state, tau)

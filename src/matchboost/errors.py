@@ -54,3 +54,7 @@ class PreconditionError(MatchboostError):
 
 class InternalConsistencyError(MatchboostError):
     """State reached a configuration the algorithm's contracts rule out."""
+
+
+class OracleContractError(InternalConsistencyError):
+    """A matching oracle's answer is not a matching of the graph it was given."""

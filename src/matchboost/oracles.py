@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import InternalConsistencyError
+from .errors import OracleContractError
 from .graph import Edge, Graph, Matching, edge_key
 
 
@@ -40,10 +40,6 @@ class GreedyOracle:
             if m.mate[u] is None and m.mate[v] is None:
                 m.add(u, v)
         return m
-
-
-def greedy_oracle(g: Graph, seed: int | None = None) -> Matching:
-    return GreedyOracle(seed).find(g)
 
 
 # -- exact maximum matching (blossom search) ---------------------------------
@@ -180,10 +176,6 @@ class AdversarialOracle:
         return m
 
 
-def adversarial_oracle(g: Graph, c_target: int) -> Matching:
-    return AdversarialOracle(c_target).find(g)
-
-
 def make_oracle(name: str, seed: int | None = None):
     """Oracle registry used by the CLI: exact | greedy | adversarial:<c>."""
     if name == "exact":
@@ -272,8 +264,39 @@ class OracleStats:
         self.processing_steps.append(max(1, max_component))
 
 
+def check_answer(g: Graph, m: Matching, call: int) -> None:
+    """Raise :class:`OracleContractError` unless ``m`` is a fit answer for ``g``.
+
+    ``m`` must be sized for ``g``, hold only edges of ``g`` and cover no
+    vertex twice, counted from its edges rather than its ``mate`` array.
+    It must be nonempty when ``g`` has an edge: a c-approximate oracle
+    returns at least mu/c >= 1/c > 0 edges.  Costs O(|m|).
+    """
+    if m.n != g.n:
+        raise OracleContractError(
+            f"oracle call {call}: answer is sized for {m.n} vertices, the graph has {g.n}"
+        )
+    covered: set[int] = set()
+    for u, v in m.edges:
+        if not g.has_edge(u, v):
+            raise OracleContractError(
+                f"oracle call {call}: ({u}, {v}) is not an edge of the graph"
+            )
+        for x in (u, v):
+            if x in covered:
+                raise OracleContractError(f"oracle call {call}: vertex {x} is covered twice")
+            covered.add(x)
+    if not m.edges and g.m > 0:
+        raise OracleContractError(
+            f"oracle call {call}: empty matching on a graph with {g.m} edges"
+        )
+
+
 class CountedOracle:
-    """Counting wrapper; wrapping a wrapped oracle composes the counts."""
+    """Counting wrapper; wrapping a wrapped oracle composes the counts.
+
+    Every answer is checked by :func:`check_answer` before it is counted.
+    """
 
     def __init__(self, inner, stats: OracleStats | None = None):
         self.inner = inner
@@ -282,11 +305,7 @@ class CountedOracle:
 
     def find(self, g: Graph) -> Matching:
         m = self.inner.find(g)
-        if len(m) == 0 and g.m > 0:
-            # A c-approximate oracle must return >= mu/c >= 1/c > 0 edges.
-            raise InternalConsistencyError(
-                f"oracle returned an empty matching on a graph with {g.m} edges"
-            )
+        check_answer(g, m, self.stats.calls + 1)
         self.stats.calls += 1
         self.stats.queried_vertices += g.n
         self.stats.queried_edges += g.m

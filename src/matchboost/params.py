@@ -25,8 +25,6 @@ class Constants:
     delta_coeff: int = 36        # structure size cap: delta_coeff / (h eps)
     iter_coeff: int = 22         # sim iterations: ceil(iter_coeff * c * ln(1/eps))
     scale_floor_coeff: int = 64  # smallest scale: eps^2 / scale_floor_coeff
-    congest_cap_exp: int = 3     # component cap for round accounting: eps^-3
-    round_unit: int = 1          # simulated rounds charged per oracle call
 
     def with_overrides(self, overrides: dict[str, float] | None) -> "Constants":
         if not overrides:

@@ -4,8 +4,8 @@ A structure is a vertex- and arc-set owned by one free vertex; its
 contraction by the blossom family is a rooted alternating tree.  All
 structures of a phase share one :class:`PhaseState`: the blossom
 family, the matched-arc labels, the removal flags, the augmenting
-paths found so far, and two indexes of the structures by what they
-can do next.
+paths found so far, and three indexes of the structures by what
+they can do next.
 
 The matching itself never changes inside a phase.  Augmentations are
 recorded as paths and applied by the driver at phase end.
@@ -66,8 +66,8 @@ class Structure:
 class PhaseState:
     """Shared mutable state of one phase.
 
-    Besides the structures themselves it keeps two indexes of them, by
-    what they can do next:
+    Besides the structures themselves it keeps three indexes of them,
+    by what they can do next:
 
     ``ready``
         Maps an entry label to the owners of the live structures that
@@ -78,12 +78,23 @@ class PhaseState:
         The owners of the live structures with two or more vertices
         that were touched since the last ``exhaust_type1``.  No other
         live structure has a type-1 arc.
+    ``fresh``
+        The vertices that became outer or changed structure since
+        ``build_h_prime`` last found no pair.  Every type-2 arc has an
+        endpoint in ``fresh``.  A structure's new root, the outer mate
+        of an unvisited overtake, the members of a new blossom and the
+        vertices moved by a cross overtake are added; nothing else makes
+        a vertex outer or moves it, since a same-structure overtake keeps
+        the parity of the subtree it re-hangs.  ``build_h_prime`` drops
+        the vertices that are no longer outer and clears it when it
+        finds no pair.
 
-    Both are valid at all times, as long as structures change only
+    All three are valid at all times, as long as structures change only
     through the basic operations, ``backtrack_stuck`` and
     ``mark_for_pass_bundle``: the operations :meth:`touch` every
-    structure whose working vertex, tree or entry labels they change,
-    and ``mark_for_pass_bundle`` rebuilds ``ready`` with the new marks.
+    structure whose working vertex, tree or entry labels they change
+    and add to ``fresh`` as above, and ``mark_for_pass_bundle``
+    rebuilds ``ready`` with the new marks.
     """
 
     def __init__(
@@ -106,6 +117,7 @@ class PhaseState:
         self.found_paths: list[AltPath] = []
         self.ready: dict[int, set[int]] = {}
         self.dirty: set[int] = set()
+        self.fresh: set[int] = set()
         self.contaminated: set[tuple[int, int]] | None = (
             set() if track_contamination else None
         )
@@ -123,6 +135,7 @@ class PhaseState:
         s = Structure(owner=alpha, vertices={alpha}, working=alpha)
         self.structures[alpha] = s
         self.structure_of[alpha] = alpha
+        self.fresh.add(alpha)
         self.touch(s)
         return s
 
@@ -394,6 +407,8 @@ class PhaseState:
         s.working = b.id
         s.modified = True
         s.extended = True
+        # the cycle's inner vertices turn outer
+        self.fresh |= b.members
         self.touch(s)
         return b.id
 
@@ -448,6 +463,7 @@ class PhaseState:
         s.modified = True
         s.extended = True
         s.invalidate()
+        self.fresh.add(t)
         self.touch(s)
 
     def _check_inner_head(self, s_beta: Structure, v: int) -> tuple[int, int]:
@@ -513,6 +529,7 @@ class PhaseState:
         s_alpha.vertices |= moved_vertices
         for x in moved_vertices:
             self.structure_of[x] = s_alpha.owner
+        self.fresh |= moved_vertices
         moved_blossoms: set[int] = set()
         for b in moved_roots:
             if not self.omega.is_trivial(b):

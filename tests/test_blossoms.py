@@ -1,7 +1,6 @@
 import pytest
 
 from matchboost.blossoms import (
-    ContractedView,
     LaminarBlossomSet,
     TreeView,
     check_laminarity,
@@ -11,7 +10,7 @@ from matchboost.blossoms import (
     validate_blossom,
 )
 from matchboost.errors import InternalConsistencyError, PreconditionError
-from matchboost.graph import Arc, Graph
+from matchboost.graph import Arc
 
 
 def triangle_set():
@@ -181,34 +180,3 @@ class TestLifting:
         outer = omega.contract([b.id, 3, 4], [Arc(0, 3), Arc(3, 4), Arc(4, 1)])
         out = lift_full_path(omega, mate, [5, outer.id], [Arc(5, 2)])
         assert out == [5, 2, 1, 0]
-
-
-class TestContractedView:
-    def test_witness_and_matched_pairs(self):
-        g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (1, 4), (3, 4)])
-        omega, mate, b = triangle_set()
-        m = [None, 2, 1, 4, 3]
-        view = ContractedView(g, omega, m)
-        assert view.vertices == {b.id, 3, 4}
-        # Two parallel arcs blossom->{3,4}: witness is lexicographically least.
-        assert view.witness[(3, b.id)] == Arc(3, 2)
-        assert view.witness[(4, b.id)] == Arc(4, 1)
-        assert view.matched_pairs == {(3, 4)}
-        assert view.arc_between(b.id, 3) == Arc(2, 3)
-        assert view.arc_between(3, b.id) == Arc(3, 2)
-        assert view.arc_between(3, 99) is None
-
-    def test_rejects_doubly_covered_blossom(self):
-        g = Graph(4, [(0, 1), (2, 3), (1, 2)])
-        omega = LaminarBlossomSet(4)
-        # Inconsistent mate array claims both (0,1) and (1,2) matched.
-        with pytest.raises(InternalConsistencyError):
-            ContractedView(g, omega, [1, 2, 1, None])
-
-    def test_respects_removed(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        g.remove_vertices([2])
-        omega = LaminarBlossomSet(3)
-        view = ContractedView(g, omega)
-        assert view.vertices == {0, 1}
-        assert (1, 2) not in view.witness

@@ -17,6 +17,7 @@ from matchboost.bench import CSV_COLUMNS, ExperimentConfig, RunReport, strip_wal
 from matchboost.cli import _finish_run, _parse_constants, _parse_epsilons, main
 from matchboost.corpus import gen_update_stream
 from matchboost.dynamic import parse_update_stream
+from matchboost.errors import InternalConsistencyError
 from matchboost.graph import load_graph
 
 
@@ -44,6 +45,49 @@ class TestArgHelpers:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["boost", "--nope"])
+
+
+class TestBadInput:
+    """Bad input is one ``error:`` line on stderr and exit 2, not a traceback."""
+
+    def test_epsilon_out_of_range(self, capsys):
+        rc = main(
+            ["boost", "--kind", "mixed", "--trials", "3", "--n", "24",
+             "--seed", "1", "--epsilon", "1/2"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: epsilon must be in (0, 1/4], got 0.5"]
+
+    def test_unparsable_epsilon(self, capsys):
+        assert main(["boost", "--epsilon", "1/0"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: bad epsilon '1/0'")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boost", "--oracle", "nope"],
+            ["boost", "--oracle", "adversarial:x"],
+            ["verify", "--oracle", "adversarial:0"],
+            ["dynamic", "--oracle", "greedy"],
+            ["problem1", "--oracle", "weak-nope"],
+        ],
+    )
+    def test_unknown_oracle(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert line.startswith("error: --oracle:")
+        assert out == ""  # refused before any run
+
+    def test_internal_errors_still_raise(self, monkeypatch):
+        def broken(config):
+            raise InternalConsistencyError("broken invariant")
+
+        monkeypatch.setattr("matchboost.cli.run_experiment", broken)
+        with pytest.raises(InternalConsistencyError):
+            main(["boost", "--trials", "1"])
 
 
 class TestGen:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchboost.corpus import gen_blossom_gadget, gen_er, standard_corpus
-from matchboost.dynamic import static_from_weak
+from matchboost.dynamic import DoubleCover, DynParams, run_phase_sampled, static_from_weak
 from matchboost.engine import (
     TraceHooks,
     _aux_graph_bipartite,
@@ -33,6 +33,7 @@ from matchboost.oracles import (
     OracleStats,
     exact_mcm,
     make_oracle,
+    weak_from_exact,
 )
 from matchboost.params import Constants, PhaseParams, scale_sequence
 from matchboost.structures import PhaseState
@@ -311,16 +312,21 @@ def _eligible_owners(state: PhaseState, stage: int) -> list[int]:
     ]
 
 
-def _phases_then_boost(g: Graph, seed: int, audit) -> None:
-    """Two phases from a sparse random matching, then a whole ``boost``.
-
-    ``audit`` is both the oracle and the hooks.
-    """
+def _sparse_matching(g: Graph, seed: int) -> Matching:
     rng = random.Random(seed)
     m = Matching(g.n)
     for u, v in sorted(g.edges):
         if rng.random() < 0.4 and m.mate[u] is None and m.mate[v] is None:
             m.add(u, v)
+    return m
+
+
+def _phases_then_boost(g: Graph, seed: int, audit) -> None:
+    """Two phases from a sparse random matching, then a whole ``boost``.
+
+    ``audit`` is both the oracle and the hooks.
+    """
+    m = _sparse_matching(g, seed)
     for h in (0.5, 0.125):
         params = PhaseParams.for_scale(0.25, h)
         run_phase(g, m, params, CountedOracle(audit), hooks=audit)
@@ -417,9 +423,11 @@ class IndexAudit(TraceHooks):
 
     At each bundle start, after the simulations and at each bundle end:
     for every stage, ``ready_at`` lists exactly the eligible owners in
-    ascending order; and no live structure outside ``dirty`` has a
-    type-1 arc.  Given an oracle, it also wraps it and checks before
-    each call, in the middle of the simulations.
+    ascending order; no live structure outside ``dirty`` has a type-1
+    arc; and every type-2 arc has an endpoint in ``fresh``, found with
+    ``classify`` and no builder.  Given an oracle, it also wraps it and
+    checks before each call, in the middle of the simulations;
+    ``AuditedWeak`` does the same for weak queries.
     """
 
     def __init__(self, oracle=None):
@@ -429,6 +437,7 @@ class IndexAudit(TraceHooks):
         self.checks = 0
         self.ready_seen = 0
         self.type1_in_dirty = 0
+        self.type2_seen = 0
 
     def find(self, g):
         self.audit(self.state)
@@ -463,7 +472,42 @@ class IndexAudit(TraceHooks):
                 assert find_type1_arc(state, s) is None
             elif find_type1_arc(state, s) is not None:
                 self.type1_in_dirty += 1
+        type2 = [a for a in state.g.arcs() if state.classify(*a) == 2]
+        assert all(x in state.fresh or y in state.fresh for x, y in type2)
+        self.type2_seen += bool(type2)
         self.checks += 1
+
+
+class AuditedWeak:
+    """A weak oracle that runs an ``IndexAudit`` before each query."""
+
+    def __init__(self, audit: IndexAudit, inner):
+        self.audit = audit
+        self.inner = inner
+        self.lam = inner.lam
+
+    def query(self, s, delta):
+        self.audit.audit(self.audit.state)
+        return self.inner.query(s, delta)
+
+
+def _sampled_phases_then_static(g: Graph, seed: int, audit: IndexAudit) -> None:
+    """Two sampled phases from a sparse random matching, then ``static_from_weak``.
+
+    Both run on weak-exact oracles and are audited at the hooks and
+    before each weak query.
+    """
+    weak_g = AuditedWeak(audit, weak_from_exact(g))
+    weak_b = AuditedWeak(audit, weak_from_exact(DoubleCover(g).materialize()))
+    m = _sparse_matching(g, seed)
+    for h in (0.5, 0.125):
+        params = PhaseParams.for_scale(0.25, h)
+        run_phase_sampled(
+            g, m, params, DynParams.desk(0.25), weak_g, weak_b,
+            random.Random(seed), OracleStats(), audit,
+        )
+        g.clear_removed()
+    static_from_weak(g, 0.25, seed=seed, hooks=audit, weak_g=weak_g, weak_b=weak_b)
 
 
 class TestIndexesAgainstRescan:
@@ -482,18 +526,18 @@ class TestIndexesAgainstRescan:
     @settings(max_examples=15, deadline=None)
     @given(er_graphs())
     def test_static_from_weak(self, g):
-        audit = IndexAudit()
-        static_from_weak(g, 0.25, "weak-exact", seed=3, hooks=audit)
+        _sampled_phases_then_static(g, 3, IndexAudit())
 
     def test_audit_sees_ready_and_type1_work(self):
-        # a dirty structure holds a type-1 arc at some oracle call, so
-        # the check on the structures outside ``dirty`` is not vacuous
+        # a dirty structure holds a type-1 arc at some oracle call, and
+        # some checks see a type-2 arc, so neither check is vacuous
         audit = IndexAudit(make_oracle("greedy"))
         _phases_then_boost(gen_er(14, 0.35, seed=4), 4, audit)
         assert audit.ready_seen > 0 and audit.type1_in_dirty > 0
+        assert audit.type2_seen > 0
         weak = IndexAudit()
-        static_from_weak(gen_er(24, 0.1, seed=2), 0.25, "weak-exact", hooks=weak)
-        assert weak.ready_seen > 0
+        _sampled_phases_then_static(gen_er(24, 0.1, seed=2), 2, weak)
+        assert weak.ready_seen > 0 and weak.type2_seen > 0
 
 
 def _boost_digest(res) -> str:

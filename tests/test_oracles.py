@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from _brute import exhaustive_mcm_edges, exhaustive_mcm_size
 from matchboost.corpus import gen_bipartite, gen_blossom_gadget, gen_er, gen_planted
-from matchboost.errors import InternalConsistencyError
+from matchboost.engine import boost
+from matchboost.errors import InternalConsistencyError, OracleContractError
 from matchboost.graph import Graph, Matching, edge_key, is_matching
 from matchboost.oracles import (
     AdversarialOracle,
@@ -15,6 +16,7 @@ from matchboost.oracles import (
     ExactOracle,
     GreedyOracle,
     OracleStats,
+    check_answer,
     counted,
     exact_mcm,
     make_oracle,
@@ -259,3 +261,88 @@ class TestCounting:
         st_.note_step(0)
         st_.note_step(7)
         assert st_.processing_steps == [1, 7]
+
+
+class Faulty:
+    """Greedy through the seed matching, then one bad answer.
+
+    The fault goes into the first later answer whose graph allows it:
+    an answer with a non-edge, with two edges sharing an endpoint,
+    sized for one vertex too many, or empty.  ``bad_call`` is that
+    call's number.
+    """
+
+    c = 2
+
+    def __init__(self, fault: str):
+        self.fault = fault
+        self.calls = 0
+        self.bad_call = None
+
+    def find(self, g):
+        self.calls += 1
+        m = GreedyOracle().find(g)
+        if self.calls <= 2 * self.c or self.bad_call is not None:
+            return m
+        bad = self.spoil(g, m)
+        if bad is not None:
+            self.bad_call = self.calls
+            return bad
+        return m
+
+    def spoil(self, g, m):
+        if self.fault == "wrong-n":
+            return Matching(g.n + 1, m.edges)
+        bad = Matching(g.n)
+        # set the edges directly: Matching.add would refuse them
+        if self.fault == "non-edge":
+            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+            bad.edges = set([p for p in pairs if not g.has_edge(*p)][:1])
+        elif self.fault == "shared-endpoint":
+            x = next((x for x in range(g.n) if len(g.adj[x]) >= 2), None)
+            if x is not None:
+                bad.edges = {edge_key(x, g.adj[x][0]), edge_key(x, g.adj[x][1])}
+        return bad if bad.edges or self.fault == "empty" else None
+
+
+FAULTS = ["non-edge", "shared-endpoint", "wrong-n", "empty"]
+
+
+class TestAnswersAtTheBoundary:
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_boost_fails_at_the_bad_call(self, fault):
+        # without the check a non-edge ends in a KeyError in the engine,
+        # and a wrong size or a shared endpoint can pass unnoticed
+        oracle = Faulty(fault)
+        with pytest.raises(OracleContractError) as info:
+            boost(gen_er(24, 0.15, seed=0), 0.25, oracle)
+        assert oracle.bad_call is not None and oracle.bad_call > 4
+        assert str(info.value).startswith(f"oracle call {oracle.bad_call}:")
+
+    def test_each_fault_is_named(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        bad = Matching(4)
+        bad.edges = {(0, 2)}
+        with pytest.raises(OracleContractError, match="call 7: .0, 2. is not an edge"):
+            check_answer(g, bad, 7)
+        bad.edges = {(0, 1), (1, 2)}
+        with pytest.raises(OracleContractError, match="vertex 1 is covered twice"):
+            check_answer(g, bad, 7)
+        with pytest.raises(OracleContractError, match="sized for 5 vertices"):
+            check_answer(g, Matching(5, [(0, 1)]), 7)
+        with pytest.raises(OracleContractError, match="empty matching"):
+            check_answer(g, Matching(4), 7)
+        check_answer(g, Matching(4, [(0, 1), (2, 3)]), 7)
+        check_answer(Graph(3), Matching(3), 7)
+
+    def test_a_rejected_answer_is_not_counted(self):
+        c = CountedOracle(Faulty("empty"))
+        g = Graph(2, [(0, 1)])
+        for _ in range(4):
+            c.find(g)
+        with pytest.raises(OracleContractError, match="oracle call 5:"):
+            c.find(g)
+        assert c.stats.calls == 4
+
+    def test_contract_errors_are_internal_errors(self):
+        assert issubclass(OracleContractError, InternalConsistencyError)

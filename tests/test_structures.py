@@ -2,6 +2,7 @@
 
 import pytest
 
+from matchboost.engine import build_h_prime
 from matchboost.errors import (
     InternalConsistencyError,
     InvalidEpsilonError,
@@ -459,6 +460,81 @@ class TestIndexes:
         st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         st.mark_for_pass_bundle()
         assert st.structure_at(0).on_hold and _ready(st) == {0: [5]}
+
+    def test_fresh_starts_with_the_free_vertices(self):
+        g, m = triangle_tail()
+        st = PhaseState(g, m, params())
+        assert st.fresh == {0, 3, 4}
+
+    def test_unvisited_overtake_adds_the_outer_mate(self):
+        g, m = path6()
+        st = PhaseState(g, m, params())
+        st.fresh.clear()
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        assert st.fresh == {2}
+
+    def test_contract_adds_the_blossom(self):
+        # triangle 0-1-2 with matched (1, 2); the free 3 hangs off 1
+        g = Graph(4, [(0, 1), (1, 2), (0, 2), (1, 3)])
+        m = Matching(4)
+        m.add(1, 2)
+        st = PhaseState(g, m, params())
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        # (1, 3) leaves an inner vertex, so no pair yet
+        assert build_h_prime(st) == ([0, 3], {}) and st.fresh == set()
+        st.op_contract(Arc(2, 0))
+        # the inner vertex 1 turns outer, and (1, 3) joins two structures
+        assert st.fresh == {0, 1, 2}
+        assert build_h_prime(st) == ([0, 3], {(0, 3): Arc(1, 3)})
+
+    def test_cross_overtake_adds_the_moved_vertices(self):
+        g, m = branched()
+        g.add_edge(1, 5)
+        st = PhaseState(g, m, params())
+        st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
+        st.op_overtake(Arc(3, 2), Arc(2, 1), 2)
+        st.mark_for_pass_bundle()
+        # (1, 5) lies inside one structure
+        assert build_h_prime(st)[1] == {} and st.fresh == set()
+        st.op_overtake(Arc(0, 2), Arc(2, 1), 1)
+        # 1 and 2 move to 0's structure, so (1, 5) joins two structures
+        assert st.fresh == {1, 2}
+        assert build_h_prime(st)[1] == {(0, 5): Arc(1, 5)}
+
+    def test_same_overtake_backtrack_and_marks_add_nothing(self):
+        g, m = branched()
+        st = PhaseState(g, m, params())
+        st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
+        st.op_overtake(Arc(3, 2), Arc(2, 1), 2)
+        st.mark_for_pass_bundle()
+        assert st.backtrack_stuck()
+        st.op_overtake(Arc(3, 8), Arc(8, 9), 2)
+        st.fresh.clear()
+        # re-hangs the inner vertex 2 under the outer 9: parities stay
+        st.op_overtake(Arc(9, 2), Arc(2, 1), 1)
+        st.mark_for_pass_bundle()
+        assert st.backtrack_stuck()
+        assert st.fresh == set()
+
+    def test_augment_adds_nothing_and_an_empty_build_clears(self):
+        g, m = path6()
+        st = PhaseState(g, m, params())
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
+        assert st.fresh == {0, 2, 3, 5}
+        st.op_augment(Arc(2, 3))
+        assert st.fresh == {0, 2, 3, 5}
+        assert build_h_prime(st) == ([], {})
+        assert st.fresh == set()
+
+    def test_a_nonempty_build_keeps_fresh_but_drops_stale_vertices(self):
+        g, m = path6()
+        st = PhaseState(g, m, params())
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
+        st.fresh.add(1)  # inner: no type-2 arc can leave it
+        assert build_h_prime(st) == ([0, 5], {(0, 5): Arc(2, 3)})
+        assert st.fresh == {0, 2, 3, 5}
 
 
 class TestContamination:
