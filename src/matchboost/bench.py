@@ -21,7 +21,7 @@ from .dynamic import DynParams, static_from_weak
 from .engine import boost
 from .errors import PreconditionError
 from .graph import Graph, is_matching
-from .oracles import OracleStats, exact_mcm, make_oracle
+from .oracles import OracleStats, exact_mcm, make_oracle, make_weak_backend
 from .params import Constants, normalize_epsilon
 
 
@@ -182,12 +182,11 @@ def _run_boost_trial(g: Graph, eps: float, config: ExperimentConfig, trial: int)
 
 
 def _run_dynamic_trial(g: Graph, eps: float, config: ExperimentConfig, trial: int) -> tuple:
-    backend = config.oracle if config.oracle.startswith("weak-") else "weak-exact"
     dynp = (
         DynParams.paper(eps) if config.profile == "paper" else DynParams.desk(eps, g.n)
     )
     res = static_from_weak(
-        g, eps, backend, dyn_params=dynp, seed=config.seed * 1_000_003 + trial
+        g, eps, config.oracle, dyn_params=dynp, seed=config.seed * 1_000_003 + trial
     )
     stats = OracleStats()
     stats.calls = res.stats_g.weak_calls + res.stats_b.weak_calls
@@ -203,8 +202,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     Verification computes the exact optimum per graph and checks the
     ceiling bound ``matched >= ceil(mu / (1 + eps))``; failures are
-    counted, never silently dropped.
+    counted, never silently dropped.  An oracle name the mode does not
+    know (a weak backend in dynamic mode) raises ``PreconditionError``
+    before the first trial.
     """
+    try:
+        (make_weak_backend if config.mode == "dynamic" else make_oracle)(config.oracle)
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
     corpus = build_corpus(config.corpus)
     mu_cache: dict[int, int] = {}
     report = RunReport(config=config)

@@ -267,6 +267,25 @@ def _sample_one(rng: random.Random, state: PhaseState, s: Structure, outer_only:
     return pool[rng.randrange(len(pool))]
 
 
+def _sampled_structures(rng: random.Random, state: PhaseState):
+    """The live structures in ascending owner order, for one draw each.
+
+    Each edgeless free vertex still takes its draw, ``randrange(1)``,
+    at its place in that order, as its singleton structure would, so
+    the random stream stays that of one structure per free vertex.
+    The caller must draw for each structure before taking the next.
+    """
+    edgeless = state.edgeless
+    i = 0
+    for owner in sorted(state.structures):
+        while i < len(edgeless) and edgeless[i] < owner:
+            rng.randrange(1)
+            i += 1
+        yield state.structures[owner]
+    for _ in range(i, len(edgeless)):
+        rng.randrange(1)
+
+
 def sampled_contract_and_augment(
     state: PhaseState,
     weak,
@@ -290,7 +309,7 @@ def sampled_contract_and_augment(
             break
         sample = [
             _sample_one(rng, state, s, outer_only=True)
-            for s in state.live_structures()
+            for s in _sampled_structures(rng, state)
         ]
         res = weak.query(sorted(sample), dynp.delta)
         if not res:
@@ -379,7 +398,7 @@ def sampled_extend_active_path(
             if fruitless >= dynp.sample_patience:
                 break
             query_set: list[int] = []
-            for s in state.live_structures():
+            for s in _sampled_structures(rng, state):
                 v = _sample_one(rng, state, s, outer_only=False)
                 view = state.tree(s)
                 if view.is_outer(state.root(v)):

@@ -248,8 +248,10 @@ class OracleStats:
     ``queried_vertices`` sums the vertex counts of the graphs given to a
     matching oracle and the query-set sizes of a weak oracle.  The
     engine's auxiliary graphs hold only vertices that carry an edge, so
-    for them it counts those; the seed matching's queries on the free
-    vertices count isolated ones too.
+    for them it counts those.  The weak pipeline's sampled queries leave
+    out the free vertices with no edge, which own no structure; the
+    seed matching's queries on the free vertices count isolated ones
+    too.
     """
 
     calls: int = 0

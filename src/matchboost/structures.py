@@ -1,11 +1,13 @@
 """Per-free-vertex search structures and the three basic operations.
 
-A structure is a vertex- and arc-set owned by one free vertex; its
-contraction by the blossom family is a rooted alternating tree.  All
-structures of a phase share one :class:`PhaseState`: the blossom
-family, the matched-arc labels, the removal flags, the augmenting
-paths found so far, and three indexes of the structures by what
-they can do next.
+A structure is a vertex- and arc-set owned by one free vertex with an
+edge; its contraction by the blossom family is a rooted alternating
+tree.  A free vertex with no edge can never augment, contract or
+overtake, so it owns no structure and is only listed in
+``PhaseState.edgeless``.  All structures of a phase share one
+:class:`PhaseState`: the blossom family, the matched-arc labels, the
+removal flags, the augmenting paths found so far, and three indexes of
+the structures by what they can do next.
 
 The matching itself never changes inside a phase.  Augmentations are
 recorded as paths and applied by the driver at phase end.
@@ -66,6 +68,14 @@ class Structure:
 class PhaseState:
     """Shared mutable state of one phase.
 
+    There is one structure per free vertex with an edge.  The free
+    vertices with no edge are kept apart, ascending, in ``edgeless``;
+    they are in no structure and no index.  Two things still behave as
+    if each owned a singleton structure: the samplers of the weak
+    pipeline draw once for each of them, in owner order, and the first
+    :meth:`backtrack_stuck` of the phase reports their move from the
+    root to no working vertex.
+
     Besides the structures themselves it keeps three indexes of them,
     by what they can do next:
 
@@ -81,11 +91,13 @@ class PhaseState:
     ``fresh``
         The vertices that became outer or changed structure since
         ``build_h_prime`` last found no pair.  Every type-2 arc has an
-        endpoint in ``fresh``.  A structure's new root, the outer mate
-        of an unvisited overtake, the members of a new blossom and the
-        vertices moved by a cross overtake are added; nothing else makes
-        a vertex outer or moves it, since a same-structure overtake keeps
-        the parity of the subtree it re-hangs.  ``build_h_prime`` drops
+        endpoint in ``fresh``.  It starts with the free vertices that
+        have a free neighbour, since at phase start the roots are the
+        only outer vertices.  The outer mate of an unvisited overtake,
+        the members of a new blossom and the vertices moved by a cross
+        overtake are added; nothing else makes a vertex outer or moves
+        it, since a same-structure overtake keeps the parity of the
+        subtree it re-hangs.  ``build_h_prime`` drops
         the vertices that are no longer outer and clears it when it
         finds no pair.
 
@@ -113,11 +125,11 @@ class PhaseState:
         self.omega = LaminarBlossomSet(g.n)
         self.structures: dict[int, Structure] = {}
         self.structure_of: dict[int, int] = {}
+        self.edgeless: list[int] = []
         self.labels: dict[tuple[int, int], int] = {}
         self.found_paths: list[AltPath] = []
         self.ready: dict[int, set[int]] = {}
         self.dirty: set[int] = set()
-        self.fresh: set[int] = set()
         self.contaminated: set[tuple[int, int]] | None = (
             set() if track_contamination else None
         )
@@ -125,17 +137,32 @@ class PhaseState:
             self.labels[(u, v)] = params.ell_max + 1
             self.labels[(v, u)] = params.ell_max + 1
         for a in free_vertices(g, m):
-            self.init_structure(a)
+            if self.adj_sorted[a]:
+                self.init_structure(a)
+            else:
+                self.edgeless.append(a)
+        self.fresh: set[int] = {
+            a
+            for a in self.structures
+            if any(y in self.structures for y in self.adj_sorted[a])
+        }
+        # Whether the edgeless vertices still hold the working vertex
+        # their singleton structures would have had.
+        self._edgeless_working = bool(self.edgeless)
 
     # -- bookkeeping ----------------------------------------------------------
 
     def init_structure(self, alpha: int) -> Structure:
+        """The singleton structure of the free vertex ``alpha``.
+
+        Leaves ``fresh`` to the caller, which at phase start seeds it
+        from all the roots at once.
+        """
         if self.mate[alpha] is not None or self.g.removed[alpha]:
             raise PreconditionError(f"vertex {alpha} is not free", code="not-free")
         s = Structure(owner=alpha, vertices={alpha}, working=alpha)
         self.structures[alpha] = s
         self.structure_of[alpha] = alpha
-        self.fresh.add(alpha)
         self.touch(s)
         return s
 
@@ -560,9 +587,14 @@ class PhaseState:
 
         A structure is stuck when it is neither on hold nor modified.
         At the root the working vertex becomes empty.  Returns whether
-        anything moved.
+        anything moved, counting the edgeless vertices' move off the
+        root, which their singleton structures would make in the first
+        call unless on hold.
         """
         changed = False
+        if self._edgeless_working and self.params.limit_h > 1:
+            self._edgeless_working = False
+            changed = True
         for s in self.live_structures():
             if s.on_hold or s.modified or s.working is None:
                 continue

@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from matchboost import bench
 from matchboost.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -151,6 +152,32 @@ class TestRunExperiment:
             assert row["ok"]
             assert row["weak_calls"] > 0
             assert row["oracle"] == "weak-exact"
+
+    def test_dynamic_mode_refuses_a_matching_oracle(self):
+        # greedy is no weak backend; it used to run as weak-exact unsaid
+        cfg = small_config(mode="dynamic", oracle="greedy")
+        with pytest.raises(PreconditionError, match="unknown weak backend 'greedy'"):
+            run_experiment(cfg)
+
+    def test_dynamic_mode_runs_the_named_backend(self, monkeypatch):
+        cfg = ExperimentConfig(
+            mode="dynamic",
+            oracle="weak-greedy",
+            seed=11,
+            corpus=CorpusSpec(
+                kind="planted", trials=2, n=16, coverage=0.9, extra=0.3, seed=5
+            ),
+        )
+        calls = []
+        real = bench.static_from_weak
+
+        def spy(g, eps, backend, **kw):
+            calls.append(backend)
+            return real(g, eps, backend, **kw)
+
+        monkeypatch.setattr(bench, "static_from_weak", spy)
+        run_experiment(cfg)
+        assert calls == ["weak-greedy", "weak-greedy"]
 
 
 class TestReplay:

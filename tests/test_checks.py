@@ -1,6 +1,12 @@
 """Invariant checkers: clean states pass, seeded corruptions are caught."""
 
+import math
+import random
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchboost.checks import (
     InvariantHooks,
@@ -13,10 +19,11 @@ from matchboost.checks import (
     enumerate_short_augmenting_paths,
 )
 from matchboost.corpus import gen_blossom_gadget, gen_er
+from matchboost.dynamic import static_from_weak
 from matchboost.engine import boost
 from matchboost.errors import InternalConsistencyError
-from matchboost.graph import Arc, Graph, Matching
-from matchboost.oracles import GreedyOracle
+from matchboost.graph import Arc, Graph, Matching, is_matching
+from matchboost.oracles import GreedyOracle, exact_mcm, make_oracle
 from matchboost.params import PhaseParams
 from matchboost.structures import PhaseState
 
@@ -56,6 +63,15 @@ class TestCheckState:
         st.structure_at(0).vertices.add(5)
         problems = check_state(st)
         assert any("in structures 0 and 5" in p for p in problems)
+
+    def test_edgeless_list_holds_only_edgeless_free_vertices(self):
+        st = PhaseState(Graph(7, [(0, 1)]), Matching(7), params())
+        assert st.edgeless == [2, 3, 4, 5, 6] and check_state(st) == []
+        st = path6()
+        st.edgeless += [0, 1]
+        problems = check_state(st)
+        assert any("edgeless vertex 0 " in p for p in problems)
+        assert any("edgeless vertex 1 " in p for p in problems)
 
     def test_label_out_of_range(self):
         st = path6()
@@ -209,3 +225,43 @@ class TestInvariantHooks:
             star.add_edge(0, v)
         with pytest.raises(InternalConsistencyError, match="degree"):
             hooks.on_oracle_graph(star)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw) -> Graph:
+    """A small ER graph plus up to six isolated vertices, labels shuffled."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    p = draw(st.sampled_from([0.1, 0.2, 0.35]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    k = draw(st.integers(min_value=0, max_value=6))
+    perm = list(range(n + k))
+    random.Random(seed).shuffle(perm)
+    base = gen_er(n, p, seed=seed)
+    return Graph(n + k, [(perm[u], perm[v]) for u, v in base.edges])
+
+
+class TestInvariantProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_with_isolated_vertices())
+    def test_every_oracle_family_keeps_the_invariants_and_the_bound(self, g):
+        # InvariantHooks raises InternalConsistencyError on the first
+        # broken invariant, with the contamination ledger and the
+        # short-path audit on
+        floor = math.ceil(len(exact_mcm(g)) / 1.25)
+        for spec in ("greedy", "exact", "adversarial:2"):
+            hooks = InvariantHooks(g, 0.25, audit_paths=True)
+            res = boost(
+                g.copy(), 0.25, make_oracle(spec, seed=1),
+                hooks=hooks, track_contamination=True,
+            )
+            assert is_matching(g, res.matching)
+            assert len(res.matching) >= floor, spec
+        hooks = InvariantHooks(g, 0.25, audit_paths=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = static_from_weak(
+                g.copy(), 0.25, "weak-exact", seed=1,
+                hooks=hooks, track_contamination=True,
+            )
+        assert is_matching(g, res.matching)
+        assert len(res.matching) >= floor

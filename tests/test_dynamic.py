@@ -1,5 +1,6 @@
 """Weak-oracle pipeline: cover, lifting, sampling, and the stream harness."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,6 +36,7 @@ from matchboost.dynamic import (
     problem1_harness,
     run_phase_sampled,
     sampled_contract_and_augment,
+    sampled_extend_active_path,
     static_from_weak,
 )
 from matchboost.errors import InternalConsistencyError, PreconditionError
@@ -62,6 +64,31 @@ def path6_state() -> PhaseState:
     m.add(1, 2)
     m.add(3, 4)
     return PhaseState(g, m, quarter_params())
+
+
+def interleaved_state() -> PhaseState:
+    """Free 0, 1, 4, 5, 8, of which 0, 4 and 8 have no edge.
+
+    1 has grown over the matched (2, 3), so its structure holds 1, 2, 3
+    with outer 1 and 3; 5 is a singleton with (3, 5) to 1's structure
+    and the matched (6, 7) ahead.  A new bundle has begun.
+    """
+    g = Graph(9, [(1, 2), (2, 3), (3, 5), (5, 6), (6, 7)])
+    m = Matching(9)
+    m.add(2, 3)
+    m.add(6, 7)
+    state = PhaseState(g, m, quarter_params())
+    state.op_overtake(Arc(1, 2), Arc(2, 3), 1)
+    state.mark_for_pass_bundle()
+    return state
+
+
+def one_draw_per_free_vertex(seed: int, pool_sizes: list[int]) -> random.Random:
+    """The stream after one draw per free vertex, ascending, from its pool."""
+    rng = random.Random(seed)
+    for k in pool_sizes:
+        rng.randrange(k)
+    return rng
 
 
 class TestDoubleCover:
@@ -264,6 +291,47 @@ class TestSampling:
         )
         assert changed
         assert sorted(p.vertices for p in state.found_paths) == [[0, 1], [2, 3]]
+
+
+    def test_both_samplers_draw_once_per_free_vertex(self):
+        # one sampling iteration each; the edgeless 0, 4 and 8 draw from a
+        # pool of one, in their place between 1's and 5's draws
+        dynp = DynParams.desk(0.25)
+        for seed in range(20):
+            state = interleaved_state()
+            g = state.g
+            rng = random.Random(seed)
+            sampled_contract_and_augment(
+                state,
+                weak_from_exact(g),
+                dataclasses.replace(dynp, i_caa=1),
+                OracleStats(),
+                rng,
+            )
+            want = one_draw_per_free_vertex(seed, [1])
+            picked = [1, 3][want.randrange(2)]
+            for k in [1, 1, 1]:
+                want.randrange(k)
+            assert rng.getstate() == want.getstate()
+            # the sample holds 5 and 1's pick; only 3 has the edge to 5
+            assert bool(state.found_paths) == (picked == 3)
+
+            state = interleaved_state()
+            rng = random.Random(seed)
+            weak_b = CountedWeakOracle(weak_from_exact(DoubleCover(g).materialize()))
+            sampled_extend_active_path(
+                state,
+                weak_from_exact(g),
+                weak_b,
+                dataclasses.replace(dynp, i_eap=1, i_caa=0),
+                state.params,
+                OracleStats(),
+                rng,
+            )
+            # stage 0 samples once and 5 takes (6, 7); no later stage has work
+            assert weak_b.stats.weak_calls == 1 and state.labels[(6, 7)] == 1
+            want = one_draw_per_free_vertex(seed, [1, 3, 1, 1, 1])
+            assert rng.getstate() == want.getstate()
 
 
 class TestRunPhaseSampled:

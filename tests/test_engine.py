@@ -100,17 +100,17 @@ class TestAuxBuilders:
         assert arcs == [Arc(0, 1), Arc(5, 4)]
 
     def test_aux_graphs_hold_only_vertices_with_an_edge(self):
-        # path6 plus an isolated free vertex 6: its structure is a left
-        # owner with no arc, and heads 2 and 3 are eligible but no left
-        # working vertex reaches them
+        # path6 plus an isolated free vertex 6, which owns no structure;
+        # heads 2 and 3 are eligible but no left working vertex reaches them
         g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         m = Matching(7)
         m.add(1, 2)
         m.add(3, 4)
         state = PhaseState(g, m, quarter_params())
         assert _head_eligible(state, 2, 0) and _head_eligible(state, 3, 0)
+        assert state.edgeless == [6] and 6 not in state.structure_of
         left, right, pairs, _ = build_h_prime_s(state, 0)
-        assert left == [0, 5, 6]
+        assert left == [0, 5]
         assert right == [1, 4]
         aux, nodes = _aux_graph_bipartite(pairs)
         assert nodes == [("L", 0), ("L", 5), ("R", 1), ("R", 4)]
@@ -118,7 +118,7 @@ class TestAuxBuilders:
         state.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         state.op_overtake(Arc(5, 4), Arc(4, 3), 1)
         owners, pairs = build_h_prime(state)
-        assert owners == [0, 5, 6]
+        assert owners == [0, 5]
         aux, owners = _aux_graph_pairs(pairs)
         assert owners == [0, 5]
         assert sorted(aux.edges) == [(0, 1)]
@@ -171,7 +171,9 @@ class TestRunPhase:
         oracle = CountedOracle(ExactOracle())
         paths, state = run_phase(g, m, quarter_params(), oracle)
         assert paths == [AltPath([0, 1, 2, 3])]
-        assert sorted(state.structures) == [4]
+        # the isolated 4 owns no structure
+        assert state.structures == {} and state.edgeless == [4]
+        assert 4 not in state.structure_of and 4 not in state.fresh
 
     def test_empty_matching_pairs_up_free_ends(self):
         g = Graph(4, [(0, 1), (2, 3)])

@@ -1,0 +1,117 @@
+"""Golden replays on graphs that are mostly isolated vertices.
+
+Each graph applies a prefix of a ``gen_update_stream`` stream to an
+empty graph on 64 vertices, so most free vertices have no edge.  The
+digests cover the processing steps, from which the reports' round
+columns are computed, as well as the matching and the call counts.
+"""
+
+import hashlib
+import json
+import warnings
+
+from matchboost.corpus import gen_update_stream
+from matchboost.dynamic import static_from_weak
+from matchboost.engine import boost
+from matchboost.graph import Graph
+from matchboost.oracles import make_oracle
+
+PREFIXES = [(seed, k) for seed in (1, 2, 3) for k in (16, 40, 96)]
+
+
+def stream_prefix_graph(seed: int, k: int) -> Graph:
+    g = Graph(64)
+    for rec in gen_update_stream(64, 96, seed)[:k]:
+        if rec[0] == "+":
+            g.add_edge(rec[1], rec[2])
+        elif rec[0] == "-":
+            g.remove_edge(rec[1], rec[2])
+    return g
+
+
+def _digest(obj) -> str:
+    blob = json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# Recorded at eps = 1/4 while every free vertex still owned a structure.
+GOLDEN_SPARSE_WEAK = {
+    (1, 16, "weak-exact"): "9aa95b283c6be45a",
+    (1, 16, "weak-greedy"): "9aa95b283c6be45a",
+    (1, 40, "weak-exact"): "fbc186d47cb81794",
+    (1, 40, "weak-greedy"): "36f21387bb7e692f",
+    (1, 96, "weak-exact"): "3991263e3147a3af",
+    (1, 96, "weak-greedy"): "e3afdb3ece78b8e4",
+    (2, 16, "weak-exact"): "42b9e4dc8d1e204c",
+    (2, 16, "weak-greedy"): "42b9e4dc8d1e204c",
+    (2, 40, "weak-exact"): "cd879e613359b6a6",
+    (2, 40, "weak-greedy"): "d41786c35a9c7107",
+    (2, 96, "weak-exact"): "60f9484dad46fc44",
+    (2, 96, "weak-greedy"): "802c4067aba14c2c",
+    (3, 16, "weak-exact"): "e2dea253b953bd86",
+    (3, 16, "weak-greedy"): "e2dea253b953bd86",
+    (3, 40, "weak-exact"): "f51e57c841b3cf71",
+    (3, 40, "weak-greedy"): "f51e57c841b3cf71",
+    (3, 96, "weak-exact"): "924e81b78bd0972f",
+    (3, 96, "weak-greedy"): "2f33fdbbed66508e",
+}
+GOLDEN_SPARSE_BOOST = {
+    (1, 16, "greedy"): "90e64f5b796cd93d",
+    (1, 16, "adversarial:2"): "bd38e9ef9d65417a",
+    (1, 40, "greedy"): "7ea6dde5ab423947",
+    (1, 40, "adversarial:2"): "9db794323ae775f3",
+    (1, 96, "greedy"): "5923d87d430a31e6",
+    (1, 96, "adversarial:2"): "1083707b9692d6f7",
+    (2, 16, "greedy"): "56ab56e603acc14c",
+    (2, 16, "adversarial:2"): "d34f02caa2a33106",
+    (2, 40, "greedy"): "3913ad8d4c621894",
+    (2, 40, "adversarial:2"): "2377b2fbbf8796ba",
+    (2, 96, "greedy"): "f47b46305438437e",
+    (2, 96, "adversarial:2"): "5dcd19b2a50b4f64",
+    (3, 16, "greedy"): "0ee741905afa1f8d",
+    (3, 16, "adversarial:2"): "60119174a744b73a",
+    (3, 40, "greedy"): "83521c5f0bb68d36",
+    (3, 40, "adversarial:2"): "be34c65c0c28353a",
+    (3, 96, "greedy"): "482b14077879f8be",
+    (3, 96, "adversarial:2"): "4bd064ed583381c5",
+}
+
+
+def test_static_from_weak_reproduces_recorded_digests():
+    got = {}
+    for seed, k in PREFIXES:
+        for backend in ("weak-exact", "weak-greedy"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                res = static_from_weak(stream_prefix_graph(seed, k), 0.25, backend, seed=5)
+            got[(seed, k, backend)] = _digest(
+                {
+                    "matching": sorted(res.matching.edges),
+                    "weak_calls": [res.stats_g.weak_calls, res.stats_b.weak_calls],
+                    "per_scale": res.per_scale,
+                    "processing_steps": [
+                        res.stats_g.processing_steps,
+                        res.stats_b.processing_steps,
+                    ],
+                }
+            )
+    assert got == GOLDEN_SPARSE_WEAK
+
+
+def test_boost_reproduces_recorded_digests():
+    got = {}
+    for seed, k in PREFIXES:
+        for spec in ("greedy", "adversarial:2"):
+            res = boost(stream_prefix_graph(seed, k), 0.25, make_oracle(spec))
+            got[(seed, k, spec)] = _digest(
+                {
+                    "matching": sorted(res.matching.edges),
+                    "oracle_calls": res.oracle_calls,
+                    "per_scale": [
+                        [sc.h, sc.phases_run, sc.paths_found, sc.oracle_calls]
+                        for sc in res.per_scale
+                    ],
+                    "processing_steps": res.stats.processing_steps,
+                }
+            )
+    assert got == GOLDEN_SPARSE_BOOST

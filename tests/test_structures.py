@@ -23,6 +23,14 @@ def params(epsilon: float = 0.25, h: float = 0.5, **overrides) -> PhaseParams:
     return PhaseParams.for_scale(epsilon, h, Constants().with_overrides(overrides))
 
 
+def assert_edgeless(st: PhaseState, v: int) -> None:
+    """``v`` is listed as an edgeless free vertex and sits in no index."""
+    assert v in st.edgeless
+    assert v not in st.structures and v not in st.structure_of
+    assert all(v not in owners for owners in st.ready.values())
+    assert v not in st.dirty and v not in st.fresh
+
+
 def path6() -> tuple[Graph, Matching]:
     # 0 - 1 = 2 - 3 = 4 - 5   (= matched), free ends 0 and 5.
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
@@ -263,7 +271,9 @@ class TestOvertake:
         assert s5.ready_label == 1
         assert [s.owner for s in st.ready_at(1)] == [5]
         assert st.ready_at(2) == []
-        assert [s.owner for s in st.ready_at(0)] == [6, 7]
+        assert st.ready_at(0) == []
+        assert_edgeless(st, 6)
+        assert_edgeless(st, 7)
         assert s0.ready_label is None
         assert st.dirty == {0, 5}
 
@@ -342,7 +352,8 @@ class TestAugment:
         assert st.classify(2, 3) == 2
         path = st.op_augment(Arc(2, 3))
         assert path == AltPath([0, 1, 2, 3])
-        assert sorted(st.structures) == [4]
+        assert st.structures == {}
+        assert_edgeless(st, 4)
         assert not g.removed[4]
 
     def test_rejects_same_structure(self):
@@ -393,6 +404,20 @@ class TestBundleBookkeeping:
         assert st.structure_at(0).working == 2
         assert st.structure_at(5).working is None
 
+    def test_first_backtrack_moves_the_edgeless_vertices(self):
+        # the only free vertices, 2 and 3, have no edge: their singleton
+        # structures would have left the root in the first backtrack,
+        # unless on hold, as all are when limit_h == 1
+        g = Graph(4, [(0, 1)])
+        m = Matching(4)
+        m.add(0, 1)
+        for limit_coeff, moves in [(6, [True, False]), (0, [False, False])]:
+            st = PhaseState(g, m, params(limit_coeff=limit_coeff))
+            assert st.edgeless == [2, 3] and st.structures == {}
+            for want in moves:
+                st.mark_for_pass_bundle()
+                assert st.backtrack_stuck() == want
+
     def test_debug_json(self):
         g, m = path6()
         st = PhaseState(g, m, params())
@@ -412,12 +437,14 @@ def _ready(st: PhaseState) -> dict[int, list[int]]:
 
 class TestIndexes:
     def test_fresh_state_files_every_free_vertex_at_zero(self):
+        # every free vertex with an edge; the isolated 4 is in no index
         g, m = triangle_tail()
         st = PhaseState(g, m, params())
-        assert _ready(st) == {0: [0, 3, 4]}
-        assert [s.owner for s in st.ready_at(0)] == [0, 3, 4]
+        assert _ready(st) == {0: [0, 3]}
+        assert [s.owner for s in st.ready_at(0)] == [0, 3]
         assert st.ready_at(1) == []
         assert st.dirty == set()
+        assert_edgeless(st, 4)
 
     def test_overtake_and_contract_refile(self):
         g, m = triangle_tail()
@@ -425,14 +452,15 @@ class TestIndexes:
         s = st.structure_at(0)
         st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         # extended: out of the ready sets until the next bundle, and dirty
-        assert _ready(st) == {0: [3, 4]} and st.dirty == {0}
+        assert _ready(st) == {0: [3]} and st.dirty == {0}
         st.mark_for_pass_bundle()
-        assert _ready(st) == {0: [3, 4], 1: [0]}
+        assert _ready(st) == {0: [3], 1: [0]}
         st.op_contract(Arc(2, 0))
-        assert s.ready_label is None and _ready(st) == {0: [3, 4]}
+        assert s.ready_label is None and _ready(st) == {0: [3]}
         st.mark_for_pass_bundle()
         # the blossom holds the root, so its entry label is 0
-        assert _ready(st) == {0: [0, 3, 4]} and s.ready_label == 0
+        assert _ready(st) == {0: [0, 3]} and s.ready_label == 0
+        assert_edgeless(st, 4)
 
     def test_augment_drops_both_structures(self):
         g, m = path6()
@@ -462,9 +490,15 @@ class TestIndexes:
         assert st.structure_at(0).on_hold and _ready(st) == {0: [5]}
 
     def test_fresh_starts_with_the_free_vertices(self):
-        g, m = triangle_tail()
+        # those with a free neighbour: 0 has only the matched 1, and 5
+        # has no edge at all
+        g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+        m = Matching(6)
+        m.add(1, 2)
         st = PhaseState(g, m, params())
-        assert st.fresh == {0, 3, 4}
+        assert sorted(st.structures) == [0, 3, 4]
+        assert st.fresh == {3, 4}
+        assert_edgeless(st, 5)
 
     def test_unvisited_overtake_adds_the_outer_mate(self):
         g, m = path6()
@@ -521,9 +555,9 @@ class TestIndexes:
         st = PhaseState(g, m, params())
         st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
-        assert st.fresh == {0, 2, 3, 5}
+        assert st.fresh == {2, 3}
         st.op_augment(Arc(2, 3))
-        assert st.fresh == {0, 2, 3, 5}
+        assert st.fresh == {2, 3}
         assert build_h_prime(st) == ([], {})
         assert st.fresh == set()
 
@@ -534,7 +568,7 @@ class TestIndexes:
         st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
         st.fresh.add(1)  # inner: no type-2 arc can leave it
         assert build_h_prime(st) == ([0, 5], {(0, 5): Arc(2, 3)})
-        assert st.fresh == {0, 2, 3, 5}
+        assert st.fresh == {2, 3}
 
 
 class TestContamination:
