@@ -6,15 +6,23 @@ weak-oracle pipeline (induced-subgraph queries only) with an
 update-stream harness.
 """
 
-from .engine import BoostResult, TraceHooks, boost, initial_matching, run_phase
+from .engine import (
+    BoostResult,
+    OracleFinder,
+    TraceHooks,
+    boost,
+    initial_matching,
+    run_phase,
+    run_scales,
+)
 from .dynamic import (
     DoubleCover,
     DynParams,
     DynRunResult,
     lift_bipartite_matching,
     parse_update_stream,
+    SampledFinder,
     problem1_harness,
-    run_phase_sampled,
     static_from_weak,
 )
 from .errors import (
@@ -73,9 +81,11 @@ __all__ = [
     "Matching",
     "MatchboostError",
     "OracleContractError",
+    "OracleFinder",
     "OracleStats",
     "PhaseParams",
     "PreconditionError",
+    "SampledFinder",
     "TraceHooks",
     "augment_all",
     "augment_along",
@@ -94,7 +104,7 @@ __all__ = [
     "parse_update_stream",
     "problem1_harness",
     "run_phase",
-    "run_phase_sampled",
+    "run_scales",
     "scale_sequence",
     "static_from_weak",
     "weak_from_exact",

@@ -182,9 +182,7 @@ def _run_boost_trial(g: Graph, eps: float, config: ExperimentConfig, trial: int)
 
 
 def _run_dynamic_trial(g: Graph, eps: float, config: ExperimentConfig, trial: int) -> tuple:
-    dynp = (
-        DynParams.paper(eps) if config.profile == "paper" else DynParams.desk(eps, g.n)
-    )
+    dynp = DynParams.paper(eps) if config.profile == "paper" else DynParams.desk(eps)
     res = static_from_weak(
         g, eps, config.oracle, dyn_params=dynp, seed=config.seed * 1_000_003 + trial
     )

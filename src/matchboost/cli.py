@@ -156,7 +156,7 @@ def cmd_problem1(args) -> int:
     if args.stream:
         with open(args.stream) as fh:
             updates = parse_update_stream(fh.read())
-    dynp = DynParams.paper(eps) if args.profile == "paper" else DynParams.desk(eps, args.n)
+    dynp = DynParams.paper(eps) if args.profile == "paper" else DynParams.desk(eps)
     result = problem1_harness(
         args.n, updates, eps, backend=args.oracle, q_budget=args.q_budget,
         seed=args.seed, dyn_params=dynp,

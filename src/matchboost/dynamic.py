@@ -1,9 +1,10 @@
 """Weak-oracle pipeline: sampled simulations over induced subgraphs.
 
-The scale/phase machinery is the same as in the engine, but the oracle
-here only answers induced-subgraph queries (``query(S, delta)`` with a
-bottom answer allowed when the subgraph's matching is small).  Cross
-structure work is found by sampling one vertex per structure and
+The scale/phase machinery is the engine's own: ``engine.run_scales``
+and ``engine.run_phase`` drive it, fed by a ``SampledFinder``.  The
+oracle here only answers induced-subgraph queries (``query(S, delta)``
+with a bottom answer allowed when the subgraph's matching is small).
+Cross structure work is found by sampling one vertex per structure and
 querying the sample, extension work by querying a bipartite double
 cover of the graph.  A harness at the bottom replays update streams in
 fixed-size chunks and validates every answer the oracle gives.
@@ -20,16 +21,25 @@ from fractions import Fraction
 
 from .engine import (
     TraceHooks,
-    backtrack_pass,
+    apply_augments,
+    apply_overtakes,
+    backtrack_pass,  # unused here, but perfbench's tracer wraps this name
     build_h_prime,
     build_h_prime_s,
+    contaminate_leftover,
     exhaust_type1,
     find_type1_arc,
+    run_scales,
     _head_eligible,
-    _revalidate_extension,
 )
 from .errors import InternalConsistencyError, PreconditionError
-from .graph import AltPath, Arc, Graph, Matching, augment_all, edge_key
+from .graph import (
+    Arc,
+    Graph,
+    Matching,
+    augment_all,  # unused here, but perfbench's tracer wraps this name
+    edge_key,
+)
 from .oracles import (
     CountedWeakOracle,
     ExactOracle,
@@ -38,10 +48,13 @@ from .oracles import (
     exact_mcm,
     make_weak_backend,
 )
-from .params import Constants, PhaseParams, normalize_epsilon, scale_sequence
+from .params import Constants, PhaseParams, normalize_epsilon
 from .structures import PhaseState, Structure
 
 MATERIALIZE_LIMIT = 2048
+# Fruitless sampling iterations in a row after which a stage, or a
+# contract-and-augment round, gives up.
+SAMPLE_PATIENCE = 12
 
 
 # -- double cover ---------------------------------------------------------------
@@ -62,12 +75,6 @@ class DoubleCover:
     @property
     def n_vertices(self) -> int:
         return 2 * self.g.n
-
-    def outer_id(self, v: int) -> int:
-        return v
-
-    def inner_id(self, v: int) -> int:
-        return v + self.g.n
 
     def split(self, x: int) -> tuple[int, bool]:
         """(original vertex, is outer copy)."""
@@ -203,8 +210,6 @@ class DynParams:
     i_eap: int
     t_const: float = 0.25
     small_n_cutoff: int = 4
-    phase_patience: int = 2
-    sample_patience: int = 12
 
     @staticmethod
     def paper(epsilon: float, lam: float = 1.0) -> "DynParams":
@@ -223,7 +228,7 @@ class DynParams:
         )
 
     @staticmethod
-    def desk(epsilon: float, n: int | None = None) -> "DynParams":
+    def desk(epsilon: float) -> "DynParams":
         return DynParams(profile="desk", delta=epsilon**7, i_caa=48, i_eap=48)
 
 
@@ -305,7 +310,7 @@ def sampled_contract_and_augment(
         _, pairs = build_h_prime(state)
         if not pairs:
             break
-        if fruitless >= dynp.sample_patience:
+        if fruitless >= SAMPLE_PATIENCE:
             break
         sample = [
             _sample_one(rng, state, s, outer_only=True)
@@ -316,22 +321,8 @@ def sampled_contract_and_augment(
             fruitless += 1
             continue
         fruitless = 0
-        step_size = 1
-        for u, v in sorted(res):
-            su, sv = state.structure_at(u), state.structure_at(v)
-            if su is None or sv is None or su is sv:
-                raise InternalConsistencyError(
-                    f"sampled augment edge ({u}, {v}) does not join two structures"
-                )
-            for s, x in ((su, u), (sv, v)):
-                if not state.tree(s).is_outer(state.root(x)):
-                    raise InternalConsistencyError(
-                        f"sampled augment endpoint {x} is not outer"
-                    )
-            step_size = max(step_size, len(su.vertices), len(sv.vertices))
-            state.op_augment(Arc(u, v))
-            changed = True
-        stats.note_step(step_size)
+        apply_augments(state, [Arc(u, v) for u, v in sorted(res)], stats)
+        changed = True
     state.contaminate_type2()
     return changed
 
@@ -395,7 +386,7 @@ def sampled_extend_active_path(
             _, _, pairs, _ = build_h_prime_s(state, stage)
             if not pairs:
                 break
-            if fruitless >= dynp.sample_patience:
+            if fruitless >= SAMPLE_PATIENCE:
                 break
             query_set: list[int] = []
             for s in _sampled_structures(rng, state):
@@ -424,31 +415,12 @@ def sampled_extend_active_path(
                 changed |= _in_structure_sweep(state, stage)
                 continue
             fruitless = 0
-            batch_taken: set[tuple[int, int]] = set()
-            step_size = 1
-            applied = False
-            for p, q in sorted(res):
-                x, y = p, q - n
-                owner = state.structure_of.get(x, -1)
-                ok, benign = _revalidate_extension(
-                    state, owner, x, y, stage, batch_taken
-                )
-                if not ok:
-                    if benign:
-                        continue
-                    raise InternalConsistencyError(
-                        f"stage {stage}: sampled pair ({x}, {y}) is not feasible"
-                    )
-                state.op_overtake(Arc(x, y), Arc(y, state.mate[y]), stage + 1)
-                batch_taken.add(edge_key(y, state.mate[y]))
-                step_size = max(step_size, len(state.structures[owner].vertices))
-                applied = changed = True
-            if applied:
-                stats.note_step(step_size)
+            # Each answer edge runs from an outer copy to an inner copy.
+            batch = [(state.structure_of.get(p, -1), p, q - n) for p, q in sorted(res)]
+            apply_overtakes(state, stage, batch, stats)
+            changed = True
             changed |= _in_structure_sweep(state, stage)
-        if state.contaminated is not None:
-            _, _, _, leftover = build_h_prime_s(state, stage)
-            state.contaminate(leftover)
+        contaminate_leftover(state, stage)
     changed |= sampled_contract_and_augment(state, weak_g, dynp, stats, rng)
     return changed
 
@@ -479,37 +451,35 @@ def _any_pending_work(state: PhaseState, params: PhaseParams) -> bool:
     return False
 
 
-def run_phase_sampled(
-    g: Graph,
-    m: Matching,
-    params: PhaseParams,
-    dynp: DynParams,
-    weak_g,
-    weak_b,
-    rng: random.Random,
-    stats: OracleStats,
-    hooks: TraceHooks | None = None,
-    track_contamination: bool = False,
-) -> tuple[list[AltPath], PhaseState]:
-    state = PhaseState(g, m, params, track_contamination)
-    for tau in range(1, params.tau_max + 1):
-        state.mark_for_pass_bundle()
-        if hooks:
-            hooks.on_bundle_start(state, tau)
-        changed = sampled_extend_active_path(
-            state, weak_g, weak_b, dynp, params, stats, rng
+class SampledFinder:
+    """Finds batches by sampling one vertex per structure for weak queries.
+
+    ``weak_g`` answers on the graph, ``weak_b`` on its double cover.  A
+    sampled phase without a path may have missed one, so a scale stops
+    after two such phases in a row, and a bundle that changes nothing
+    ends the phase only once no operation is reachable.
+    """
+
+    patience = 2
+
+    def __init__(self, weak_g, weak_b, dynp: DynParams, rng: random.Random):
+        self.weak_g = weak_g
+        self.weak_b = weak_b
+        self.dynp = dynp
+        self.rng = rng
+
+    def extend(self, state: PhaseState, params: PhaseParams, stats, hooks=None) -> bool:
+        return sampled_extend_active_path(
+            state, self.weak_g, self.weak_b, self.dynp, params, stats, self.rng
         )
-        changed |= sampled_contract_and_augment(state, weak_g, dynp, stats, rng)
-        if hooks:
-            hooks.on_after_simulations(state, tau)
-        moved = backtrack_pass(state, stats)
-        if hooks:
-            hooks.on_bundle_end(state, tau)
-        if not changed and not moved and not _any_pending_work(state, params):
-            break
-    if hooks:
-        hooks.on_phase_end(state)
-    return state.found_paths, state
+
+    def contract_and_augment(
+        self, state: PhaseState, params: PhaseParams, stats, hooks=None
+    ) -> bool:
+        return sampled_contract_and_augment(state, self.weak_g, self.dynp, stats, self.rng)
+
+    def pending_work(self, state: PhaseState, params: PhaseParams) -> bool:
+        return _any_pending_work(state, params)
 
 
 # -- full pipeline -----------------------------------------------------------------
@@ -556,7 +526,7 @@ def static_from_weak(
     """
     eps = normalize_epsilon(epsilon)
     consts = constants or Constants()
-    dynp = dyn_params or DynParams.desk(eps, g.n)
+    dynp = dyn_params or DynParams.desk(eps)
     if g.n <= dynp.small_n_cutoff or g.m == 0:
         return DynRunResult(exact_mcm(g), eps, OracleStats(), OracleStats(), True)
     rng = random.Random(seed)
@@ -580,34 +550,14 @@ def static_from_weak(
             stacklevel=2,
         )
         result.warned = True
-    for h in scale_sequence(eps, consts):
-        params = PhaseParams.for_scale(eps, h, consts)
-        sc = {"h": h, "phases_run": 0, "paths_found": 0}
-        empty_streak = 0
-        for phase in range(1, params.phases + 1):
-            if hooks:
-                hooks.on_phase_start(params, h, phase)
-            paths, _ = run_phase_sampled(
-                g,
-                m,
-                params,
-                dynp,
-                weak_g,
-                weak_b,
-                rng,
-                weak_g.stats,
-                hooks,
-                track_contamination,
-            )
-            g.clear_removed()
-            m = augment_all(m, paths)
-            sc["phases_run"] += 1
-            sc["paths_found"] += len(paths)
-            empty_streak = 0 if paths else empty_streak + 1
-            if empty_streak >= dynp.phase_patience:
-                break
-        result.per_scale.append(sc)
-    result.matching = m
+    finder = SampledFinder(weak_g, weak_b, dynp, rng)
+    result.matching, scales = run_scales(
+        g, m, eps, consts, finder, weak_g.stats, hooks, track_contamination
+    )
+    result.per_scale = [
+        {"h": sc.h, "phases_run": sc.phases_run, "paths_found": sc.paths_found}
+        for sc in scales
+    ]
     return result
 
 
@@ -706,9 +656,14 @@ def problem1_harness(
     of the current graph, with every query it issues validated against
     the contract.  Reports one record per chunk.
     """
+    if n > MATERIALIZE_LIMIT:
+        raise PreconditionError(
+            f"answer validation needs an explicit double cover; n = {n} "
+            f"exceeds the materialization limit {MATERIALIZE_LIMIT}"
+        )
     eps = normalize_epsilon(epsilon)
     chunk_size = math.ceil(eps * eps * n)
-    dynp = dyn_params or DynParams.desk(eps, n)
+    dynp = dyn_params or DynParams.desk(eps)
     g = Graph(n)
     stream = list(updates)
     if len(stream) % chunk_size:
@@ -726,11 +681,6 @@ def problem1_harness(
                 g.add_edge(rec[1], rec[2])
             else:
                 g.remove_edge(rec[1], rec[2])
-        if n > MATERIALIZE_LIMIT:
-            raise PreconditionError(
-                f"answer validation needs an explicit double cover; n = {n} "
-                f"exceeds the materialization limit {MATERIALIZE_LIMIT}"
-            )
         t0 = time.perf_counter()
         provider_g = ValidatingWeakProvider(g, make(g), "G")
         b = DoubleCover(g).materialize()

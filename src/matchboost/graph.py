@@ -108,9 +108,6 @@ class Graph:
     def clear_removed(self) -> None:
         self.removed = [False] * self.n
 
-    def live_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if not self.removed[v]]
-
     # -- derived graphs ------------------------------------------------------
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
@@ -326,15 +323,6 @@ class AltPath:
         for a, b in zip(flags, flags[1:]):
             if a == b:
                 raise InvalidPathError(f"path does not alternate at flags {flags}")
-
-    def matched_arcs(self, m: Matching) -> list[Arc]:
-        """Compressed form: the matched arcs in path order."""
-        vs = self.vertices
-        return [
-            Arc(vs[i], vs[i + 1])
-            for i in range(len(vs) - 1)
-            if m.has(vs[i], vs[i + 1])
-        ]
 
     def is_augmenting(self, m: Matching) -> bool:
         vs = self.vertices

@@ -98,9 +98,3 @@ class PhaseParams:
 
     def sim_iterations(self, oracle_c: float) -> int:
         return math.ceil(self.iter_coeff * oracle_c * math.log(1.0 / self.epsilon))
-
-
-def max_structure_cap(epsilon: float, constants: Constants = Constants()) -> int:
-    """Largest structure size over all scales (attained at the smallest h)."""
-    floor = epsilon * epsilon / constants.scale_floor_coeff
-    return math.ceil(constants.delta_coeff / (floor * epsilon))

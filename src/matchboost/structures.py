@@ -281,14 +281,6 @@ class PhaseState:
         arc = view.parent_arc[bid]
         return self.labels[(arc.tail, arc.head)]
 
-    def distance(self, u: int) -> int:
-        s = self.structure_at(u)
-        if s is None or s.working is None or self.omega.root(u) != s.working:
-            raise PreconditionError(
-                f"vertex {u} is not inside a working vertex", code="not-working"
-            )
-        return self.entry_label(s, s.working)
-
     # -- classification (used by checks and by the aux-graph builders) --------
 
     def classify(self, u: int, v: int) -> int | None:

@@ -193,7 +193,7 @@ def test_criterion_06_short_path_coverage_audit(capsys):
 def test_criterion_07_weak_oracle_pipeline(capsys):
     t0 = time.perf_counter()
     eps = 0.25
-    dynp = DynParams.desk(eps, 48)
+    dynp = DynParams.desk(eps)
     lam = 1.0  # the exact-backed weak oracle answers at full strength
     # n-free call budget from the configured caps: the seed loop grows
     # by lam*delta'*n edges per answer, the simulations are cut off at

@@ -23,7 +23,9 @@ from matchboost.corpus import (
 )
 from matchboost.dynamic import (
     MATERIALIZE_LIMIT,
+    SAMPLE_PATIENCE,
     DoubleCover,
+    SampledFinder,
     DynParams,
     ValidatingWeakProvider,
     _cover_weak_oracle,
@@ -34,11 +36,11 @@ from matchboost.dynamic import (
     lift_bipartite_matching,
     parse_update_stream,
     problem1_harness,
-    run_phase_sampled,
     sampled_contract_and_augment,
     sampled_extend_active_path,
     static_from_weak,
 )
+from matchboost.engine import run_phase
 from matchboost.errors import InternalConsistencyError, PreconditionError
 from matchboost.graph import AltPath, Arc, Graph, Matching, is_matching
 from matchboost.oracles import (
@@ -95,8 +97,6 @@ class TestDoubleCover:
     def test_ids_and_split(self):
         cover = DoubleCover(Graph(5, [(1, 2)]))
         assert cover.n_vertices == 10
-        assert cover.outer_id(3) == 3
-        assert cover.inner_id(3) == 8
         assert cover.split(3) == (3, True)
         assert cover.split(8) == (3, False)
 
@@ -201,7 +201,7 @@ class TestDynParams:
         assert p.delta == 0.25**7
         assert p.i_caa == p.i_eap == 48
         assert p.small_n_cutoff == 4
-        assert (p.phase_patience, p.sample_patience) == (2, 12)
+        assert (SampledFinder.patience, SAMPLE_PATIENCE) == (2, 12)
 
     def test_paper_profile_exact_arithmetic(self):
         p = DynParams.paper(0.25)
@@ -344,18 +344,34 @@ class TestRunPhaseSampled:
         weak_b = CountedWeakOracle(
             make_weak_backend("weak-exact")(DoubleCover(g).materialize())
         )
-        paths, _ = run_phase_sampled(
-            g,
-            m,
-            quarter_params(),
-            DynParams.desk(0.25),
-            weak_g,
-            weak_b,
-            random.Random(3),
-            OracleStats(),
-        )
+        finder = SampledFinder(weak_g, weak_b, DynParams.desk(0.25), random.Random(3))
+        paths, _ = run_phase(g, m, quarter_params(), finder, OracleStats())
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert weak_b.stats.weak_calls > 0
+
+    def test_second_contract_and_augment_does_work(self):
+        # With i_caa = 1 the extension round's own contract-and-augment
+        # samples once.  0 and 5 grow over (1, 2) and (3, 4), and only
+        # the outer 2 and 3 share an edge, so a sample can miss it; with
+        # seed 4 the first round misses and the bundle's second one finds
+        # the path.
+        record = []
+
+        class Spy(SampledFinder):
+            def contract_and_augment(self, state, params, stats, hooks=None):
+                before = len(state.found_paths)
+                changed = super().contract_and_augment(state, params, stats, hooks)
+                record.append((before, changed, len(state.found_paths)))
+                return changed
+
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        m = Matching(6, [(1, 2), (3, 4)])
+        dynp = dataclasses.replace(DynParams.desk(0.25), i_caa=1)
+        weak_b = weak_from_exact(DoubleCover(g).materialize())
+        finder = Spy(weak_from_exact(g), weak_b, dynp, random.Random(4))
+        paths, _ = run_phase(g, m, quarter_params(), finder, OracleStats())
+        assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
+        assert record[0] == (0, True, 1)
 
 
 class TestStaticFromWeak:
@@ -531,6 +547,11 @@ class TestProblem1:
     def test_oversized_instance_rejected(self):
         with pytest.raises(PreconditionError, match="materialization limit"):
             problem1_harness(MATERIALIZE_LIMIT + 1, [("+", 0, 1)], 0.25)
+
+    def test_oversized_instance_rejected_before_its_updates(self):
+        # vertex 3000 does not exist; the size check comes first
+        with pytest.raises(PreconditionError, match="materialization limit"):
+            problem1_harness(MATERIALIZE_LIMIT + 1, [("+", 0, 3000)], 0.25)
 
 
 def _digest(obj) -> str:

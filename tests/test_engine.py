@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchboost.corpus import gen_blossom_gadget, gen_er, standard_corpus
-from matchboost.dynamic import DoubleCover, DynParams, run_phase_sampled, static_from_weak
+from matchboost.dynamic import DoubleCover, DynParams, SampledFinder, static_from_weak
 from matchboost.engine import (
+    OracleFinder,
     TraceHooks,
     _aux_graph_bipartite,
     _aux_graph_pairs,
@@ -23,6 +24,7 @@ from matchboost.engine import (
     find_type1_arc,
     initial_matching,
     run_phase,
+    run_scales,
 )
 from matchboost.graph import AltPath, Arc, Graph, Matching, augment_all, is_matching
 from matchboost.oracles import (
@@ -157,7 +159,7 @@ class TestRunPhase:
     def test_path6_single_path(self):
         g, m = path6()
         oracle = CountedOracle(ExactOracle())
-        paths, state = run_phase(g, m, quarter_params(), oracle)
+        paths, state = run_phase(g, m, quarter_params(), OracleFinder(oracle))
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert state.structures == {}
         g.clear_removed()
@@ -169,7 +171,7 @@ class TestRunPhase:
         # in the same batch, then the triangle contracts and augments
         g, m = triangle_tail()
         oracle = CountedOracle(ExactOracle())
-        paths, state = run_phase(g, m, quarter_params(), oracle)
+        paths, state = run_phase(g, m, quarter_params(), OracleFinder(oracle))
         assert paths == [AltPath([0, 1, 2, 3])]
         # the isolated 4 owns no structure
         assert state.structures == {} and state.edgeless == [4]
@@ -178,7 +180,7 @@ class TestRunPhase:
     def test_empty_matching_pairs_up_free_ends(self):
         g = Graph(4, [(0, 1), (2, 3)])
         oracle = CountedOracle(ExactOracle())
-        paths, _ = run_phase(g, Matching(4), quarter_params(), oracle)
+        paths, _ = run_phase(g, Matching(4), quarter_params(), OracleFinder(oracle))
         g.clear_removed()
         assert [p.vertices for p in paths] == [[0, 1], [2, 3]]
 
@@ -186,9 +188,41 @@ class TestRunPhase:
         g, m = path6()
         stats = OracleStats()
         oracle = CountedOracle(ExactOracle(), stats)
-        run_phase(g, m, quarter_params(), oracle, stats)
+        run_phase(g, m, quarter_params(), OracleFinder(oracle), stats)
         assert stats.calls > 0
         assert len(stats.per_call_sizes) == stats.calls
+
+
+def idle(finder_cls):
+    """A finder of ``finder_cls``'s patience that never finds an operation."""
+
+    class Idle(finder_cls):
+        def __init__(self):
+            pass
+
+        def extend(self, state, params, stats, hooks=None):
+            return False
+
+        contract_and_augment = extend
+
+        def pending_work(self, state, params):
+            return False
+
+    return Idle()
+
+
+class TestRunScales:
+    @pytest.mark.parametrize("finder_cls, patience", [(OracleFinder, 1), (SampledFinder, 2)])
+    def test_each_scale_runs_patience_phases_without_a_path(self, finder_cls, patience):
+        g = gen_er(12, 0.3, seed=1)
+        stats = OracleStats()
+        m, per_scale = run_scales(g, Matching(12), 0.25, Constants(), idle(finder_cls), stats)
+        assert finder_cls.patience == patience
+        assert [sc.h for sc in per_scale] == scale_sequence(0.25)
+        assert all(PhaseParams.for_scale(0.25, sc.h).phases > 2 for sc in per_scale)
+        assert [sc.phases_run for sc in per_scale] == [patience] * len(per_scale)
+        assert all(sc.paths_found == sc.oracle_calls == 0 for sc in per_scale)
+        assert m.edges == set() and stats.calls == 0
 
 
 class FlightRecorder(TraceHooks):
@@ -331,7 +365,7 @@ def _phases_then_boost(g: Graph, seed: int, audit) -> None:
     m = _sparse_matching(g, seed)
     for h in (0.5, 0.125):
         params = PhaseParams.for_scale(0.25, h)
-        run_phase(g, m, params, CountedOracle(audit), hooks=audit)
+        run_phase(g, m, params, OracleFinder(CountedOracle(audit)), hooks=audit)
         g.clear_removed()
     boost(g, 0.25, audit, hooks=audit)
 
@@ -416,7 +450,7 @@ class TestBuildersAgainstClassify:
     def test_reference_sees_both_graphs_nonempty(self):
         g, m = path6()
         audit = BuilderAudit(ExactOracle())
-        run_phase(g, m, quarter_params(), CountedOracle(audit), hooks=audit)
+        run_phase(g, m, quarter_params(), OracleFinder(CountedOracle(audit)), hooks=audit)
         assert audit.nonempty[2] > 0 and audit.nonempty[3] > 0
 
 
@@ -504,10 +538,8 @@ def _sampled_phases_then_static(g: Graph, seed: int, audit: IndexAudit) -> None:
     m = _sparse_matching(g, seed)
     for h in (0.5, 0.125):
         params = PhaseParams.for_scale(0.25, h)
-        run_phase_sampled(
-            g, m, params, DynParams.desk(0.25), weak_g, weak_b,
-            random.Random(seed), OracleStats(), audit,
-        )
+        finder = SampledFinder(weak_g, weak_b, DynParams.desk(0.25), random.Random(seed))
+        run_phase(g, m, params, finder, OracleStats(), audit)
         g.clear_removed()
     static_from_weak(g, 0.25, seed=seed, hooks=audit, weak_g=weak_g, weak_b=weak_b)
 

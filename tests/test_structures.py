@@ -12,7 +12,6 @@ from matchboost.graph import AltPath, Arc, Graph, Matching
 from matchboost.params import (
     Constants,
     PhaseParams,
-    max_structure_cap,
     normalize_epsilon,
     scale_sequence,
 )
@@ -93,9 +92,6 @@ class TestParams:
         with pytest.raises(InvalidEpsilonError):
             Constants().with_overrides({"mystery": 3})
 
-    def test_max_structure_cap(self):
-        assert max_structure_cap(0.25) == 147456
-
 
 class TestStateInit:
     def test_initial_structures(self):
@@ -125,13 +121,6 @@ class TestStateInit:
         st = PhaseState(g, m, params())
         with pytest.raises(PreconditionError):
             st.head_label(0)
-
-    def test_distance_requires_working(self):
-        g, m = path6()
-        st = PhaseState(g, m, params())
-        assert st.distance(0) == 0
-        with pytest.raises(PreconditionError):
-            st.distance(1)
 
 
 class TestClassify:
@@ -189,7 +178,6 @@ class TestOvertake:
         view = st.tree(s)
         assert view.depth == {0: 0, 1: 1, 2: 2}
         assert st.entry_label(s, 2) == 1
-        assert st.distance(2) == 1
 
     def test_label_must_drop(self):
         g, m = path6()
