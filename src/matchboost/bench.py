@@ -192,7 +192,7 @@ def _run_dynamic_trial(g: Graph, eps: float, config: ExperimentConfig, trial: in
         res.stats_g.processing_steps + res.stats_b.processing_steps
     )
     stats.weak_calls = res.weak_calls
-    return res.matching, stats, res.per_scale
+    return res.matching, stats, [asdict(s) for s in res.per_scale]
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:

@@ -1,4 +1,4 @@
-"""Laminar blossom families, contracted views, and path lifting.
+"""Laminar blossom families and path lifting.
 
 A blossom is either trivial (a single vertex; represented implicitly)
 or an odd cycle of child blossoms.  Non-trivial blossoms carry their

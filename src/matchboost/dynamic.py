@@ -5,9 +5,11 @@ and ``engine.run_phase`` drive it, fed by a ``SampledFinder``.  The
 oracle here only answers induced-subgraph queries (``query(S, delta)``
 with a bottom answer allowed when the subgraph's matching is small).
 Cross structure work is found by sampling one vertex per structure and
-querying the sample, extension work by querying a bipartite double
-cover of the graph.  A harness at the bottom replays update streams in
-fixed-size chunks and validates every answer the oracle gives.
+querying the sample, extension work by querying the graph's bipartite
+double cover, a ``DoubleCover`` host that answers from the graph
+without being built.  A harness at the bottom replays update streams
+of any size in fixed-size chunks and validates every answer the oracle
+gives.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .engine import (
+    ScaleStats,
     TraceHooks,
     apply_augments,
     apply_overtakes,
@@ -42,8 +46,7 @@ from .graph import (
 )
 from .oracles import (
     CountedWeakOracle,
-    ExactOracle,
-    GreedyOracle,
+    Host,
     OracleStats,
     exact_mcm,
     make_weak_backend,
@@ -51,7 +54,6 @@ from .oracles import (
 from .params import Constants, PhaseParams, normalize_epsilon
 from .structures import PhaseState, Structure
 
-MATERIALIZE_LIMIT = 2048
 # Fruitless sampling iterations in a row after which a stage, or a
 # contract-and-augment round, gives up.
 SAMPLE_PATIENCE = 12
@@ -61,78 +63,53 @@ SAMPLE_PATIENCE = 12
 
 
 class DoubleCover:
-    """Bipartite split view of a graph: outer copy ``v``, inner copy ``v + n``.
+    """Bipartite double cover of a graph: outer copy ``v``, inner copy ``v + n``.
 
-    Adjacency is answered from the underlying graph in O(1); the
-    explicit bipartite graph exists only below ``MATERIALIZE_LIMIT``
-    vertices, where it is used for differential testing and as a weak
-    oracle host.
+    Each base edge ``(u, v)`` gives the cover edges ``(u, v + n)`` and
+    ``(v, u + n)``.  The cover is the weak-oracle host of the extension
+    queries: it has the host members ``n``, ``has_edge`` and
+    ``induced`` and answers them from the base graph, so it is never
+    built.  ``materialize`` builds it for tests that compare against it.
     """
 
     def __init__(self, g: Graph):
         self.g = g
+        self.n = 2 * g.n
 
-    @property
-    def n_vertices(self) -> int:
-        return 2 * self.g.n
-
-    def split(self, x: int) -> tuple[int, bool]:
-        """(original vertex, is outer copy)."""
+    def has_edge(self, x: int, y: int) -> bool:
         n = self.g.n
-        return (x, True) if x < n else (x - n, False)
+        if x > y:
+            x, y = y, x
+        return x < n <= y and self.g.has_edge(x, y - n)
 
-    def adjacent(self, x: int, y: int) -> bool:
-        u, xo = self.split(x)
-        v, yo = self.split(y)
-        if xo == yo:
-            return False
-        return u != v and self.g.has_edge(u, v)
+    def induced(self, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
+        """Subgraph induced on ``vertices``, as ``Graph.induced`` numbers it.
+
+        Every cover edge has its outer copy as the smaller end, so only
+        the outer copies' base neighbours are walked, ascending, as the
+        built cover's adjacency lists are.  Costs O(|S| + edges) plus
+        the sort of each walked list.
+        """
+        back = sorted(set(vertices))
+        fwd = {x: i for i, x in enumerate(back)}
+        n = self.g.n
+        sub = Graph(len(back))
+        for i, x in enumerate(back):
+            if x >= n:
+                break
+            for w in sorted(self.g.adj[x]):
+                j = fwd.get(w + n)
+                if j is not None:
+                    sub.add_edge(i, j)
+        return sub, back
 
     def materialize(self) -> Graph:
         n = self.g.n
-        if n > MATERIALIZE_LIMIT:
-            raise ValueError(
-                f"double cover of {n} vertices stays implicit "
-                f"(limit {MATERIALIZE_LIMIT})"
-            )
         b = Graph(2 * n)
         for u, v in sorted(self.g.edges):
             b.add_edge(u, v + n)
             b.add_edge(v, u + n)
         return b
-
-
-class ImplicitCoverWeakOracle:
-    """Weak oracle over a non-materialized double cover.
-
-    Builds only the induced subgraph of the queried vertex set, using
-    O(1) adjacency answers from the underlying graph.
-    """
-
-    def __init__(self, cover: DoubleCover, inner, lam: float):
-        self.cover = cover
-        self.inner = inner
-        self.lam = lam
-
-    def query(self, s, delta: float):
-        ids = sorted(s)
-        sub = Graph(len(ids))
-        for i, x in enumerate(ids):
-            for j in range(i + 1, len(ids)):
-                if self.cover.adjacent(x, ids[j]):
-                    sub.add_edge(i, j)
-        found = self.inner.find(sub)
-        if len(found) < self.lam * delta * self.cover.n_vertices:
-            return None
-        return sorted(edge_key(ids[u], ids[v]) for u, v in found.edges)
-
-
-def _cover_weak_oracle(cover: DoubleCover, backend: str) -> ImplicitCoverWeakOracle:
-    if backend == "weak-exact":
-        return ImplicitCoverWeakOracle(cover, ExactOracle(), 1.0)
-    if backend == "weak-greedy":
-        return ImplicitCoverWeakOracle(cover, GreedyOracle(), 0.5)
-    raise ValueError(f"unknown weak backend {backend!r}")
 
 
 def lift_bipartite_matching(mb, n: int) -> Matching:
@@ -454,8 +431,9 @@ def _any_pending_work(state: PhaseState, params: PhaseParams) -> bool:
 class SampledFinder:
     """Finds batches by sampling one vertex per structure for weak queries.
 
-    ``weak_g`` answers on the graph, ``weak_b`` on its double cover.  A
-    sampled phase without a path may have missed one, so a scale stops
+    ``weak_g`` answers on the graph, ``weak_b`` on its double cover;
+    ``calls`` reads both counters, so ``run_scales`` needs them counted.
+    A sampled phase without a path may have missed one, so a scale stops
     after two such phases in a row, and a bundle that changes nothing
     ends the phase only once no operation is reachable.
     """
@@ -467,6 +445,11 @@ class SampledFinder:
         self.weak_b = weak_b
         self.dynp = dynp
         self.rng = rng
+
+    @property
+    def calls(self) -> int:
+        """Weak queries made so far, on the graph and on its cover."""
+        return self.weak_g.stats.weak_calls + self.weak_b.stats.weak_calls
 
     def extend(self, state: PhaseState, params: PhaseParams, stats, hooks=None) -> bool:
         return sampled_extend_active_path(
@@ -493,7 +476,7 @@ class DynRunResult:
     stats_b: OracleStats
     fallback: bool = False
     warned: bool = False
-    per_scale: list[dict] = field(default_factory=list)
+    per_scale: list[ScaleStats] = field(default_factory=list)
 
     @property
     def weak_calls(self) -> int:
@@ -533,11 +516,7 @@ def static_from_weak(
     if weak_g is None:
         weak_g = make_weak_backend(backend)(g)
     if weak_b is None:
-        cover = DoubleCover(g)
-        if g.n <= MATERIALIZE_LIMIT:
-            weak_b = make_weak_backend(backend)(cover.materialize())
-        else:
-            weak_b = _cover_weak_oracle(cover, backend)
+        weak_b = make_weak_backend(backend)(DoubleCover(g))
     weak_g, weak_b = _counted_weak(weak_g), _counted_weak(weak_b)
     g.clear_removed()
     m = dyn_initial_matching(g, weak_g, eps, dynp.t_const)
@@ -551,13 +530,9 @@ def static_from_weak(
         )
         result.warned = True
     finder = SampledFinder(weak_g, weak_b, dynp, rng)
-    result.matching, scales = run_scales(
+    result.matching, result.per_scale = run_scales(
         g, m, eps, consts, finder, weak_g.stats, hooks, track_contamination
     )
-    result.per_scale = [
-        {"h": sc.h, "phases_run": sc.phases_run, "paths_found": sc.paths_found}
-        for sc in scales
-    ]
     return result
 
 
@@ -589,16 +564,16 @@ def parse_update_stream(text: str) -> list[tuple]:
 class ValidatingWeakProvider:
     """The query side of the update-stream game, with answer auditing.
 
-    Wraps a weak oracle over a host graph and checks every answer
-    against the contract: a returned matching must be a real matching
-    inside the queried induced subgraph and big enough for the
-    advertised constant, and a bottom answer is only legal when the
-    subgraph's maximum matching is below ``delta * n``.  The bottom
-    check is exact: when ``delta * n <= 1`` it reduces to edge
-    existence, otherwise the exact matcher runs on the subgraph.
+    Wraps a weak oracle over a host, the graph or its double cover, and
+    checks every answer against the contract: a returned matching must
+    be a real matching inside the queried induced subgraph and big
+    enough for the advertised constant, and a bottom answer is only
+    legal when the subgraph's maximum matching is below ``delta * n``.
+    The bottom check is exact: when ``delta * n <= 1`` it reduces to
+    edge existence, otherwise the exact matcher runs on the subgraph.
     """
 
-    def __init__(self, host: Graph, inner, label: str):
+    def __init__(self, host: Host, inner, label: str):
         self.host = host
         self.inner = inner
         self.lam = inner.lam
@@ -656,11 +631,6 @@ def problem1_harness(
     of the current graph, with every query it issues validated against
     the contract.  Reports one record per chunk.
     """
-    if n > MATERIALIZE_LIMIT:
-        raise PreconditionError(
-            f"answer validation needs an explicit double cover; n = {n} "
-            f"exceeds the materialization limit {MATERIALIZE_LIMIT}"
-        )
     eps = normalize_epsilon(epsilon)
     chunk_size = math.ceil(eps * eps * n)
     dynp = dyn_params or DynParams.desk(eps)
@@ -683,7 +653,7 @@ def problem1_harness(
                 g.remove_edge(rec[1], rec[2])
         t0 = time.perf_counter()
         provider_g = ValidatingWeakProvider(g, make(g), "G")
-        b = DoubleCover(g).materialize()
+        b = DoubleCover(g)
         provider_b = ValidatingWeakProvider(b, make(b), "B")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

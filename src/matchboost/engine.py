@@ -362,6 +362,11 @@ class OracleFinder:
     def __init__(self, oracle: CountedOracle):
         self.oracle = oracle
 
+    @property
+    def calls(self) -> int:
+        """Oracle calls made so far."""
+        return self.oracle.stats.calls
+
     def extend(self, state: PhaseState, params: PhaseParams, stats, hooks=None) -> bool:
         return simulate_extend_active_path(state, self.oracle, params, stats, hooks)
 
@@ -458,14 +463,14 @@ def run_scales(
     """Every scale from 1/2 down to the epsilon-dependent floor, from ``m``.
 
     Each scale runs phases until ``finder.patience`` phases in a row
-    find no augmenting path.  ``oracle_calls`` counts ``stats.calls``.
+    find no augmenting path.  ``oracle_calls`` counts ``finder.calls``.
     Returns the final matching and one record per scale.
     """
     per_scale = []
     for h in scale_sequence(eps, consts):
         params = PhaseParams.for_scale(eps, h, consts)
         sc = ScaleStats(h=h)
-        calls_before = stats.calls
+        calls_before = finder.calls
         empty_streak = 0
         for phase in range(1, params.phases + 1):
             if hooks:
@@ -478,7 +483,7 @@ def run_scales(
             empty_streak = 0 if paths else empty_streak + 1
             if empty_streak >= finder.patience:
                 break
-        sc.oracle_calls = stats.calls - calls_before
+        sc.oracle_calls = finder.calls - calls_before
         per_scale.append(sc)
     return m, per_scale
 

@@ -4,16 +4,18 @@ Two oracle shapes are used by the engine:
 
 * a *matching oracle* has a declared approximation constant ``c`` and a
   ``find(g)`` method returning a matching of size at least ``mu(g)/c``;
-* a *weak oracle* is bound to a host graph and answers induced-subgraph
-  queries ``query(s, delta)`` with either a matching of ``g[s]`` of size
-  at least ``lam * delta * n`` or None, and may answer None only when
-  ``mu(g[s]) < delta * n``.
+* a *weak oracle* is bound to a host and answers induced-subgraph
+  queries ``query(s, delta)`` with either a matching of ``host[s]`` of
+  size at least ``lam * delta * n`` or None, and may answer None only
+  when ``mu(host[s]) < delta * n``.  A host is a ``Graph`` or a
+  ``dynamic.DoubleCover``: anything with the members of :class:`Host`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterable, Protocol
 
 from .errors import OracleContractError
 from .graph import Edge, Graph, Matching, edge_key
@@ -191,16 +193,26 @@ def make_oracle(name: str, seed: int | None = None):
 # -- weak oracles -------------------------------------------------------------
 
 
+class Host(Protocol):
+    """What a weak oracle reads of its host."""
+
+    n: int
+
+    def has_edge(self, u: int, v: int) -> bool: ...
+
+    def induced(self, vertices: Iterable[int]) -> tuple[Graph, list[int]]: ...
+
+
 class WeakFromMatchingOracle:
     """Induced-subgraph weak oracle built from a matching oracle.
 
-    Bound to a host graph.  ``query(s, delta)`` runs the inner oracle on
+    Bound to a host.  ``query(s, delta)`` runs the inner oracle on
     ``host[s]`` and reports None when the found matching is smaller than
     ``lam * delta * n``.  With an exact inner oracle ``lam = 1`` is
     sound; with a c-approximate one ``lam = 1/c``.
     """
 
-    def __init__(self, host: Graph, inner, lam: float | None = None):
+    def __init__(self, host: Host, inner, lam: float | None = None):
         self.host = host
         self.inner = inner
         self.lam = (1.0 / inner.c) if lam is None else lam
@@ -214,18 +226,18 @@ class WeakFromMatchingOracle:
         return sorted(edge_key(back[u], back[v]) for u, v in found.edges)
 
 
-def weak_from_exact(host: Graph, lam: float = 1.0) -> WeakFromMatchingOracle:
+def weak_from_exact(host: Host, lam: float = 1.0) -> WeakFromMatchingOracle:
     return WeakFromMatchingOracle(host, ExactOracle(), lam)
 
 
-def weak_from_greedy(host: Graph, lam: float = 0.5) -> WeakFromMatchingOracle:
+def weak_from_greedy(host: Host, lam: float = 0.5) -> WeakFromMatchingOracle:
     return WeakFromMatchingOracle(host, GreedyOracle(), lam)
 
 
 def make_weak_backend(name: str, seed: int | None = None):
     """Weak-oracle factory registry: weak-exact | weak-greedy.
 
-    Returns a callable binding a host graph to a fresh weak oracle.
+    Returns a callable binding a host to a fresh weak oracle.
     """
     if name == "weak-exact":
         return lambda host: weak_from_exact(host)

@@ -212,12 +212,14 @@ class TestProblem1Verb:
         assert rc == 0
         assert "chunks of" in capsys.readouterr().out
 
-    def test_contract_error_is_one_line_not_a_traceback(self, capsys):
-        rc = main(["problem1", "--n", "4000", "--updates", "4"])
+    def test_contract_error_is_one_line_not_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "updates.txt"
+        path.write_text("+ 0 1\n+ 2 30\n")  # vertex 30 is not in [0, 24)
+        rc = main(["problem1", "--n", "24", "--stream", str(path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "materialization limit" in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "outside vertex range" in err
 
     def test_budget_overrun_is_flagged_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "p1.json"

@@ -22,13 +22,11 @@ from matchboost.corpus import (
     standard_corpus,
 )
 from matchboost.dynamic import (
-    MATERIALIZE_LIMIT,
     SAMPLE_PATIENCE,
     DoubleCover,
     SampledFinder,
     DynParams,
     ValidatingWeakProvider,
-    _cover_weak_oracle,
     _in_structure_sweep,
     _any_pending_work,
     _sample_one,
@@ -41,7 +39,7 @@ from matchboost.dynamic import (
     static_from_weak,
 )
 from matchboost.engine import run_phase
-from matchboost.errors import InternalConsistencyError, PreconditionError
+from matchboost.errors import InternalConsistencyError, PreconditionError, UnknownVertexError
 from matchboost.graph import AltPath, Arc, Graph, Matching, is_matching
 from matchboost.oracles import (
     CountedWeakOracle,
@@ -95,37 +93,35 @@ def one_draw_per_free_vertex(seed: int, pool_sizes: list[int]) -> random.Random:
 
 class TestDoubleCover:
     def test_ids_and_split(self):
+        # outer copy v, inner copy v + n
         cover = DoubleCover(Graph(5, [(1, 2)]))
-        assert cover.n_vertices == 10
-        assert cover.split(3) == (3, True)
-        assert cover.split(8) == (3, False)
+        assert cover.n == 10
+        assert cover.has_edge(1, 7) and cover.has_edge(2, 6)
+        assert cover.induced([3, 8]) == (Graph(2), [3, 8])
 
     def test_adjacency(self):
         cover = DoubleCover(Graph(5, [(1, 2), (0, 3)]))
-        assert cover.adjacent(1, 7)  # 1+ to 2-
-        assert cover.adjacent(2, 6)  # 2+ to 1-
-        assert not cover.adjacent(1, 2)  # same side
-        assert not cover.adjacent(1, 6)  # the two copies of one vertex
-        assert not cover.adjacent(1, 8)  # (1, 3) is not an edge
+        assert cover.has_edge(1, 7)  # 1+ to 2-
+        assert cover.has_edge(7, 1)
+        assert cover.has_edge(2, 6)  # 2+ to 1-
+        assert not cover.has_edge(1, 2)  # same side
+        assert not cover.has_edge(6, 7)
+        assert not cover.has_edge(1, 6)  # the two copies of one vertex
+        assert not cover.has_edge(1, 8)  # (1, 3) is not an edge
 
     def test_materialize_frozen(self):
         b = DoubleCover(Graph(3, [(0, 1), (1, 2)])).materialize()
         assert b.n == 6
         assert sorted(b.edges) == [(0, 4), (1, 3), (1, 5), (2, 4)]
 
-    def test_materialize_limit(self):
-        with pytest.raises(ValueError, match="implicit"):
-            DoubleCover(Graph(MATERIALIZE_LIMIT + 1)).materialize()
-
     def test_matching_never_shrinks_in_cover(self):
         # mu(G[S]) <= mu(B[S+ u S-]) for arbitrary S
         rng = random.Random(99)
         for seed in range(12):
             g = gen_er(10, 0.35, seed=seed)
-            b = DoubleCover(g).materialize()
             s = [v for v in range(g.n) if rng.random() < 0.6]
             sub_g, _ = g.induced(s)
-            sub_b, _ = b.induced(sorted(s + [v + g.n for v in s]))
+            sub_b, _ = DoubleCover(g).induced(s + [v + g.n for v in s])
             assert len(exact_mcm(sub_g)) <= len(exact_mcm(sub_b))
 
 
@@ -161,37 +157,80 @@ class TestLift:
             g = gen_er(12, 0.3, seed=seed)
             if g.m == 0:
                 continue
-            b = DoubleCover(g).materialize()
+            b, _ = DoubleCover(g).induced(range(2 * g.n))
             mb = GreedyOracle(seed=seed).find(b)
             out = lift_bipartite_matching(sorted(mb.edges), g.n)
             assert is_matching(g, out)
             assert len(out) >= math.ceil(len(mb) / 6)
 
 
+def shuffled_graph(n: int, p: float, rng: random.Random) -> Graph:
+    """An ER graph whose edges go in in random order and orientation.
+
+    A quarter of them are removed again, so the adjacency lists are
+    neither ascending nor in the order the edges were drawn.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(pairs)
+    g = Graph(n)
+    for u, v in pairs:
+        g.add_edge(*((u, v) if rng.random() < 0.5 else (v, u)))
+    for u, v in pairs[: len(pairs) // 4]:
+        g.remove_edge(u, v)
+    return g
+
+
 class TestImplicitCover:
+    """The cover host answers from the graph as the built cover would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0.2, 0.4, 0.7]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_induced_and_has_edge_match_the_built_cover(self, n, p, seed):
+        rng = random.Random(seed)
+        g = shuffled_graph(n, p, rng)
+        cover = DoubleCover(g)
+        b = cover.materialize()
+        assert cover.n == b.n
+        for _ in range(4):
+            s = [x for x in range(cover.n) if rng.random() < 0.6]
+            sub, back = cover.induced(s)
+            want, want_back = b.induced(s)
+            assert back == want_back
+            assert sub.edges == want.edges
+            assert sub.adj == want.adj
+        assert all(
+            cover.has_edge(x, y) == b.has_edge(x, y)
+            for x in range(cover.n)
+            for y in range(cover.n)
+        )
+
     def test_matches_materialized_backend(self):
         rng = random.Random(7)
         for seed in range(10):
-            g = gen_er(10, 0.3, seed=100 + seed)
+            g = shuffled_graph(10, 0.3, random.Random(100 + seed))
             cover = DoubleCover(g)
-            implicit = _cover_weak_oracle(cover, "weak-exact")
+            implicit = make_weak_backend("weak-exact")(cover)
             explicit = make_weak_backend("weak-exact")(cover.materialize())
-            s = [x for x in range(cover.n_vertices) if rng.random() < 0.7]
+            s = [x for x in range(cover.n) if rng.random() < 0.7]
             assert implicit.query(s, 0.005) == explicit.query(s, 0.005)
             assert implicit.query(s, 0.9) is None
             assert explicit.query(s, 0.9) is None
 
     def test_greedy_backend_agrees_too(self):
-        g = gen_er(9, 0.4, seed=3)
+        g = shuffled_graph(9, 0.4, random.Random(3))
         cover = DoubleCover(g)
-        implicit = _cover_weak_oracle(cover, "weak-greedy")
+        implicit = make_weak_backend("weak-greedy")(cover)
         explicit = make_weak_backend("weak-greedy")(cover.materialize())
-        s = list(range(cover.n_vertices))
+        s = list(range(cover.n))
         assert implicit.query(s, 0.004) == explicit.query(s, 0.004)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
-            _cover_weak_oracle(DoubleCover(Graph(2)), "weak-psychic")
+            make_weak_backend("weak-psychic")(DoubleCover(Graph(2)))
 
 
 class TestDynParams:
@@ -318,7 +357,7 @@ class TestSampling:
 
             state = interleaved_state()
             rng = random.Random(seed)
-            weak_b = CountedWeakOracle(weak_from_exact(DoubleCover(g).materialize()))
+            weak_b = CountedWeakOracle(weak_from_exact(DoubleCover(g)))
             sampled_extend_active_path(
                 state,
                 weak_from_exact(g),
@@ -341,9 +380,7 @@ class TestRunPhaseSampled:
         m.add(1, 2)
         m.add(3, 4)
         weak_g = CountedWeakOracle(weak_from_exact(g))
-        weak_b = CountedWeakOracle(
-            make_weak_backend("weak-exact")(DoubleCover(g).materialize())
-        )
+        weak_b = CountedWeakOracle(make_weak_backend("weak-exact")(DoubleCover(g)))
         finder = SampledFinder(weak_g, weak_b, DynParams.desk(0.25), random.Random(3))
         paths, _ = run_phase(g, m, quarter_params(), finder, OracleStats())
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
@@ -367,7 +404,7 @@ class TestRunPhaseSampled:
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         m = Matching(6, [(1, 2), (3, 4)])
         dynp = dataclasses.replace(DynParams.desk(0.25), i_caa=1)
-        weak_b = weak_from_exact(DoubleCover(g).materialize())
+        weak_b = weak_from_exact(DoubleCover(g))
         finder = Spy(weak_from_exact(g), weak_b, dynp, random.Random(4))
         paths, _ = run_phase(g, m, quarter_params(), finder, OracleStats())
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
@@ -384,6 +421,15 @@ class TestStaticFromWeak:
         assert not res.fallback
         assert res.weak_calls > 0
         assert len(res.per_scale) == len(scale_sequence(0.25))
+
+    def test_per_scale_calls_and_seed_queries_make_up_the_weak_calls(self):
+        g = gen_planted(32, 0.85, 0.5, seed=11)
+        seed_weak = CountedWeakOracle(weak_from_exact(g))
+        dyn_initial_matching(g, seed_weak, 0.25, DynParams.desk(0.25).t_const)
+        res = static_from_weak(g, 0.25, seed=1)
+        scale_calls = [sc.oracle_calls for sc in res.per_scale]
+        assert res.weak_calls == 160 and scale_calls[0] > 0
+        assert sum(scale_calls) + seed_weak.stats.weak_calls == res.weak_calls
 
     def test_greedy_backend_bound(self):
         g = gen_planted(28, 0.9, 0.4, seed=4)
@@ -498,6 +544,38 @@ class TestValidatingProvider:
         assert any("below lam*delta*n" in v for v in provider.violations)
 
 
+class TestValidatingProviderOnTheCover:
+    class Fixed:
+        lam = 1.0
+
+        def __init__(self, answer):
+            self.answer = answer
+
+        def query(self, s, delta):
+            return self.answer
+
+    def test_honest_cover_oracle_no_violations(self):
+        cover = DoubleCover(gen_planted(20, 0.9, 0.4, seed=1))
+        provider = ValidatingWeakProvider(cover, make_weak_backend("weak-exact")(cover), "B")
+        assert provider.query(list(range(cover.n)), 0.01)
+        assert provider.violations == []
+
+    def test_edges_off_the_cover_caught(self):
+        # (0, 1) is an edge of the graph, but it joins two outer copies;
+        # (1, 4) joins 1 to its own inner copy
+        cover = DoubleCover(Graph(3, [(0, 1), (1, 2)]))
+        for edge in [(0, 1), (1, 4)]:
+            provider = ValidatingWeakProvider(cover, self.Fixed([edge]), "B")
+            provider.query(list(range(6)), 0.01)
+            assert any("outside the subgraph" in v for v in provider.violations)
+
+    def test_illegal_bottom_caught(self):
+        cover = DoubleCover(Graph(3, [(0, 1), (1, 2)]))
+        provider = ValidatingWeakProvider(cover, self.Fixed(None), "B")
+        provider.query(list(range(6)), 0.01)
+        assert any("bottom" in v for v in provider.violations)
+
+
 class TestUpdateStream:
     def test_parse_frozen(self):
         text = "# header\n+ 0 1\n- 0 1\n.\n\n+ 2 3\n"
@@ -544,14 +622,25 @@ class TestProblem1:
         report = problem1_harness(16, updates, 0.25, q_budget=1, seed=0)
         assert any(c["over_budget"] for c in report["chunks"])
 
-    def test_oversized_instance_rejected(self):
-        with pytest.raises(PreconditionError, match="materialization limit"):
-            problem1_harness(MATERIALIZE_LIMIT + 1, [("+", 0, 1)], 0.25)
+    def test_audited_run_above_2048_vertices(self):
+        # no size limit: the cover host answers without being built
+        updates = gen_update_stream(2049, 300, seed=4)
+        report = problem1_harness(2049, updates, 0.25, seed=4)
+        assert len(report["chunks"]) == 3
+        assert report["chunks"][-1]["matching_size"] > 0
+        assert report["total_violations"] == 0
 
-    def test_oversized_instance_rejected_before_its_updates(self):
-        # vertex 3000 does not exist; the size check comes first
-        with pytest.raises(PreconditionError, match="materialization limit"):
-            problem1_harness(MATERIALIZE_LIMIT + 1, [("+", 0, 3000)], 0.25)
+    def test_unknown_vertex_above_2048_vertices(self):
+        with pytest.raises(UnknownVertexError, match="outside vertex range"):
+            problem1_harness(2049, [("+", 0, 3000)], 0.25)
+
+
+def _recorded_scale_fields(per_scale) -> list[dict]:
+    """The per-scale fields the weak digests were recorded with."""
+    return [
+        {"h": sc.h, "phases_run": sc.phases_run, "paths_found": sc.paths_found}
+        for sc in per_scale
+    ]
 
 
 def _digest(obj) -> str:
@@ -601,7 +690,7 @@ class TestGoldenReplay:
                     {
                         "matching": sorted(res.matching.edges),
                         "weak_calls": [res.stats_g.weak_calls, res.stats_b.weak_calls],
-                        "per_scale": res.per_scale,
+                        "per_scale": _recorded_scale_fields(res.per_scale),
                     }
                 )
         assert got == GOLDEN_WEAK

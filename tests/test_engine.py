@@ -197,6 +197,8 @@ def idle(finder_cls):
     """A finder of ``finder_cls``'s patience that never finds an operation."""
 
     class Idle(finder_cls):
+        calls = 0
+
         def __init__(self):
             pass
 
@@ -534,7 +536,7 @@ def _sampled_phases_then_static(g: Graph, seed: int, audit: IndexAudit) -> None:
     before each weak query.
     """
     weak_g = AuditedWeak(audit, weak_from_exact(g))
-    weak_b = AuditedWeak(audit, weak_from_exact(DoubleCover(g).materialize()))
+    weak_b = AuditedWeak(audit, weak_from_exact(DoubleCover(g)))
     m = _sparse_matching(g, seed)
     for h in (0.5, 0.125):
         params = PhaseParams.for_scale(0.25, h)

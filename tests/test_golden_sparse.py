@@ -88,7 +88,10 @@ def test_static_from_weak_reproduces_recorded_digests():
                 {
                     "matching": sorted(res.matching.edges),
                     "weak_calls": [res.stats_g.weak_calls, res.stats_b.weak_calls],
-                    "per_scale": res.per_scale,
+                    "per_scale": [
+                        {"h": sc.h, "phases_run": sc.phases_run, "paths_found": sc.paths_found}
+                        for sc in res.per_scale
+                    ],
                     "processing_steps": [
                         res.stats_g.processing_steps,
                         res.stats_b.processing_steps,
