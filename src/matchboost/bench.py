@@ -82,6 +82,7 @@ class ExperimentConfig:
             raise PreconditionError(f"unknown mode {self.mode!r}")
         if self.profile not in ("desk", "paper"):
             raise PreconditionError(f"unknown profile {self.profile!r}")
+        Constants().with_overrides(dict(self.constants))
 
     def to_json(self) -> str:
         d = asdict(self)

@@ -28,9 +28,12 @@ def _parse_constants(text: str | None) -> tuple[tuple[str, float], ...]:
     out = []
     for part in text.split(","):
         k, _, v = part.partition("=")
-        if not _:
-            raise SystemExit(f"bad constants entry {part!r}, want k=v")
-        num = float(v)
+        try:
+            num = float(v)
+        except ValueError:
+            raise PreconditionError(
+                f"bad constants entry {part!r}, want k=v with a number v"
+            ) from None
         out.append((k.strip(), int(num) if num.is_integer() else num))
     return tuple(out)
 

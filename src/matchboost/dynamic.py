@@ -435,10 +435,13 @@ class SampledFinder:
     ``calls`` reads both counters, so ``run_scales`` needs them counted.
     A sampled phase without a path may have missed one, so a scale stops
     after two such phases in a row, and a bundle that changes nothing
-    ends the phase only once no operation is reachable.
+    ends the phase only once no operation is reachable.  The generator
+    advances between phases, so no phase repeats another and every
+    scale runs.
     """
 
     patience = 2
+    settled_phase_repeats = False
 
     def __init__(self, weak_g, weak_b, dynp: DynParams, rng: random.Random):
         self.weak_g = weak_g

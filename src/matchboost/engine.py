@@ -354,10 +354,13 @@ class OracleFinder:
     The oracle sees only the auxiliary graphs.  A deterministic oracle
     on unchanged input repeats a phase verbatim, so a scale stops after
     its first phase without a path, and a bundle that changes nothing
-    leaves no work behind.
+    leaves no work behind.  The same argument reaches across scales: a
+    settled phase without a path (see ``run_scales``) is what the first
+    phase of every smaller scale would be.
     """
 
     patience = 1
+    settled_phase_repeats = True
 
     def __init__(self, oracle: CountedOracle):
         self.oracle = oracle
@@ -396,7 +399,8 @@ def run_phase(
     the paths.  A pass bundle that changes nothing and after which the
     finder sees no pending work is a fixpoint, so the bundle loop stops
     there early; the outcome is the same as running all ``tau_max``
-    bundles.
+    bundles.  ``state.settled`` records a stop there with no structure
+    put on hold in any bundle.
     """
     stats = stats if stats is not None else OracleStats()
     state = PhaseState(g, m, params, track_contamination)
@@ -419,6 +423,7 @@ def run_phase(
         if hooks:
             hooks.on_bundle_end(state, tau)
         if not changed and not moved and not finder.pending_work(state, params):
+            state.settled = not state.held
             break
     if hooks:
         hooks.on_phase_end(state)
@@ -448,6 +453,7 @@ class ScaleStats:
     phases_run: int = 0
     paths_found: int = 0
     oracle_calls: int = 0
+    replayed: bool = False
 
 
 def run_scales(
@@ -464,10 +470,25 @@ def run_scales(
 
     Each scale runs phases until ``finder.patience`` phases in a row
     find no augmenting path.  ``oracle_calls`` counts ``finder.calls``.
+
+    A phase is *settled* when its bundle loop stopped at its fixpoint
+    and no structure went on hold.  If a settled phase finds no path and
+    the finder says ``settled_phase_repeats``, the run ends there: every
+    smaller scale's first phase would replay it, since the matching is
+    unchanged, ``ell_max`` and the simulation iterations do not depend
+    on the scale, ``limit_h`` and ``tau_max`` only grow as it shrinks,
+    and ``delta_h`` is read only by the checks.  Each scale left out is
+    recorded as ``replayed``, with no phase, path or call; hooks see no
+    phase of it.
+
     Returns the final matching and one record per scale.
     """
     per_scale = []
+    settled = False
     for h in scale_sequence(eps, consts):
+        if settled:
+            per_scale.append(ScaleStats(h, replayed=True))
+            continue
         params = PhaseParams.for_scale(eps, h, consts)
         sc = ScaleStats(h=h)
         calls_before = finder.calls
@@ -475,13 +496,14 @@ def run_scales(
         for phase in range(1, params.phases + 1):
             if hooks:
                 hooks.on_phase_start(params, h, phase)
-            paths, _ = run_phase(g, m, params, finder, stats, hooks, track_contamination)
+            paths, state = run_phase(g, m, params, finder, stats, hooks, track_contamination)
             g.clear_removed()
             m = augment_all(m, paths)
             sc.phases_run += 1
             sc.paths_found += len(paths)
             empty_streak = 0 if paths else empty_streak + 1
-            if empty_streak >= finder.patience:
+            settled = finder.settled_phase_repeats and state.settled and not paths
+            if settled or empty_streak >= finder.patience:
                 break
         sc.oracle_calls = finder.calls - calls_before
         per_scale.append(sc)
@@ -510,9 +532,11 @@ def boost(
 ) -> BoostResult:
     """Boost the oracle's approximation to ``1 + epsilon`` on ``g``.
 
-    Runs the seed matching, then every scale from 1/2 down to the
+    Runs the seed matching, then the scales from 1/2 down to the
     epsilon-dependent floor; each scale runs phases until one finds no
-    augmenting path.
+    augmenting path.  Once such a phase is settled, the smaller scales
+    would only replay it, so they are skipped and listed in
+    ``per_scale`` as ``replayed`` (see ``run_scales``).
     """
     eps = normalize_epsilon(epsilon)
     counted = oracle if isinstance(oracle, CountedOracle) else CountedOracle(oracle)

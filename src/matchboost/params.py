@@ -27,12 +27,26 @@ class Constants:
     scale_floor_coeff: int = 64  # smallest scale: eps^2 / scale_floor_coeff
 
     def with_overrides(self, overrides: dict[str, float] | None) -> "Constants":
+        """A copy with some coefficients replaced.
+
+        Each value must be a non-negative integer, and a positive one
+        for the coefficients that divide or count scales, phases or
+        bundles; anything else raises instead of being rounded.
+        """
         if not overrides:
             return self
         bad = set(overrides) - set(self.__dataclass_fields__)
         if bad:
             raise InvalidEpsilonError(f"unknown constant overrides: {sorted(bad)}")
+        for k, v in overrides.items():
+            if not (isinstance(v, (int, float)) and float(v).is_integer() and v >= 0):
+                raise InvalidEpsilonError(f"constant {k} must be a non-negative integer, got {v!r}")
+            if v == 0 and k in _POSITIVE_CONSTANTS:
+                raise InvalidEpsilonError(f"constant {k} must be positive, got 0")
         return replace(self, **{k: int(v) for k, v in overrides.items()})
+
+
+_POSITIVE_CONSTANTS = ("bundle_coeff", "phase_coeff", "scale_floor_coeff")
 
 
 def normalize_epsilon(epsilon: float) -> float:

@@ -107,6 +107,11 @@ class PhaseState:
     structure whose working vertex, tree or entry labels they change
     and add to ``fresh`` as above, and ``mark_for_pass_bundle``
     rebuilds ``ready`` with the new marks.
+
+    Two flags describe the phase as a whole: ``held`` says whether
+    ``mark_for_pass_bundle`` has put any structure on hold, and
+    ``settled``, set by ``engine.run_phase``, whether the bundle loop
+    stopped at its fixpoint with ``held`` still false.
     """
 
     def __init__(
@@ -130,6 +135,8 @@ class PhaseState:
         self.found_paths: list[AltPath] = []
         self.ready: dict[int, set[int]] = {}
         self.dirty: set[int] = set()
+        self.held = False
+        self.settled = False
         self.contaminated: set[tuple[int, int]] | None = (
             set() if track_contamination else None
         )
@@ -258,6 +265,7 @@ class PhaseState:
         self.ready = {}
         for s in self.live_structures():
             s.on_hold = len(s.vertices) >= self.params.limit_h
+            self.held |= s.on_hold
             s.modified = False
             s.extended = False
             s.ready_label = None

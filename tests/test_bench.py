@@ -24,7 +24,7 @@ from matchboost.bench import (
 )
 from matchboost.corpus import CorpusSpec
 from matchboost.errors import PreconditionError
-from matchboost.oracles import OracleStats
+from matchboost.oracles import OracleStats, make_oracle
 
 
 class TestRoundAccounting:
@@ -126,6 +126,20 @@ class TestRunExperiment:
         for entry in rep.per_scale:
             assert set(entry) == {"trial", "epsilon", "scales"}
             assert isinstance(entry["scales"], list)
+
+    def test_boost_rows_report_replayed_scales(self):
+        rep = run_experiment(small_config())
+        doc = json.loads(rep.to_json())
+        seed_calls = 2 * math.ceil(make_oracle("greedy").c)
+        replayed = 0
+        for row, entry in zip(doc["rows"], doc["per_scale"]):
+            scales = entry["scales"]
+            for sc in scales:
+                if sc["replayed"]:
+                    replayed += 1
+                    assert sc["phases_run"] == sc["paths_found"] == sc["oracle_calls"] == 0
+            assert sum(sc["oracle_calls"] for sc in scales) + seed_calls == row["oracle_calls"]
+        assert replayed > 0
 
     def test_verify_off_leaves_optimum_blank(self):
         rep = run_experiment(small_config(verify=False))

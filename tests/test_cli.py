@@ -17,7 +17,7 @@ from matchboost.bench import CSV_COLUMNS, ExperimentConfig, RunReport, strip_wal
 from matchboost.cli import _finish_run, _parse_constants, _parse_epsilons, main
 from matchboost.corpus import gen_update_stream
 from matchboost.dynamic import parse_update_stream
-from matchboost.errors import InternalConsistencyError
+from matchboost.errors import InternalConsistencyError, PreconditionError
 from matchboost.graph import load_graph
 
 
@@ -35,7 +35,7 @@ class TestArgHelpers:
         assert _parse_constants("") == ()
 
     def test_constants_require_key_value(self):
-        with pytest.raises(SystemExit, match="bad constants"):
+        with pytest.raises(PreconditionError, match="bad constants"):
             _parse_constants("limit_coeff")
 
     def test_verb_is_required(self):
@@ -79,6 +79,26 @@ class TestBadInput:
         out, err = capsys.readouterr()
         (line,) = err.splitlines()
         assert line.startswith("error: --oracle:")
+        assert out == ""  # refused before any run
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("scale_floor_coeff=0", "constant scale_floor_coeff must be positive, got 0"),
+            ("phase_coeff=0", "constant phase_coeff must be positive, got 0"),
+            ("ell_coeff=-3", "constant ell_coeff must be a non-negative integer, got -3"),
+            ("bundle_coeff=1.5", "constant bundle_coeff must be a non-negative integer, got 1.5"),
+            ("limit_coeff=x", "bad constants entry 'limit_coeff=x', want k=v with a number v"),
+            ("limit_coeff", "bad constants entry 'limit_coeff', want k=v with a number v"),
+        ],
+    )
+    @pytest.mark.parametrize("verb", ["boost", "dynamic"])
+    def test_bad_constants(self, verb, entry, message, capsys):
+        oracle = "weak-exact" if verb == "dynamic" else "greedy"
+        argv = [verb, "--trials", "1", "--n", "12", "--oracle", oracle, "--constants", entry]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: {message}"]
         assert out == ""  # refused before any run
 
     def test_internal_errors_still_raise(self, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchboost.corpus import gen_blossom_gadget, gen_er, standard_corpus
+from matchboost.corpus import gen_blossom_gadget, gen_er, gen_path, standard_corpus
 from matchboost.dynamic import DoubleCover, DynParams, SampledFinder, static_from_weak
 from matchboost.engine import (
     OracleFinder,
@@ -39,6 +39,8 @@ from matchboost.oracles import (
 )
 from matchboost.params import Constants, PhaseParams, scale_sequence
 from matchboost.structures import PhaseState
+
+from _replay import PhaseRecorder, expand_replayed, recorded_boost
 
 
 def quarter_params() -> PhaseParams:
@@ -222,7 +224,14 @@ class TestRunScales:
         assert finder_cls.patience == patience
         assert [sc.h for sc in per_scale] == scale_sequence(0.25)
         assert all(PhaseParams.for_scale(0.25, sc.h).phases > 2 for sc in per_scale)
-        assert [sc.phases_run for sc in per_scale] == [patience] * len(per_scale)
+        if finder_cls.settled_phase_repeats:
+            # the first phase settles without a path; every later scale replays it
+            rest = len(per_scale) - 1
+            assert [sc.phases_run for sc in per_scale] == [patience] + [0] * rest
+            assert [sc.replayed for sc in per_scale] == [False] + [True] * rest
+        else:
+            assert [sc.phases_run for sc in per_scale] == [patience] * len(per_scale)
+            assert not any(sc.replayed for sc in per_scale)
         assert all(sc.paths_found == sc.oracle_calls == 0 for sc in per_scale)
         assert m.edges == set() and stats.calls == 0
 
@@ -285,7 +294,10 @@ class TestBoost:
         g = gen_er(14, 0.2, seed=2)
         res = boost(g, 0.25, GreedyOracle())
         assert len(res.per_scale) == len(scale_sequence(0.25))
-        assert all(sc.phases_run >= 1 for sc in res.per_scale)
+        assert all(sc.phases_run >= 1 for sc in res.per_scale if not sc.replayed)
+        replayed = [sc for sc in res.per_scale if sc.replayed]
+        assert replayed == res.per_scale[-len(replayed):]
+        assert all(sc.phases_run == sc.paths_found == sc.oracle_calls == 0 for sc in replayed)
         assert sum(sc.oracle_calls for sc in res.per_scale) + 4 == res.oracle_calls
         assert res.oracle_calls == res.stats.calls
 
@@ -321,6 +333,58 @@ class TestBoost:
         res = boost(g, 0.25, ExactOracle(), constants=consts)
         assert len(res.per_scale) == len(scale_sequence(0.25, consts))
         assert len(res.per_scale) < len(scale_sequence(0.25))
+
+
+class TestStopRule:
+    """A settled phase without a path ends ``boost``'s scale loop, and only such a phase."""
+
+    def test_every_skipped_scale_would_replay_the_stopping_phase(self):
+        stops = 0
+        for name, g in standard_corpus(6, 24, 64, seed=11):
+            for spec in ("greedy", "adversarial:2"):
+                res, rec = recorded_boost(g, 0.25, make_oracle(spec))
+                last = rec.phases[-1]
+                skipped = [sc.h for sc in res.per_scale if sc.replayed]
+                if not skipped:
+                    continue
+                stops += 1
+                assert last.settled and not last.held and last.paths == 0
+                for h in skipped:
+                    oracle = CountedOracle(make_oracle(spec))
+                    again = PhaseRecorder(oracle.stats)
+                    again.on_phase_start(None, h, 1)
+                    params = PhaseParams.for_scale(0.25, h)
+                    paths, state = run_phase(
+                        g, res.matching, params, OracleFinder(oracle), oracle.stats, again
+                    )
+                    g.clear_removed()
+                    (phase,) = again.phases
+                    assert paths == [] and state.settled
+                    assert (phase.calls, phase.steps, phase.bundles) == (
+                        last.calls, last.steps, last.bundles
+                    )
+        assert stops == 12
+
+    def test_a_structure_on_hold_keeps_the_scales_running(self):
+        # limit_h == 3 at h = 1/2: the first phase holds a structure and
+        # finds no path, and the next scale, with limit_h == 5, finds one
+        consts = Constants().with_overrides({"limit_coeff": 1})
+        res, rec = recorded_boost(gen_er(16, 0.15, seed=8), 0.25, GreedyOracle(), constants=consts)
+        first = rec.phases[0]
+        assert first.held and not first.settled and first.paths == 0
+        assert res.per_scale[0].phases_run == 1 and res.per_scale[0].paths_found == 0
+        assert not res.per_scale[1].replayed and res.per_scale[1].paths_found >= 1
+
+    def test_a_phase_that_runs_out_of_bundles_keeps_the_scales_running(self):
+        # tau_max == 8 at h = 1/2 and the first phase uses all 8 bundles;
+        # the next scale's first phase, allowed 16, stops at its fixpoint
+        consts = Constants().with_overrides({"bundle_coeff": 1})
+        res, rec = recorded_boost(gen_path(9), 0.25, GreedyOracle(), constants=consts)
+        first, second = rec.phases[:2]
+        assert first.bundles == first.tau_max == 8 and not first.held
+        assert not first.settled and first.paths == 0
+        assert not res.per_scale[1].replayed and second.h == 0.25
+        assert first.bundles < second.bundles < second.tau_max
 
 
 @st.composite
@@ -576,15 +640,14 @@ class TestIndexesAgainstRescan:
         assert weak.ready_seen > 0 and weak.type2_seen > 0
 
 
-def _boost_digest(res) -> str:
+def _boost_digest(res, rec) -> str:
+    """The recorded digest of ``res`` with its replayed scales run out."""
+    calls, rows, _ = expand_replayed(res, rec)
     blob = json.dumps(
         {
             "matching": sorted(res.matching.edges),
-            "oracle_calls": res.oracle_calls,
-            "per_scale": [
-                [sc.h, sc.phases_run, sc.paths_found, sc.oracle_calls]
-                for sc in res.per_scale
-            ],
+            "oracle_calls": calls,
+            "per_scale": rows,
         },
         separators=(",", ":"),
     )
@@ -592,7 +655,8 @@ def _boost_digest(res) -> str:
 
 
 # Digests of boost at eps = 1/4 on standard_corpus(6, 24, 64, seed=11),
-# recorded before the auxiliary graphs dropped their isolated vertices.
+# recorded before the auxiliary graphs dropped their isolated vertices
+# and while every scale still ran.
 GOLDEN_BOOST = {
     ("path-0000-n64", "greedy"): "f7f43c93b3a532dc",
     ("path-0000-n64", "adversarial:2"): "8b18823f70458fa7",
@@ -614,5 +678,7 @@ class TestGoldenReplay:
         got = {}
         for name, g in standard_corpus(6, 24, 64, seed=11):
             for spec in ("greedy", "adversarial:2"):
-                got[(name, spec)] = _boost_digest(boost(g.copy(), 0.25, make_oracle(spec)))
+                got[(name, spec)] = _boost_digest(
+                    *recorded_boost(g.copy(), 0.25, make_oracle(spec))
+                )
         assert got == GOLDEN_BOOST

@@ -92,6 +92,16 @@ class TestParams:
         with pytest.raises(InvalidEpsilonError):
             Constants().with_overrides({"mystery": 3})
 
+    def test_overrides_must_be_whole_and_in_range(self):
+        assert Constants().with_overrides({"limit_coeff": 0}).limit_coeff == 0
+        assert Constants().with_overrides({"bundle_coeff": 4.0}).bundle_coeff == 4
+        for bad in (1.5, -3, -1.0, float("nan"), float("inf"), "7"):
+            with pytest.raises(InvalidEpsilonError, match="non-negative integer"):
+                Constants().with_overrides({"ell_coeff": bad})
+        for name in ("scale_floor_coeff", "phase_coeff", "bundle_coeff"):
+            with pytest.raises(InvalidEpsilonError, match="must be positive"):
+                Constants().with_overrides({name: 0})
+
 
 class TestStateInit:
     def test_initial_structures(self):
