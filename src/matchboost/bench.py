@@ -185,7 +185,8 @@ def _run_boost_trial(g: Graph, eps: float, config: ExperimentConfig, trial: int)
 def _run_dynamic_trial(g: Graph, eps: float, config: ExperimentConfig, trial: int) -> tuple:
     dynp = DynParams.paper(eps) if config.profile == "paper" else DynParams.desk(eps)
     res = static_from_weak(
-        g, eps, config.oracle, dyn_params=dynp, seed=config.seed * 1_000_003 + trial
+        g, eps, config.oracle, dyn_params=dynp, seed=config.seed * 1_000_003 + trial,
+        constants=Constants().with_overrides(dict(config.constants)),
     )
     stats = OracleStats()
     stats.calls = res.stats_g.weak_calls + res.stats_b.weak_calls

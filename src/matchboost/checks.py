@@ -5,15 +5,18 @@ laminar blossoms, disjoint alternating trees with trivial single-child
 inner vertices, bounded structure sizes, monotone matched-arc labels,
 and the two coverage guarantees (every outer-outer arc at a bundle
 boundary is accounted for; no short augmenting path escapes unnoticed).
-They are wired into a run through :class:`InvariantHooks`.
+They are wired into a run through :class:`InvariantHooks`, which also
+keeps the contamination ledger the two coverage checks read: the
+undirected edges a simulation round left as candidates without acting
+on them.
 """
 
 from __future__ import annotations
 
 from .blossoms import check_laminarity, validate_blossom
-from .engine import TraceHooks
+from .engine import TraceHooks, build_h_prime_s
 from .errors import InternalConsistencyError
-from .graph import Graph
+from .graph import Graph, edge_key
 from .params import PhaseParams
 from .structures import PhaseState, Structure
 
@@ -136,14 +139,11 @@ def check_state(
     return problems
 
 
-def check_outer_outer_covered(state: PhaseState, context: str = "") -> list[str]:
-    """No arc joins two outer vertices of distinct blossoms, unless recorded.
+def check_outer_outer_covered(state: PhaseState, ledger, context: str = "") -> list[str]:
+    """No arc joins two outer vertices of distinct blossoms, unless in ``ledger``.
 
-    Holds at the start of every pass bundle after the first; needs the
-    contamination ledger.
+    Holds at the start of every pass bundle after the first.
     """
-    if state.contaminated is None:
-        return []
     problems = []
     for u, v in sorted(state.g.edges):
         if state.g.removed[u] or state.g.removed[v]:
@@ -155,26 +155,26 @@ def check_outer_outer_covered(state: PhaseState, context: str = "") -> list[str]
         if su is None or sv is None:
             continue
         if state.tree(su).is_outer(bu) and state.tree(sv).is_outer(bv):
-            if not state.is_contaminated_edge(u, v):
+            if edge_key(u, v) not in ledger:
                 problems.append(
                     f"{context}: outer-outer edge ({u}, {v}) is not in the ledger"
                 )
     return problems
 
 
-def check_no_actionable_arcs(state: PhaseState, context: str = "") -> list[str]:
-    """After a full simulation round, every actionable arc is in the ledger.
+def check_no_actionable_arcs(state: PhaseState, ledger, context: str = "") -> list[str]:
+    """After a full simulation round, every actionable arc is in ``ledger``.
 
     Type-3 arcs of structures that extended this bundle are exempt: an
     extended structure sits out the rest of the bundle by design.
     """
-    if state.contaminated is None:
-        return []
     problems = []
     for u, v in sorted(state.g.edges):
+        if edge_key(u, v) in ledger:
+            continue
         for a, b in ((u, v), (v, u)):
             kind = state.classify(a, b)
-            if kind is None or state.is_contaminated_edge(a, b):
+            if kind is None:
                 continue
             if kind == 3:
                 s = state.structure_at(a)
@@ -214,16 +214,14 @@ def enumerate_short_augmenting_paths(g: Graph, mate, max_arcs: int):
                     stack.append((y, path + [y], used | {y}))
 
 
-def check_short_paths_covered(state: PhaseState, context: str = "") -> list[str]:
+def check_short_paths_covered(state: PhaseState, ledger, context: str = "") -> list[str]:
     """Every short augmenting path is pinned by the current search state.
 
     A path escapes only if neither endpoint's structure is active, no
-    arc of it lies on an active path, and no arc of it is in the
-    contamination ledger.  Requires the ledger; quadratic-ish in the
-    path count, so keep the graphs small.
+    arc of it lies on an active path, and no arc of it is in
+    ``ledger``.  Quadratic-ish in the path count, so keep the graphs
+    small.
     """
-    if state.contaminated is None:
-        return []
     act_pairs = active_arc_pairs(state)
     act_free = critical_free_vertices(state)
     problems = []
@@ -238,7 +236,7 @@ def check_short_paths_covered(state: PhaseState, context: str = "") -> list[str]
             if bx != by and (bx, by) in act_pairs:
                 covered = True
                 break
-            if state.is_contaminated_edge(x, y):
+            if edge_key(x, y) in ledger:
                 covered = True
                 break
         if not covered:
@@ -254,8 +252,12 @@ def check_short_paths_covered(state: PhaseState, context: str = "") -> list[str]
 class InvariantHooks(TraceHooks):
     """Raises on the first violated invariant; counts what it checked.
 
-    ``audit_paths`` additionally runs the short-path coverage audit at
-    every bundle boundary, which is only affordable on small graphs.
+    Keeps the contamination ledger of the phase whose state it last saw:
+    the candidate arcs each extension stage leaves, and every type-2
+    edge after each contract-and-augment round.  A new ``PhaseState``
+    starts an empty ledger.  ``audit_paths`` additionally runs the
+    short-path coverage audit at every bundle boundary, which is only
+    affordable on small graphs.
     """
 
     def __init__(self, g: Graph, epsilon: float, audit_paths: bool = False):
@@ -268,6 +270,8 @@ class InvariantHooks(TraceHooks):
         self.bundles_checked = 0
         self.paths_audited = 0
         self._label_snapshot: dict[tuple[int, int], int] | None = None
+        self.ledger: set[tuple[int, int]] = set()
+        self._ledger_state: PhaseState | None = None
 
     def _ctx(self, tau: int | None = None) -> str:
         where = f"scale {self.scale:g} phase {self.phase}"
@@ -287,6 +291,12 @@ class InvariantHooks(TraceHooks):
                     )
         self._label_snapshot = dict(state.labels)
 
+    def ledger_of(self, state: PhaseState) -> set[tuple[int, int]]:
+        """The ledger of ``state``'s phase, emptied when the state is new."""
+        if self._ledger_state is not state:
+            self._ledger_state, self.ledger = state, set()
+        return self.ledger
+
     def on_phase_start(self, params: PhaseParams, scale: float, phase: int) -> None:
         self.params = params
         self.scale = scale
@@ -295,20 +305,28 @@ class InvariantHooks(TraceHooks):
 
     def on_bundle_start(self, state: PhaseState, tau: int) -> None:
         ctx = self._ctx(tau)
+        ledger = self.ledger_of(state)
         problems = check_state(state, at_bundle_start=True, context=ctx)
         if tau >= 2:
-            problems += check_outer_outer_covered(state, ctx)
+            problems += check_outer_outer_covered(state, ledger, ctx)
         self._fail_on(problems)
         self._check_labels_monotone(state, ctx)
         if self.audit_paths:
-            self._fail_on(check_short_paths_covered(state, ctx))
+            self._fail_on(check_short_paths_covered(state, ledger, ctx))
             self.paths_audited += 1
         self.bundles_checked += 1
+
+    def on_stage_end(self, state: PhaseState, stage: int) -> None:
+        arcs = build_h_prime_s(state, stage)[3]
+        self.ledger_of(state).update(edge_key(x, y) for x, y in arcs)
+
+    def on_augment_round_end(self, state: PhaseState) -> None:
+        self.ledger_of(state).update(e for e in state.g.edges if state.classify(*e) == 2)
 
     def on_after_simulations(self, state: PhaseState, tau: int) -> None:
         ctx = self._ctx(tau)
         problems = check_state(state, context=ctx)
-        problems += check_no_actionable_arcs(state, ctx)
+        problems += check_no_actionable_arcs(state, self.ledger_of(state), ctx)
         self._fail_on(problems)
         self._check_labels_monotone(state, ctx)
 

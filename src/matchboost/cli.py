@@ -89,7 +89,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report base path (writes .csv and .json)")
     p.add_argument("--constants", default=None, help="comma list of coefficient overrides k=v")
-    p.add_argument("--profile", choices=("desk", "paper"), default="desk")
     _add_corpus_flags(p)
 
 
@@ -137,7 +136,7 @@ def cmd_boost(args, mode: str = "boost") -> int:
         seed=args.seed,
         corpus=_corpus_spec(args),
         constants=_parse_constants(args.constants),
-        profile=args.profile,
+        profile=getattr(args, "profile", "desk"),
     )
     return _finish_run(run_experiment(config), args.out)
 
@@ -237,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamic", help="run the weak-oracle pipeline over a corpus")
     _add_run_flags(p)
     p.add_argument("--oracle", default="weak-exact", help="weak-exact | weak-greedy")
+    p.add_argument("--profile", choices=("desk", "paper"), default="desk")
     p.set_defaults(func=cmd_dynamic)
 
     p = sub.add_parser("verify", help="boost with the ratio assertion as the outcome")

@@ -1,15 +1,17 @@
 """Weak-oracle pipeline: sampled simulations over induced subgraphs.
 
-The scale/phase machinery is the engine's own: ``engine.run_scales``
-and ``engine.run_phase`` drive it, fed by a ``SampledFinder``.  The
-oracle here only answers induced-subgraph queries (``query(S, delta)``
-with a bottom answer allowed when the subgraph's matching is small).
-Cross structure work is found by sampling one vertex per structure and
-querying the sample, extension work by querying the graph's bipartite
-double cover, a ``DoubleCover`` host that answers from the graph
-without being built.  A harness at the bottom replays update streams
-of any size in fixed-size chunks and validates every answer the oracle
-gives.
+The scale, phase and simulation loops are the engine's own
+(``engine.run_scales``, ``run_phase``, ``extend_active_path`` and
+``contract_and_augment``); a ``SampledFinder`` feeds them one batch per
+iteration.  The oracle here only answers induced-subgraph queries
+(``query(S, delta)`` with a bottom answer allowed when the subgraph's
+matching is small).  An augment batch comes from sampling one outer
+vertex per structure and querying the sample
+(``sampled_contract_and_augment``), an extension batch from querying
+the graph's bipartite double cover (``sampled_extend_active_path``), a
+``DoubleCover`` host that answers from the graph without being built.
+A harness at the bottom replays update streams of any size in
+fixed-size chunks and validates every answer the oracle gives.
 """
 
 from __future__ import annotations
@@ -22,16 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+# perfbench's tracer wraps the names marked unused here.
 from .engine import (
     ScaleStats,
     TraceHooks,
-    apply_augments,
-    apply_overtakes,
-    backtrack_pass,  # unused here, but perfbench's tracer wraps this name
+    backtrack_pass,  # unused
     build_h_prime,
-    build_h_prime_s,
-    contaminate_leftover,
-    exhaust_type1,
+    build_h_prime_s,  # unused
+    exhaust_type1,  # unused
     find_type1_arc,
     run_scales,
     _head_eligible,
@@ -41,7 +41,7 @@ from .graph import (
     Arc,
     Graph,
     Matching,
-    augment_all,  # unused here, but perfbench's tracer wraps this name
+    augment_all,  # unused
     edge_key,
 )
 from .oracles import (
@@ -269,39 +269,19 @@ def _sampled_structures(rng: random.Random, state: PhaseState):
 
 
 def sampled_contract_and_augment(
-    state: PhaseState,
-    weak,
-    dynp: DynParams,
-    stats: OracleStats,
-    rng: random.Random,
-) -> bool:
-    """In-structure contraction sweep, then sampled cross-structure augments.
+    state: PhaseState, weak_g, delta: float, rng: random.Random
+) -> list[Arc]:
+    """One augment batch: sample one outer vertex per structure, query the sample.
 
-    Each iteration samples one outer vertex per structure and queries
-    the weak oracle on the sample; every returned edge must join outer
-    vertices of two distinct structures and is augmented along.
+    Every returned edge must join outer vertices of two distinct
+    structures; ``engine.apply_augments`` checks that.  Empty when the
+    query answers bottom or nothing.
     """
-    changed = exhaust_type1(state, stats)
-    fruitless = 0
-    for _ in range(dynp.i_caa):
-        _, pairs = build_h_prime(state)
-        if not pairs:
-            break
-        if fruitless >= SAMPLE_PATIENCE:
-            break
-        sample = [
-            _sample_one(rng, state, s, outer_only=True)
-            for s in _sampled_structures(rng, state)
-        ]
-        res = weak.query(sorted(sample), dynp.delta)
-        if not res:
-            fruitless += 1
-            continue
-        fruitless = 0
-        apply_augments(state, [Arc(u, v) for u, v in sorted(res)], stats)
-        changed = True
-    state.contaminate_type2()
-    return changed
+    sample = [
+        _sample_one(rng, state, s, outer_only=True)
+        for s in _sampled_structures(rng, state)
+    ]
+    return [Arc(u, v) for u, v in sorted(weak_g.query(sorted(sample), delta) or ())]
 
 
 def _in_structure_sweep(state: PhaseState, stage: int) -> bool:
@@ -336,70 +316,46 @@ def _in_structure_sweep(state: PhaseState, stage: int) -> bool:
 
 def sampled_extend_active_path(
     state: PhaseState,
-    weak_g,
+    stage: int,
     weak_b,
-    dynp: DynParams,
-    params: PhaseParams,
-    stats: OracleStats,
+    delta: float,
     rng: random.Random,
-) -> bool:
-    """Stage-by-stage extension through double-cover queries.
+    matched: list[int],
+) -> list[tuple[int, int, int]]:
+    """One extension batch of a stage, through a double-cover query.
 
-    Per stage: sweep in-structure overtakes, then iterate {sample one
-    vertex per structure, build the cover-side query set (outer copies
-    of eligible working-vertex samples, inner copies of label-eligible
-    inner samples plus all eligible unvisited matched vertices), query,
-    project matched pairs back and overtake}.  Ends with a sampled
-    contract-and-augment round.
+    Samples one vertex per structure and builds the cover-side query
+    set: outer copies of eligible working-vertex samples, inner copies
+    of label-eligible inner samples, plus inner copies of all eligible
+    unvisited vertices among ``matched``.  Each answer edge runs from an
+    outer copy to an inner copy and is projected back to an
+    ``(owner, x, y)`` extension.  Empty when the query answers bottom or
+    nothing.
     """
     n = state.g.n
-    # The matching is fixed for the phase, so its vertices are listed once.
-    matched = [v for v in range(n) if state.mate[v] is not None]
-    changed = False
-    for stage in range(0, params.ell_max + 1):
-        changed |= _in_structure_sweep(state, stage)
-        fruitless = 0
-        for _ in range(dynp.i_eap):
-            _, _, pairs, _ = build_h_prime_s(state, stage)
-            if not pairs:
-                break
-            if fruitless >= SAMPLE_PATIENCE:
-                break
-            query_set: list[int] = []
-            for s in _sampled_structures(rng, state):
-                v = _sample_one(rng, state, s, outer_only=False)
-                view = state.tree(s)
-                if view.is_outer(state.root(v)):
-                    if (
-                        not s.on_hold
-                        and not s.extended
-                        and state.root(v) == s.working
-                        and state.entry_label(s, s.working) == stage
-                    ):
-                        query_set.append(v)
-                elif state.head_label(v) > stage + 1:
-                    query_set.append(v + n)
-            for v in matched:
-                if (
-                    not state.g.removed[v]
-                    and state.structure_of.get(v) is None
-                    and state.head_label(v) > stage + 1
-                ):
-                    query_set.append(v + n)
-            res = weak_b.query(sorted(query_set), dynp.delta)
-            if not res:
-                fruitless += 1
-                changed |= _in_structure_sweep(state, stage)
-                continue
-            fruitless = 0
-            # Each answer edge runs from an outer copy to an inner copy.
-            batch = [(state.structure_of.get(p, -1), p, q - n) for p, q in sorted(res)]
-            apply_overtakes(state, stage, batch, stats)
-            changed = True
-            changed |= _in_structure_sweep(state, stage)
-        contaminate_leftover(state, stage)
-    changed |= sampled_contract_and_augment(state, weak_g, dynp, stats, rng)
-    return changed
+    query_set: list[int] = []
+    for s in _sampled_structures(rng, state):
+        v = _sample_one(rng, state, s, outer_only=False)
+        view = state.tree(s)
+        if view.is_outer(state.root(v)):
+            if (
+                not s.on_hold
+                and not s.extended
+                and state.root(v) == s.working
+                and state.entry_label(s, s.working) == stage
+            ):
+                query_set.append(v)
+        elif state.head_label(v) > stage + 1:
+            query_set.append(v + n)
+    for v in matched:
+        if (
+            not state.g.removed[v]
+            and state.structure_of.get(v) is None
+            and state.head_label(v) > stage + 1
+        ):
+            query_set.append(v + n)
+    res = weak_b.query(sorted(query_set), delta) or ()
+    return [(state.structure_of.get(p, -1), p, q - n) for p, q in sorted(res)]
 
 
 def _any_pending_work(state: PhaseState, params: PhaseParams) -> bool:
@@ -433,36 +389,49 @@ class SampledFinder:
 
     ``weak_g`` answers on the graph, ``weak_b`` on its double cover;
     ``calls`` reads both counters, so ``run_scales`` needs them counted.
-    A sampled phase without a path may have missed one, so a scale stops
-    after two such phases in a row, and a bundle that changes nothing
-    ends the phase only once no operation is reachable.  The generator
-    advances between phases, so no phase repeats another and every
-    scale runs.
+    Each batch comes from one sample and one weak query, which may miss
+    work that exists, so ``SAMPLE_PATIENCE`` empty batches in a row end
+    a loop, and the in-structure sweep consumes what a member scan finds
+    before every sample.  A sampled phase without a path may have missed
+    one, so a scale stops after two such phases in a row, and a bundle
+    that changes nothing ends the phase only once no operation is
+    reachable.  The generator advances between phases, so no phase
+    repeats another and every scale runs.
     """
 
     patience = 2
     settled_phase_repeats = False
+    fruitless_limit = SAMPLE_PATIENCE
 
     def __init__(self, weak_g, weak_b, dynp: DynParams, rng: random.Random):
         self.weak_g = weak_g
         self.weak_b = weak_b
         self.dynp = dynp
         self.rng = rng
+        self.matched: list[int] = []
 
     @property
     def calls(self) -> int:
         """Weak queries made so far, on the graph and on its cover."""
         return self.weak_g.stats.weak_calls + self.weak_b.stats.weak_calls
 
-    def extend(self, state: PhaseState, params: PhaseParams, stats, hooks=None) -> bool:
+    def start_phase(self, state: PhaseState) -> None:
+        # The matching is fixed for the phase, so its vertices are listed once.
+        self.matched = [v for v in range(state.g.n) if state.mate[v] is not None]
+
+    def iterations(self, params: PhaseParams) -> tuple[int, int]:
+        return self.dynp.i_eap, self.dynp.i_caa
+
+    def sweep(self, state: PhaseState, stage: int) -> bool:
+        return _in_structure_sweep(state, stage)
+
+    def extension_batch(self, state: PhaseState, stage: int, pairs, hooks=None):
         return sampled_extend_active_path(
-            state, self.weak_g, self.weak_b, self.dynp, params, stats, self.rng
+            state, stage, self.weak_b, self.dynp.delta, self.rng, self.matched
         )
 
-    def contract_and_augment(
-        self, state: PhaseState, params: PhaseParams, stats, hooks=None
-    ) -> bool:
-        return sampled_contract_and_augment(state, self.weak_g, self.dynp, stats, self.rng)
+    def augment_batch(self, state: PhaseState, pairs, hooks=None) -> list[Arc]:
+        return sampled_contract_and_augment(state, self.weak_g, self.dynp.delta, self.rng)
 
     def pending_work(self, state: PhaseState, params: PhaseParams) -> bool:
         return _any_pending_work(state, params)
@@ -499,7 +468,6 @@ def static_from_weak(
     seed: int = 0,
     constants: Constants | None = None,
     hooks: TraceHooks | None = None,
-    track_contamination: bool = False,
     weak_g=None,
     weak_b=None,
 ) -> DynRunResult:
@@ -534,7 +502,7 @@ def static_from_weak(
         result.warned = True
     finder = SampledFinder(weak_g, weak_b, dynp, rng)
     result.matching, result.per_scale = run_scales(
-        g, m, eps, consts, finder, weak_g.stats, hooks, track_contamination
+        g, m, eps, consts, finder, weak_g.stats, hooks
     )
     return result
 

@@ -1,16 +1,23 @@
-"""The boosting engine: oracle-driven phase simulation.
+"""The boosting engine: the pass-bundle simulation, its phases and scales.
 
 One *phase* walks pass bundles over the current matching: each bundle
 extends structures along matched arcs whose labels still allow it
-(stage by stage, lowest working-vertex label first), then contracts
-odd cycles and augments across structure pairs, then backtracks every
+(stage by stage, lowest working-vertex label first, in
+``extend_active_path``), then contracts odd cycles and augments across
+structure pairs (``contract_and_augment``), then backtracks every
 structure that failed to make progress.  Phases are grouped into
 geometric scales; each scale bounds structure sizes through the on-hold
 limit.
 
-The matching oracle only ever sees small auxiliary graphs: the
-structure-pair graph (for augmenting) and one bipartite layer graph per
-stage (for extending).
+Both pipelines run these loops and differ only in their *finder*, which
+picks one batch of disjoint operations per iteration
+(``extension_batch``, ``augment_batch``; possibly empty):
+``OracleFinder`` asks a matching oracle on a small auxiliary graph, the
+structure-pair graph or one bipartite layer graph per stage, and
+``dynamic.SampledFinder`` a weak oracle on a sample.  The finder also
+caps the iterations, says how many empty batches in a row end a loop,
+may ``sweep`` a stage, and tells ``run_phase`` and ``run_scales`` its
+``patience``, ``pending_work`` and ``calls``.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ class TraceHooks:
     def on_phase_start(self, params: PhaseParams, scale: float, phase: int) -> None: ...
 
     def on_bundle_start(self, state: PhaseState, tau: int) -> None: ...
+
+    def on_stage_end(self, state: PhaseState, stage: int) -> None: ...
+
+    def on_augment_round_end(self, state: PhaseState) -> None: ...
 
     def on_after_simulations(self, state: PhaseState, tau: int) -> None: ...
 
@@ -127,8 +138,8 @@ def build_h_prime_s(state: PhaseState, stage: int):
     vertices whose downward label exceeds ``stage + 1`` and that have at
     least one candidate arc from the left.  Returns ``(left_owners,
     right_heads, pairs, arcs)`` with one witness arc per (owner, head)
-    pair and the full candidate arc list (used for contamination
-    marking).  Heads are found by walking out of the left side, each
+    pair and the full candidate arc list, which the contamination
+    ledger reads.  Heads are found by walking out of the left side, each
     tested once per call.
     """
     left = state.ready_at(stage)
@@ -261,41 +272,9 @@ def _extension_feasible(state: PhaseState, owner: int, x: int, y: int, stage: in
     return not state.g.removed[y] and _head_eligible(state, y, stage)
 
 
-def contaminate_leftover(state: PhaseState, stage: int) -> None:
-    """When contamination is tracked, mark the stage's candidate arcs still left."""
-    if state.contaminated is not None:
-        state.contaminate(build_h_prime_s(state, stage)[3])
-
-
-def simulate_contract_and_augment(
+def extend_active_path(
     state: PhaseState,
-    oracle: CountedOracle,
-    params: PhaseParams,
-    stats: OracleStats,
-    hooks: TraceHooks | None = None,
-) -> bool:
-    """Exhaust contractions, then repeatedly augment across oracle matchings."""
-    changed = exhaust_type1(state, stats)
-    for _ in range(params.sim_iterations(oracle.c)):
-        _, pairs = build_h_prime(state)
-        if not pairs:
-            break
-        aux, owners = _aux_graph_pairs(pairs)
-        if hooks:
-            hooks.on_oracle_graph(aux)
-        matched = oracle.find(aux)
-        if not matched:
-            break
-        keys = sorted((owners[min(a, b)], owners[max(a, b)]) for a, b in matched.edges)
-        apply_augments(state, [pairs[key] for key in keys], stats)
-        changed = True
-    state.contaminate_type2()
-    return changed
-
-
-def simulate_extend_active_path(
-    state: PhaseState,
-    oracle: CountedOracle,
+    finder,
     params: PhaseParams,
     stats: OracleStats,
     hooks: TraceHooks | None = None,
@@ -303,33 +282,64 @@ def simulate_extend_active_path(
     """Stage-by-stage extension, then a contract-and-augment round.
 
     Stage ``s`` lets every structure whose working vertex sits at entry
-    label ``s`` overtake one matched arc with label above ``s + 1``; the
-    oracle picks a large set of disjoint extensions at once, applied in
-    witness order.
+    label ``s`` overtake one matched arc with label above ``s + 1``.
+    While the stage's layer graph has an edge, the finder picks a batch
+    of disjoint extensions, applied in order, for at most the finder's
+    extension iterations; ``finder.fruitless_limit`` empty batches in a
+    row end the stage.  ``finder.sweep`` runs at the stage's start and
+    after every batch.
     """
     changed = False
+    iterations = finder.iterations(params)[0]
     for stage in range(0, params.ell_max + 1):
-        for _ in range(params.sim_iterations(oracle.c)):
+        changed |= finder.sweep(state, stage)
+        fruitless = 0
+        for _ in range(iterations):
             _, _, pairs, _ = build_h_prime_s(state, stage)
-            if not pairs:
+            if not pairs or fruitless >= finder.fruitless_limit:
                 break
-            aux, nodes = _aux_graph_bipartite(pairs)
-            if hooks:
-                hooks.on_oracle_graph(aux)
-            matched = oracle.find(aux)
-            if not matched:
-                break
-            batch = []
-            for a, b in matched.edges:
-                na, nb = nodes[a], nodes[b]
-                owner, y = (na[1], nb[1]) if na[0] == "L" else (nb[1], na[1])
-                batch.append((owner, pairs[(owner, y)].tail, y))
-            # A witness's tail lies in its owner's working vertex, so
-            # (x, y) orders the batch as the witness arcs do.
-            apply_overtakes(state, stage, sorted(batch, key=lambda e: e[1:]), stats)
+            batch = finder.extension_batch(state, stage, pairs, hooks)
+            if batch:
+                apply_overtakes(state, stage, batch, stats)
+                changed = True
+                fruitless = 0
+            else:
+                fruitless += 1
+            changed |= finder.sweep(state, stage)
+        if hooks:
+            hooks.on_stage_end(state, stage)
+    changed |= contract_and_augment(state, finder, params, stats, hooks)
+    return changed
+
+
+def contract_and_augment(
+    state: PhaseState,
+    finder,
+    params: PhaseParams,
+    stats: OracleStats,
+    hooks: TraceHooks | None = None,
+) -> bool:
+    """Exhaust contractions, then augment along the finder's batches.
+
+    Runs while the structure-pair graph has an edge, for at most the
+    finder's augment iterations, until ``finder.fruitless_limit`` empty
+    batches in a row.
+    """
+    changed = exhaust_type1(state, stats)
+    fruitless = 0
+    for _ in range(finder.iterations(params)[1]):
+        _, pairs = build_h_prime(state)
+        if not pairs or fruitless >= finder.fruitless_limit:
+            break
+        arcs = finder.augment_batch(state, pairs, hooks)
+        if arcs:
+            apply_augments(state, arcs, stats)
             changed = True
-        contaminate_leftover(state, stage)
-    changed |= simulate_contract_and_augment(state, oracle, params, stats, hooks)
+            fruitless = 0
+        else:
+            fruitless += 1
+    if hooks:
+        hooks.on_augment_round_end(state)
     return changed
 
 
@@ -351,16 +361,19 @@ def backtrack_pass(state: PhaseState, stats: OracleStats) -> bool:
 class OracleFinder:
     """Finds batches of disjoint operations with a matching oracle.
 
-    The oracle sees only the auxiliary graphs.  A deterministic oracle
-    on unchanged input repeats a phase verbatim, so a scale stops after
-    its first phase without a path, and a bundle that changes nothing
-    leaves no work behind.  The same argument reaches across scales: a
-    settled phase without a path (see ``run_scales``) is what the first
-    phase of every smaller scale would be.
+    The oracle sees only the auxiliary graphs, and a batch is never
+    empty: ``CountedOracle`` rejects an empty answer on a graph with an
+    edge.  A deterministic oracle on unchanged input repeats a phase
+    verbatim, so a scale stops after its first phase without a path,
+    and a bundle that changes nothing leaves no work behind.  The same
+    argument reaches across scales: a settled phase without a path (see
+    ``run_scales``) is what the first phase of every smaller scale
+    would be.
     """
 
     patience = 1
     settled_phase_repeats = True
+    fruitless_limit = 1
 
     def __init__(self, oracle: CountedOracle):
         self.oracle = oracle
@@ -370,13 +383,41 @@ class OracleFinder:
         """Oracle calls made so far."""
         return self.oracle.stats.calls
 
-    def extend(self, state: PhaseState, params: PhaseParams, stats, hooks=None) -> bool:
-        return simulate_extend_active_path(state, self.oracle, params, stats, hooks)
+    def start_phase(self, state: PhaseState) -> None: ...
 
-    def contract_and_augment(
-        self, state: PhaseState, params: PhaseParams, stats, hooks=None
-    ) -> bool:
-        return simulate_contract_and_augment(state, self.oracle, params, stats, hooks)
+    def iterations(self, params: PhaseParams) -> tuple[int, int]:
+        """The iteration caps of an extension stage and of an augment round."""
+        k = params.sim_iterations(self.oracle.c)
+        return k, k
+
+    def sweep(self, state: PhaseState, stage: int) -> bool:
+        return False
+
+    def extension_batch(self, state: PhaseState, stage: int, pairs, hooks=None):
+        """``(owner, x, y)`` extensions of an oracle matching of the layer graph.
+
+        A witness's tail lies in its owner's working vertex, so ``(x, y)``
+        orders the batch as the witness arcs do.
+        """
+        aux, nodes = _aux_graph_bipartite(pairs)
+        if hooks:
+            hooks.on_oracle_graph(aux)
+        batch = []
+        for a, b in self.oracle.find(aux).edges:
+            na, nb = nodes[a], nodes[b]
+            owner, y = (na[1], nb[1]) if na[0] == "L" else (nb[1], na[1])
+            batch.append((owner, pairs[(owner, y)].tail, y))
+        return sorted(batch, key=lambda e: e[1:])
+
+    def augment_batch(self, state: PhaseState, pairs, hooks=None) -> list[Arc]:
+        """Witness arcs of an oracle matching of the structure-pair graph, by pair."""
+        aux, owners = _aux_graph_pairs(pairs)
+        if hooks:
+            hooks.on_oracle_graph(aux)
+        keys = sorted(
+            (owners[min(a, b)], owners[max(a, b)]) for a, b in self.oracle.find(aux).edges
+        )
+        return [pairs[key] for key in keys]
 
     def pending_work(self, state: PhaseState, params: PhaseParams) -> bool:
         return False
@@ -389,7 +430,6 @@ def run_phase(
     finder,
     stats: OracleStats | None = None,
     hooks: TraceHooks | None = None,
-    track_contamination: bool = False,
 ) -> tuple[list[AltPath], PhaseState]:
     """One phase: returns vertex-disjoint augmenting paths for ``m``.
 
@@ -403,12 +443,13 @@ def run_phase(
     put on hold in any bundle.
     """
     stats = stats if stats is not None else OracleStats()
-    state = PhaseState(g, m, params, track_contamination)
+    state = PhaseState(g, m, params)
+    finder.start_phase(state)
     for tau in range(1, params.tau_max + 1):
         state.mark_for_pass_bundle()
         if hooks:
             hooks.on_bundle_start(state, tau)
-        changed = finder.extend(state, params, stats, hooks)
+        changed = extend_active_path(state, finder, params, stats, hooks)
         # The extension round ends with a contract-and-augment of its own,
         # so this one does work only when that one stopped at its iteration
         # cap or at sample patience.  Over the benchmark's three workloads
@@ -416,7 +457,7 @@ def run_phase(
         # oracle and 19,357 sampled ones asked no oracle, drew no random
         # number and changed nothing; a test in test_dynamic.py has it
         # find a path.
-        changed |= finder.contract_and_augment(state, params, stats, hooks)
+        changed |= contract_and_augment(state, finder, params, stats, hooks)
         if hooks:
             hooks.on_after_simulations(state, tau)
         moved = backtrack_pass(state, stats)
@@ -464,7 +505,6 @@ def run_scales(
     finder,
     stats: OracleStats,
     hooks: TraceHooks | None = None,
-    track_contamination: bool = False,
 ) -> tuple[Matching, list[ScaleStats]]:
     """Every scale from 1/2 down to the epsilon-dependent floor, from ``m``.
 
@@ -496,7 +536,7 @@ def run_scales(
         for phase in range(1, params.phases + 1):
             if hooks:
                 hooks.on_phase_start(params, h, phase)
-            paths, state = run_phase(g, m, params, finder, stats, hooks, track_contamination)
+            paths, state = run_phase(g, m, params, finder, stats, hooks)
             g.clear_removed()
             m = augment_all(m, paths)
             sc.phases_run += 1
@@ -528,7 +568,6 @@ def boost(
     oracle,
     constants: Constants | None = None,
     hooks: TraceHooks | None = None,
-    track_contamination: bool = False,
 ) -> BoostResult:
     """Boost the oracle's approximation to ``1 + epsilon`` on ``g``.
 
@@ -543,7 +582,6 @@ def boost(
     g.clear_removed()
     m = initial_matching(g, counted)
     m, per_scale = run_scales(
-        g, m, eps, constants or Constants(), OracleFinder(counted), counted.stats,
-        hooks, track_contamination,
+        g, m, eps, constants or Constants(), OracleFinder(counted), counted.stats, hooks
     )
     return BoostResult(m, eps, counted.stats, per_scale)

@@ -91,7 +91,6 @@ class PhaseParams:
     delta_h: int
     phases: int
     iter_coeff: int
-    constants: Constants
 
     @staticmethod
     def for_scale(
@@ -107,7 +106,6 @@ class PhaseParams:
             delta_h=math.ceil(c.delta_coeff / (h * epsilon)),
             phases=math.ceil(c.phase_coeff / (h * epsilon)),
             iter_coeff=c.iter_coeff,
-            constants=c,
         )
 
     def sim_iterations(self, oracle_c: float) -> int:

@@ -114,13 +114,7 @@ class PhaseState:
     stopped at its fixpoint with ``held`` still false.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        m: Matching,
-        params: PhaseParams,
-        track_contamination: bool = False,
-    ):
+    def __init__(self, g: Graph, m: Matching, params: PhaseParams):
         self.g = g
         self.m = m
         self.mate = m.mate
@@ -137,9 +131,6 @@ class PhaseState:
         self.dirty: set[int] = set()
         self.held = False
         self.settled = False
-        self.contaminated: set[tuple[int, int]] | None = (
-            set() if track_contamination else None
-        )
         for u, v in m.edges:
             self.labels[(u, v)] = params.ell_max + 1
             self.labels[(v, u)] = params.ell_max + 1
@@ -330,31 +321,6 @@ class PhaseState:
         if self.head_label(v) > self.entry_label(su, bu) + 1:
             return 3
         return None
-
-    # -- contamination ledger ---------------------------------------------------
-
-    def contaminate(self, arcs) -> int:
-        if self.contaminated is None:
-            return 0
-        before = len(self.contaminated)
-        for a in arcs:
-            self.contaminated.add((a[0], a[1]))
-        return len(self.contaminated) - before
-
-    def contaminate_type2(self) -> None:
-        """Mark both directions of every type-2 edge, if contamination is tracked."""
-        if self.contaminated is None:
-            return
-        fresh = []
-        for u, v in sorted(self.g.edges):
-            if self.classify(u, v) == 2:
-                fresh += [(u, v), (v, u)]
-        self.contaminate(fresh)
-
-    def is_contaminated_edge(self, u: int, v: int) -> bool:
-        return self.contaminated is not None and (
-            (u, v) in self.contaminated or (v, u) in self.contaminated
-        )
 
     # -- basic operation: augment ---------------------------------------------
 

@@ -151,7 +151,7 @@ def test_criterion_05_bundle_invariants_on_traced_runs(capsys):
         try:
             boost(
                 g, 0.25, make_oracle(ORACLES[trial % 4], seed=trial),
-                hooks=hooks, track_contamination=True,
+                hooks=hooks,
             )
         except Exception as exc:  # noqa: BLE001 - any escape is a finding
             violation = f"{name}: {exc}"
@@ -175,7 +175,7 @@ def test_criterion_06_short_path_coverage_audit(capsys):
         try:
             boost(
                 g, 0.25, make_oracle("greedy", seed=trial),
-                hooks=hooks, track_contamination=True,
+                hooks=hooks,
             )
         except Exception as exc:  # noqa: BLE001
             violation = f"{name}: {exc}"

@@ -25,6 +25,7 @@ from matchboost.bench import (
 from matchboost.corpus import CorpusSpec
 from matchboost.errors import PreconditionError
 from matchboost.oracles import OracleStats, make_oracle
+from matchboost.params import Constants, scale_sequence
 
 
 class TestRoundAccounting:
@@ -192,6 +193,24 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "static_from_weak", spy)
         run_experiment(cfg)
         assert calls == ["weak-greedy", "weak-greedy"]
+
+
+    def test_dynamic_mode_runs_with_the_constants(self):
+        # scale_floor_coeff=1 leaves the scales 1/2 down to eps^2 = 1/16
+        over = (("scale_floor_coeff", 1),)
+        cfg = ExperimentConfig(
+            mode="dynamic",
+            oracle="weak-exact",
+            seed=11,
+            corpus=CorpusSpec(
+                kind="planted", trials=2, n=16, coverage=0.9, extra=0.3, seed=5
+            ),
+            constants=over,
+        )
+        want = scale_sequence(0.25, Constants().with_overrides(dict(over)))
+        assert want == [0.5, 0.25, 0.125, 0.0625]
+        for entry in run_experiment(cfg).per_scale:
+            assert [sc["h"] for sc in entry["scales"]] == want
 
 
 class TestReplay:

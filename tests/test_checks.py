@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchboost.checks as checks
 from matchboost.checks import (
     InvariantHooks,
     active_arc_pairs,
@@ -22,9 +23,9 @@ from matchboost.corpus import gen_blossom_gadget, gen_er
 from matchboost.dynamic import static_from_weak
 from matchboost.engine import boost
 from matchboost.errors import InternalConsistencyError
-from matchboost.graph import Arc, Graph, Matching, is_matching
+from matchboost.graph import Arc, Graph, Matching, edge_key, is_matching
 from matchboost.oracles import GreedyOracle, exact_mcm, make_oracle
-from matchboost.params import PhaseParams
+from matchboost.params import Constants, PhaseParams
 from matchboost.structures import PhaseState
 
 
@@ -32,16 +33,16 @@ def params() -> PhaseParams:
     return PhaseParams.for_scale(0.25, 0.5)
 
 
-def path6(track: bool = False) -> PhaseState:
+def path6() -> PhaseState:
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     m = Matching(6)
     m.add(1, 2)
     m.add(3, 4)
-    return PhaseState(g, m, params(), track_contamination=track)
+    return PhaseState(g, m, params())
 
 
-def grown_path6(track: bool = False) -> PhaseState:
-    st = path6(track)
+def grown_path6() -> PhaseState:
+    st = path6()
     st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
     st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
     return st
@@ -136,25 +137,26 @@ class TestShortPathEnumeration:
 
 class TestCoverageChecks:
     def test_outer_outer_needs_ledger(self):
-        st = grown_path6(track=False)
-        assert check_outer_outer_covered(st) == []
+        # only the ledger entry of the edge itself covers it
+        st = grown_path6()
+        assert check_outer_outer_covered(st, set()) != []
+        assert check_outer_outer_covered(st, {edge_key(0, 1)}) != []
+        assert check_outer_outer_covered(st, {edge_key(2, 3)}) == []
 
     def test_outer_outer_found_and_cleared(self):
-        st = grown_path6(track=True)
-        problems = check_outer_outer_covered(st, "ctx")
+        st = grown_path6()
+        problems = check_outer_outer_covered(st, set(), "ctx")
         assert problems == ["ctx: outer-outer edge (2, 3) is not in the ledger"]
-        st.contaminate([Arc(2, 3)])
-        assert check_outer_outer_covered(st) == []
+        assert check_outer_outer_covered(st, {edge_key(3, 2)}) == []
 
     def test_actionable_arcs_exempt_extended(self):
-        st = path6(track=True)
+        st = path6()
         st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
-        problems = check_no_actionable_arcs(st, "ctx")
+        problems = check_no_actionable_arcs(st, set(), "ctx")
         # the type-3 arc of the freshly extended structure is exempt;
         # the idle structure's arc is a genuine leftover
         assert problems == ["ctx: leftover type 3 arc (5, 4)"]
-        st.contaminate([Arc(5, 4)])
-        assert check_no_actionable_arcs(st) == []
+        assert check_no_actionable_arcs(st, {edge_key(5, 4)}) == []
 
     def test_active_path_bookkeeping(self):
         st = grown_path6()
@@ -164,28 +166,86 @@ class TestCoverageChecks:
         assert (4, 3) in pairs and (5, 4) in pairs
 
     def test_short_paths_covered_by_active_ends(self):
-        st = grown_path6(track=True)
-        assert check_short_paths_covered(st) == []
+        st = grown_path6()
+        assert check_short_paths_covered(st, set()) == []
 
     def test_short_paths_escape_detected(self):
-        st = grown_path6(track=True)
+        st = grown_path6()
         st.structure_at(0).working = None
         st.structure_at(5).working = None
-        problems = check_short_paths_covered(st, "ctx")
+        problems = check_short_paths_covered(st, set(), "ctx")
         assert problems == ["ctx: augmenting path [0, 1, 2, 3, 4, 5] escapes the search state"]
-        st.contaminate([Arc(2, 3)])
-        assert check_short_paths_covered(st) == []
+        assert check_short_paths_covered(st, {edge_key(2, 3)}) == []
 
 
 class TestInvariantHooks:
     def test_clean_boost_run(self):
         g = gen_blossom_gadget(2)
         hooks = InvariantHooks(g, 0.25, audit_paths=True)
-        res = boost(g, 0.25, GreedyOracle(seed=1), hooks=hooks,
-                    track_contamination=True)
+        res = boost(g, 0.25, GreedyOracle(seed=1), hooks=hooks)
         assert hooks.bundles_checked > 0
         assert hooks.paths_audited == hooks.bundles_checked
         assert len(res.matching) >= 1
+
+    @pytest.mark.parametrize("run", ["boost", "static_from_weak"])
+    def test_keeps_the_ledger_and_runs_its_checks(self, run, monkeypatch):
+        # No flag switches the ledger on: every ledger check must run,
+        # and with a non-empty ledger at least once.  An oracle run
+        # leaves work behind only when a loop stops at its iteration
+        # cap, so the boost run cuts the cap to 3 rounds and halves every
+        # answer: the 8 free edges its seed matching leaves need 4.
+        # A sampled run leaves work when its samples miss.
+        seen: dict[str, list[int]] = {}
+        for name in (
+            "check_outer_outer_covered", "check_no_actionable_arcs", "check_short_paths_covered"
+        ):
+            def spy(state, ledger, context="", _name=name, _fn=getattr(checks, name)):
+                assert isinstance(ledger, set)
+                seen.setdefault(_name, []).append(len(ledger))
+                return _fn(state, ledger, context)
+
+            monkeypatch.setattr(checks, name, spy)
+        if run == "boost":
+            g = Graph(256, [(2 * i, 2 * i + 1) for i in range(128)])
+            hooks = InvariantHooks(g, 0.25, audit_paths=True)
+            boost(
+                g, 0.25, make_oracle("adversarial:2"), Constants(iter_coeff=1), hooks=hooks
+            )
+        else:
+            g = gen_blossom_gadget(2)
+            hooks = InvariantHooks(g, 0.25, audit_paths=True)
+            static_from_weak(g, 0.25, hooks=hooks)
+        assert sorted(seen) == [
+            "check_no_actionable_arcs", "check_outer_outer_covered", "check_short_paths_covered"
+        ]
+        assert all(max(sizes) > 0 for sizes in seen.values()), seen
+        assert hooks.paths_audited == hooks.bundles_checked == len(seen["check_short_paths_covered"])
+
+    def test_stage_end_records_leftover_arcs_undirected(self):
+        # stage 0 leaves the type-3 arcs (0, 1) and (5, 4) unused
+        st = path6()
+        hooks = InvariantHooks(st.g, 0.25)
+        assert check_no_actionable_arcs(st, hooks.ledger_of(st)) != []
+        hooks.on_stage_end(st, 0)
+        assert hooks.ledger == {(0, 1), (4, 5)}
+        assert check_no_actionable_arcs(st, hooks.ledger) == []
+
+    def test_augment_round_end_records_type2_edges(self):
+        st = grown_path6()
+        hooks = InvariantHooks(st.g, 0.25)
+        hooks.on_augment_round_end(st)
+        assert hooks.ledger == {(2, 3)}
+        assert check_outer_outer_covered(st, hooks.ledger) == []
+
+    def test_ledger_resets_for_each_state(self):
+        st = grown_path6()
+        hooks = InvariantHooks(st.g, 0.25)
+        hooks.on_augment_round_end(st)
+        assert hooks.ledger_of(st) == {(2, 3)}
+        other = grown_path6()
+        assert hooks.ledger_of(other) == set()
+        with pytest.raises(InternalConsistencyError, match="not in the ledger"):
+            hooks.on_bundle_start(other, 2)
 
     def test_raises_on_corruption(self):
         st = path6()
@@ -245,23 +305,16 @@ class TestInvariantProperties:
     @given(graphs_with_isolated_vertices())
     def test_every_oracle_family_keeps_the_invariants_and_the_bound(self, g):
         # InvariantHooks raises InternalConsistencyError on the first
-        # broken invariant, with the contamination ledger and the
-        # short-path audit on
+        # broken invariant, with the short-path audit on
         floor = math.ceil(len(exact_mcm(g)) / 1.25)
         for spec in ("greedy", "exact", "adversarial:2"):
             hooks = InvariantHooks(g, 0.25, audit_paths=True)
-            res = boost(
-                g.copy(), 0.25, make_oracle(spec, seed=1),
-                hooks=hooks, track_contamination=True,
-            )
+            res = boost(g.copy(), 0.25, make_oracle(spec, seed=1), hooks=hooks)
             assert is_matching(g, res.matching)
             assert len(res.matching) >= floor, spec
         hooks = InvariantHooks(g, 0.25, audit_paths=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = static_from_weak(
-                g.copy(), 0.25, "weak-exact", seed=1,
-                hooks=hooks, track_contamination=True,
-            )
+            res = static_from_weak(g.copy(), 0.25, "weak-exact", seed=1, hooks=hooks)
         assert is_matching(g, res.matching)
         assert len(res.matching) >= floor

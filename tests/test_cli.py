@@ -46,6 +46,13 @@ class TestArgHelpers:
         with pytest.raises(SystemExit):
             main(["boost", "--nope"])
 
+    @pytest.mark.parametrize("verb", ["boost", "verify"])
+    def test_profile_is_a_dynamic_flag(self, verb):
+        # only the weak pipeline reads the profile
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--profile", "paper"])
+        assert exc.value.code == 2
+
 
 class TestBadInput:
     """Bad input is one ``error:`` line on stderr and exit 2, not a traceback."""

@@ -35,10 +35,9 @@ from matchboost.dynamic import (
     parse_update_stream,
     problem1_harness,
     sampled_contract_and_augment,
-    sampled_extend_active_path,
     static_from_weak,
 )
-from matchboost.engine import run_phase
+from matchboost.engine import TraceHooks, contract_and_augment, extend_active_path, run_phase
 from matchboost.errors import InternalConsistencyError, PreconditionError, UnknownVertexError
 from matchboost.graph import AltPath, Arc, Graph, Matching, is_matching
 from matchboost.oracles import (
@@ -325,10 +324,11 @@ class TestSampling:
         g = Graph(4, [(0, 1), (2, 3)])
         state = PhaseState(g, Matching(4), quarter_params())
         weak = CountedWeakOracle(weak_from_exact(g))
-        changed = sampled_contract_and_augment(
-            state, weak, DynParams.desk(0.25), OracleStats(), random.Random(0)
-        )
-        assert changed
+        dynp = DynParams.desk(0.25)
+        batch = sampled_contract_and_augment(state, weak, dynp.delta, random.Random(0))
+        assert batch == [Arc(0, 1), Arc(2, 3)] and state.found_paths == []
+        finder = SampledFinder(weak, None, dynp, random.Random(0))
+        assert contract_and_augment(state, finder, state.params, OracleStats())
         assert sorted(p.vertices for p in state.found_paths) == [[0, 1], [2, 3]]
 
 
@@ -340,13 +340,10 @@ class TestSampling:
             state = interleaved_state()
             g = state.g
             rng = random.Random(seed)
-            sampled_contract_and_augment(
-                state,
-                weak_from_exact(g),
-                dataclasses.replace(dynp, i_caa=1),
-                OracleStats(),
-                rng,
+            finder = SampledFinder(
+                weak_from_exact(g), None, dataclasses.replace(dynp, i_caa=1), rng
             )
+            contract_and_augment(state, finder, state.params, OracleStats())
             want = one_draw_per_free_vertex(seed, [1])
             picked = [1, 3][want.randrange(2)]
             for k in [1, 1, 1]:
@@ -358,15 +355,11 @@ class TestSampling:
             state = interleaved_state()
             rng = random.Random(seed)
             weak_b = CountedWeakOracle(weak_from_exact(DoubleCover(g)))
-            sampled_extend_active_path(
-                state,
-                weak_from_exact(g),
-                weak_b,
-                dataclasses.replace(dynp, i_eap=1, i_caa=0),
-                state.params,
-                OracleStats(),
-                rng,
+            finder = SampledFinder(
+                weak_from_exact(g), weak_b, dataclasses.replace(dynp, i_eap=1, i_caa=0), rng
             )
+            finder.start_phase(state)
+            extend_active_path(state, finder, state.params, OracleStats())
             # stage 0 samples once and 5 takes (6, 7); no later stage has work
             assert weak_b.stats.weak_calls == 1 and state.labels[(6, 7)] == 1
             want = one_draw_per_free_vertex(seed, [1, 3, 1, 1, 1])
@@ -394,21 +387,18 @@ class TestRunPhaseSampled:
         # the path.
         record = []
 
-        class Spy(SampledFinder):
-            def contract_and_augment(self, state, params, stats, hooks=None):
-                before = len(state.found_paths)
-                changed = super().contract_and_augment(state, params, stats, hooks)
-                record.append((before, changed, len(state.found_paths)))
-                return changed
+        class Spy(TraceHooks):
+            def on_augment_round_end(self, state):
+                record.append(len(state.found_paths))
 
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         m = Matching(6, [(1, 2), (3, 4)])
         dynp = dataclasses.replace(DynParams.desk(0.25), i_caa=1)
         weak_b = weak_from_exact(DoubleCover(g))
-        finder = Spy(weak_from_exact(g), weak_b, dynp, random.Random(4))
-        paths, _ = run_phase(g, m, quarter_params(), finder, OracleStats())
+        finder = SampledFinder(weak_from_exact(g), weak_b, dynp, random.Random(4))
+        paths, _ = run_phase(g, m, quarter_params(), finder, OracleStats(), Spy())
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
-        assert record[0] == (0, True, 1)
+        assert record[:2] == [0, 1]
 
 
 class TestStaticFromWeak:
@@ -471,9 +461,7 @@ class TestStaticFromWeak:
     def test_invariants_hold_under_sampling(self):
         g = gen_planted(24, 0.9, 0.4, seed=17)
         hooks = InvariantHooks(g, 0.25)
-        res = static_from_weak(
-            g, 0.25, seed=5, hooks=hooks, track_contamination=True
-        )
+        res = static_from_weak(g, 0.25, seed=5, hooks=hooks)
         assert hooks.bundles_checked > 0
         assert len(res.matching) >= 1
 

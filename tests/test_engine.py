@@ -204,10 +204,14 @@ def idle(finder_cls):
         def __init__(self):
             pass
 
-        def extend(self, state, params, stats, hooks=None):
-            return False
+        def start_phase(self, state):
+            pass
 
-        contract_and_augment = extend
+        def iterations(self, params):
+            return 0, 0
+
+        def sweep(self, state, stage):
+            return False
 
         def pending_work(self, state, params):
             return False

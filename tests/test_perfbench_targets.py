@@ -22,3 +22,26 @@ def test_every_traced_name_resolves(monkeypatch):
         f"{owner.__name__}.{attr}" for owner, attr, _ in targets if not hasattr(owner, attr)
     ]
     assert missing == []
+
+
+def test_every_traced_span_records_a_call(monkeypatch):
+    # A name can resolve and still be dead, when the code that called it
+    # through that module has moved.  Only tests build the double cover.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    mods = SimpleNamespace(
+        **{
+            name: importlib.import_module(f"matchboost.{name}")
+            for name in ("engine", "dynamic", "graph", "oracles", "structures")
+        }
+    )
+    corpus = importlib.import_module("matchboost.corpus")
+    tracer = tracing.Tracer(mods)
+    with tracer:
+        g = corpus.gen_blossom_gadget(2)
+        mods.engine.boost(g, 0.25, mods.oracles.GreedyOracle(seed=1), hooks=tracer.hooks)
+        updates = corpus.gen_update_stream(64, 128, seed=1)
+        mods.dynamic.problem1_harness(64, updates, 0.25, seed=1)
+    names = {name for _, _, name in tracing._targets(mods)} | {"oracles.weak_query"}
+    silent = sorted(name for name in names if tracer.spans.calls[name] == 0)
+    assert silent == ["dynamic.materialize"]

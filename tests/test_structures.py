@@ -568,19 +568,3 @@ class TestIndexes:
         assert build_h_prime(st) == ([0, 5], {(0, 5): Arc(2, 3)})
         assert st.fresh == {2, 3}
 
-
-class TestContamination:
-    def test_ledger_records_both_orientations(self):
-        g, m = path6()
-        st = PhaseState(g, m, params(), track_contamination=True)
-        added = st.contaminate([Arc(0, 1)])
-        assert added == 1
-        assert st.is_contaminated_edge(0, 1)
-        assert st.is_contaminated_edge(1, 0)
-        assert not st.is_contaminated_edge(2, 3)
-
-    def test_ledger_off_by_default(self):
-        g, m = path6()
-        st = PhaseState(g, m, params())
-        assert st.contaminate([Arc(0, 1)]) == 0
-        assert not st.is_contaminated_edge(0, 1)
