@@ -134,6 +134,17 @@ def check_state(
     for arc, lab in state.labels.items():
         if not 0 <= lab <= state.params.ell_max + 1:
             problems.append(f"label of {arc} out of range: {lab}")
+    # Only overtakes and contractions lower a label, and both put the
+    # vertex into a structure, which it leaves only by being removed.
+    top = state.params.ell_max + 1
+    for u, v in sorted(state.m.edges):
+        if state.g.removed[u] or u in state.structure_of or v in state.structure_of:
+            continue
+        if state.labels[(u, v)] != top or state.labels[(v, u)] != top:
+            problems.append(
+                f"unvisited matched edge ({u}, {v}) has labels "
+                f"{state.labels[(u, v)]}/{state.labels[(v, u)]}, not {top}"
+            )
     if context:
         problems = [f"{context}: {p}" for p in problems]
     return problems

@@ -153,11 +153,16 @@ def cmd_verify(args) -> int:
 
 def cmd_problem1(args) -> int:
     _check_oracle(args.oracle, make_weak_backend)
+    if args.n < 1:
+        raise PreconditionError(f"--n must be at least 1, got {args.n}")
+    if args.updates < 0:
+        raise PreconditionError(f"--updates must be non-negative, got {args.updates}")
     eps = _parse_epsilons([args.epsilon or "0.25"])[0]
-    updates = gen_update_stream(args.n, args.updates, args.seed)
     if args.stream:
         with open(args.stream) as fh:
             updates = parse_update_stream(fh.read())
+    else:
+        updates = gen_update_stream(args.n, args.updates, args.seed)
     dynp = DynParams.paper(eps) if args.profile == "paper" else DynParams.desk(eps)
     result = problem1_harness(
         args.n, updates, eps, backend=args.oracle, q_budget=args.q_budget,

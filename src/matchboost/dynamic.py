@@ -16,6 +16,7 @@ fixed-size chunks and validates every answer the oracle gives.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import time
@@ -93,11 +94,12 @@ class DoubleCover:
         back = sorted(set(vertices))
         fwd = {x: i for i, x in enumerate(back)}
         n = self.g.n
+        adj = self.g.sorted_adj
         sub = Graph(len(back))
         for i, x in enumerate(back):
             if x >= n:
                 break
-            for w in sorted(self.g.adj[x]):
+            for w in adj[x]:
                 j = fwd.get(w + n)
                 if j is not None:
                     sub.add_edge(i, j)
@@ -249,23 +251,42 @@ def _sample_one(rng: random.Random, state: PhaseState, s: Structure, outer_only:
     return pool[rng.randrange(len(pool))]
 
 
+# Maps a byte to 0 when its top bit is clear, to 1 when it is set.
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
+def _unit_draws(rng: random.Random, k: int) -> None:
+    """Advance ``rng`` exactly as ``k`` calls of ``rng.randrange(1)`` would.
+
+    CPython's ``randrange(1)`` reads 32-bit words until one has a clear
+    top bit.  Each round draws one word per call still missing, as one
+    little-endian ``getrandbits``, and counts the calls it completed by
+    the words whose top byte has a clear top bit.  Every missing call
+    reads at least one more word, so no round reads past the last call.
+    """
+    while k > 0:
+        words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        k -= words[3::4].translate(_TOP_BIT).count(0)
+
+
 def _sampled_structures(rng: random.Random, state: PhaseState):
     """The live structures in ascending owner order, for one draw each.
 
     Each edgeless free vertex still takes its draw, ``randrange(1)``,
     at its place in that order, as its singleton structure would, so
-    the random stream stays that of one structure per free vertex.
-    The caller must draw for each structure before taking the next.
+    the random stream stays that of one structure per free vertex.  The
+    edgeless vertices between two owners, found by bisection, take
+    their draws in one ``_unit_draws``.  The caller must draw for each
+    structure before taking the next.
     """
     edgeless = state.edgeless
     i = 0
     for owner in sorted(state.structures):
-        while i < len(edgeless) and edgeless[i] < owner:
-            rng.randrange(1)
-            i += 1
+        j = bisect.bisect_left(edgeless, owner, i)
+        _unit_draws(rng, j - i)
+        i = j
         yield state.structures[owner]
-    for _ in range(i, len(edgeless)):
-        rng.randrange(1)
+    _unit_draws(rng, len(edgeless) - i)
 
 
 def sampled_contract_and_augment(
@@ -320,17 +341,20 @@ def sampled_extend_active_path(
     weak_b,
     delta: float,
     rng: random.Random,
-    matched: list[int],
+    unvisited: list[int],
 ) -> list[tuple[int, int, int]]:
     """One extension batch of a stage, through a double-cover query.
 
     Samples one vertex per structure and builds the cover-side query
     set: outer copies of eligible working-vertex samples, inner copies
-    of label-eligible inner samples, plus inner copies of all eligible
-    unvisited vertices among ``matched``.  Each answer edge runs from an
-    outer copy to an inner copy and is projected back to an
-    ``(owner, x, y)`` extension.  Empty when the query answers bottom or
-    nothing.
+    of label-eligible inner samples, plus inner copies of the
+    ``unvisited`` matched vertices when ``stage < ell_max``.  Those
+    vertices are in no structure and not removed, so their matched arc
+    still has its initial label ``ell_max + 1`` (``checks.check_state``
+    audits this), which exceeds ``stage + 1`` exactly then.  Each
+    answer edge runs from an outer copy to an inner copy and is
+    projected back to an ``(owner, x, y)`` extension.  Empty when the
+    query answers bottom or nothing.
     """
     n = state.g.n
     query_set: list[int] = []
@@ -347,13 +371,8 @@ def sampled_extend_active_path(
                 query_set.append(v)
         elif state.head_label(v) > stage + 1:
             query_set.append(v + n)
-    for v in matched:
-        if (
-            not state.g.removed[v]
-            and state.structure_of.get(v) is None
-            and state.head_label(v) > stage + 1
-        ):
-            query_set.append(v + n)
+    if stage < state.params.ell_max:
+        query_set += [v + n for v in unvisited]
     res = weak_b.query(sorted(query_set), delta) or ()
     return [(state.structure_of.get(p, -1), p, q - n) for p, q in sorted(res)]
 
@@ -397,6 +416,12 @@ class SampledFinder:
     that changes nothing ends the phase only once no operation is
     reachable.  The generator advances between phases, so no phase
     repeats another and every scale runs.
+
+    ``unvisited`` lists, ascending, the phase's matched vertices that
+    are in no structure and not removed.  It is the matched vertices at
+    phase start and only shrinks, since a vertex that joins a structure
+    leaves it only by being removed; each extension batch first drops
+    the vertices that left.
     """
 
     patience = 2
@@ -408,7 +433,7 @@ class SampledFinder:
         self.weak_b = weak_b
         self.dynp = dynp
         self.rng = rng
-        self.matched: list[int] = []
+        self.unvisited: list[int] = []
 
     @property
     def calls(self) -> int:
@@ -416,8 +441,7 @@ class SampledFinder:
         return self.weak_g.stats.weak_calls + self.weak_b.stats.weak_calls
 
     def start_phase(self, state: PhaseState) -> None:
-        # The matching is fixed for the phase, so its vertices are listed once.
-        self.matched = [v for v in range(state.g.n) if state.mate[v] is not None]
+        self.unvisited = sorted(v for e in state.m.edges for v in e)
 
     def iterations(self, params: PhaseParams) -> tuple[int, int]:
         return self.dynp.i_eap, self.dynp.i_caa
@@ -426,8 +450,12 @@ class SampledFinder:
         return _in_structure_sweep(state, stage)
 
     def extension_batch(self, state: PhaseState, stage: int, pairs, hooks=None):
+        removed, structure_of = state.g.removed, state.structure_of
+        self.unvisited = [
+            v for v in self.unvisited if not removed[v] and v not in structure_of
+        ]
         return sampled_extend_active_path(
-            state, stage, self.weak_b, self.dynp.delta, self.rng, self.matched
+            state, stage, self.weak_b, self.dynp.delta, self.rng, self.unvisited
         )
 
     def augment_batch(self, state: PhaseState, pairs, hooks=None) -> list[Arc]:
@@ -602,6 +630,8 @@ def problem1_harness(
     of the current graph, with every query it issues validated against
     the contract.  Reports one record per chunk.
     """
+    if n < 1:
+        raise PreconditionError(f"an update stream needs at least one vertex, got n = {n}")
     eps = normalize_epsilon(epsilon)
     chunk_size = math.ceil(eps * eps * n)
     dynp = dyn_params or DynParams.desk(eps)

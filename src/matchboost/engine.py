@@ -288,24 +288,29 @@ def extend_active_path(
     extension iterations; ``finder.fruitless_limit`` empty batches in a
     row end the stage.  ``finder.sweep`` runs at the stage's start and
     after every batch.
+
+    A stage with no ready structure has no left side, so its sweep,
+    layer graph and batch would all be empty; it is skipped, and only
+    ``hooks.on_stage_end`` fires for it.
     """
     changed = False
     iterations = finder.iterations(params)[0]
     for stage in range(0, params.ell_max + 1):
-        changed |= finder.sweep(state, stage)
-        fruitless = 0
-        for _ in range(iterations):
-            _, _, pairs, _ = build_h_prime_s(state, stage)
-            if not pairs or fruitless >= finder.fruitless_limit:
-                break
-            batch = finder.extension_batch(state, stage, pairs, hooks)
-            if batch:
-                apply_overtakes(state, stage, batch, stats)
-                changed = True
-                fruitless = 0
-            else:
-                fruitless += 1
+        if state.ready.get(stage):
             changed |= finder.sweep(state, stage)
+            fruitless = 0
+            for _ in range(iterations):
+                _, _, pairs, _ = build_h_prime_s(state, stage)
+                if not pairs or fruitless >= finder.fruitless_limit:
+                    break
+                batch = finder.extension_batch(state, stage, pairs, hooks)
+                if batch:
+                    apply_overtakes(state, stage, batch, stats)
+                    changed = True
+                    fruitless = 0
+                else:
+                    fruitless += 1
+                changed |= finder.sweep(state, stage)
         if hooks:
             hooks.on_stage_end(state, stage)
     changed |= contract_and_augment(state, finder, params, stats, hooks)

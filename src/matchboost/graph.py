@@ -60,6 +60,7 @@ class Graph:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.edges: set[Edge] = set()
         self.removed: list[bool] = [False] * n
+        self._sorted_adj: list[list[int]] | None = None
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -74,6 +75,7 @@ class Graph:
         self.edges.add(k)
         self.adj[u].append(v)
         self.adj[v].append(u)
+        self._sorted_adj = None
 
     def remove_edge(self, u: int, v: int) -> None:
         k = edge_key(u, v)
@@ -82,6 +84,19 @@ class Graph:
         self.edges.remove(k)
         self.adj[u].remove(v)
         self.adj[v].remove(u)
+        self._sorted_adj = None
+
+    @property
+    def sorted_adj(self) -> list[list[int]]:
+        """Every adjacency list in ascending order; read-only.
+
+        Built on first use and kept until ``add_edge`` or
+        ``remove_edge`` changes the graph, so the phases of one run
+        share it.
+        """
+        if self._sorted_adj is None:
+            self._sorted_adj = [sorted(a) for a in self.adj]
+        return self._sorted_adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges

@@ -120,7 +120,7 @@ class PhaseState:
         self.mate = m.mate
         self.params = params
         # The edge set is fixed for the whole phase; scans want sorted order.
-        self.adj_sorted: list[list[int]] = [sorted(a) for a in g.adj]
+        self.adj_sorted: list[list[int]] = g.sorted_adj
         self.omega = LaminarBlossomSet(g.n)
         self.structures: dict[int, Structure] = {}
         self.structure_of: dict[int, int] = {}

@@ -79,6 +79,21 @@ class TestCheckState:
         st.labels[(1, 2)] = 99
         assert any("out of range" in p for p in check_state(st))
 
+    def test_lowered_unvisited_label(self):
+        """An unvisited matched edge keeps label ell_max + 1 both ways."""
+        top = params().ell_max + 1
+        for arc in ((1, 2), (2, 1)):
+            st = path6()
+            st.labels[arc] = top - 1
+            assert any("unvisited matched edge (1, 2)" in p for p in check_state(st))
+        st = grown_path6()
+        st.labels[(2, 1)] = top - 1  # visited: lowering is legal
+        assert check_state(st) == []
+        st = path6()
+        st.g.remove_vertices([1, 2])
+        st.labels[(1, 2)] = 0  # removed: no longer unvisited
+        assert check_state(st) == []
+
     def test_inner_working_vertex(self):
         st = grown_path6()
         st.structure_at(0).working = 1
@@ -254,24 +269,26 @@ class TestInvariantHooks:
         with pytest.raises(InternalConsistencyError, match="out of range"):
             hooks.on_bundle_end(st, 1)
 
+    # The hand-set labels sit on the visited matched edge (1, 2): an
+    # unvisited one must keep its top label (see test_lowered_unvisited_label).
     def test_label_monotonicity_window(self):
-        st = path6()
+        st = grown_path6()
         hooks = InvariantHooks(st.g, 0.25)
         hooks.on_phase_start(params(), 0.5, 1)
         hooks.on_bundle_end(st, 1)
-        st.labels[(1, 2)] = 5
+        st.labels[(2, 1)] = 5
         hooks.on_bundle_end(st, 2)
-        st.labels[(1, 2)] = 9
+        st.labels[(2, 1)] = 9
         with pytest.raises(InternalConsistencyError, match="rose"):
             hooks.on_bundle_end(st, 3)
 
     def test_snapshot_resets_per_phase(self):
-        st = path6()
+        st = grown_path6()
         hooks = InvariantHooks(st.g, 0.25)
         hooks.on_phase_start(params(), 0.5, 1)
-        st.labels[(1, 2)] = 5
+        st.labels[(2, 1)] = 5
         hooks.on_bundle_end(st, 1)
-        st.labels[(1, 2)] = 13
+        st.labels[(2, 1)] = 13
         hooks.on_phase_start(params(), 0.5, 2)
         hooks.on_bundle_end(st, 1)  # fresh snapshot, no complaint
 

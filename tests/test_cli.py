@@ -108,6 +108,31 @@ class TestBadInput:
         assert err.splitlines() == [f"error: {message}"]
         assert out == ""  # refused before any run
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "0"], "--n must be at least 1, got 0"),
+            (["--n", "-4"], "--n must be at least 1, got -4"),
+            (["--n", "0", "--stream", "unread.txt"], "--n must be at least 1, got 0"),
+            (["--updates", "-1"], "--updates must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_problem1_sizes(self, argv, message, capsys):
+        assert main(["problem1", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: {message}"]
+        assert out == ""  # refused before any run
+
+    def test_stream_file_is_not_generated(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("generated a stream although --stream was given")
+
+        monkeypatch.setattr("matchboost.cli.gen_update_stream", refuse)
+        path = tmp_path / "s.txt"
+        path.write_text("+ 0 1\n")
+        assert main(["problem1", "--n", "4", "--stream", str(path)]) == 0
+        assert "1 chunks of 1 updates, 0 contract violation(s)" in capsys.readouterr().out
+
     def test_internal_errors_still_raise(self, monkeypatch):
         def broken(config):
             raise InternalConsistencyError("broken invariant")

@@ -30,6 +30,7 @@ from matchboost.dynamic import (
     _in_structure_sweep,
     _any_pending_work,
     _sample_one,
+    _unit_draws,
     dyn_initial_matching,
     lift_bipartite_matching,
     parse_update_stream,
@@ -605,6 +606,26 @@ class TestProblem1:
         assert [c["matching_size"] for c in report["chunks"]] == [1, 2, 1]
         assert report["total_violations"] == 0
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_vertex(self, n):
+        with pytest.raises(PreconditionError, match="at least one vertex"):
+            problem1_harness(n, [], 0.25)
+
+    def test_phases_see_each_chunks_edges(self, monkeypatch):
+        seen = set()
+
+        class Recording(PhaseState):
+            def __init__(self, g, m, params):
+                super().__init__(g, m, params)
+                want = [sorted(a) for a in g.adj]
+                assert self.adj_sorted == want, "phase read a stale sorted adjacency"
+                seen.add(tuple(sorted(g.edges)))
+
+        monkeypatch.setattr("matchboost.engine.PhaseState", Recording)
+        updates = [("+", 0, 1), ("+", 1, 2), ("-", 0, 1)]
+        problem1_harness(16, updates, 0.25, seed=0)
+        assert seen == {((0, 1),), ((0, 1), (1, 2)), ((1, 2),)}
+
     def test_budget_flagging(self):
         updates = [("+", 0, 1), ("+", 1, 2)]
         report = problem1_harness(16, updates, 0.25, q_budget=1, seed=0)
@@ -658,6 +679,19 @@ GOLDEN_WEAK = {
     ("planted-0005-n54", "weak-exact"): "2e485742e699dbcd",
     ("planted-0005-n54", "weak-greedy"): "9df2613368e9646b",
 }
+
+
+class TestUnitDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2024])
+    def test_same_state_as_randrange_one(self, seed):
+        # one pair of generators walks k = 0..300 in turn, so the draws
+        # start at many offsets in the Mersenne-Twister block
+        a, b = random.Random(seed), random.Random(seed)
+        for k in range(301):
+            for _ in range(k):
+                a.randrange(1)
+            _unit_draws(b, k)
+            assert b.getstate() == a.getstate(), k
 
 
 class TestGoldenReplay:

@@ -195,6 +195,48 @@ class TestRunPhase:
         assert len(stats.per_call_sizes) == stats.calls
 
 
+class StageRecorder(TraceHooks):
+    """The stages that end in each extension round, and those that built a layer graph."""
+
+    def __init__(self):
+        self.ell_max = None
+        self.ended: list[list[int]] = []
+        self.built: list[set[int]] = []
+
+    def on_phase_start(self, params, scale, phase):
+        self.ell_max = params.ell_max
+
+    def on_bundle_start(self, state, tau):
+        self.ended.append([])
+        self.built.append(set())
+
+    def on_stage_end(self, state, stage):
+        self.ended[-1].append(stage)
+
+
+class TestStageEnds:
+    """Every stage of every extension round ends, also one skipped for having no ready structure."""
+
+    @pytest.mark.parametrize("pipeline", ["boost", "weak"])
+    def test_every_stage_ends_in_every_round(self, pipeline, monkeypatch):
+        rec = StageRecorder()
+
+        def counted(state, stage):
+            rec.built[-1].add(stage)
+            return build_h_prime_s(state, stage)
+
+        monkeypatch.setattr("matchboost.engine.build_h_prime_s", counted)
+        g = gen_er(40, 0.08, seed=3)
+        if pipeline == "boost":
+            boost(g, 0.25, GreedyOracle(seed=1), hooks=rec)
+        else:
+            static_from_weak(g, 0.25, seed=1, hooks=rec)
+        assert rec.ended and rec.ell_max is not None
+        assert all(stages == list(range(rec.ell_max + 1)) for stages in rec.ended)
+        # stages were skipped, and some were not
+        assert 0 < sum(map(len, rec.built)) < sum(map(len, rec.ended))
+
+
 def idle(finder_cls):
     """A finder of ``finder_cls``'s patience that never finds an operation."""
 

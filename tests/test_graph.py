@@ -86,6 +86,18 @@ class TestGraph:
         assert g.m == 1 and h.m == 2
         assert g == Graph(3, [(0, 1)])
 
+    def test_sorted_adj_follows_edits(self):
+        g = Graph(4, [(0, 3), (0, 1)])
+        first = g.sorted_adj
+        assert first == [[1, 3], [0], [], [0]]
+        assert g.sorted_adj is first  # kept while the graph is unchanged
+        g.add_edge(2, 0)
+        assert g.sorted_adj == [[1, 2, 3], [0], [0], [0]]
+        g.remove_edge(1, 0)
+        assert g.sorted_adj == [[2, 3], [], [0], [0]]
+        g.remove_vertices([2])  # the removal flags leave it alone
+        assert g.sorted_adj == [[2, 3], [], [0], [0]]
+
     def test_arcs_both_orientations(self):
         g = Graph(2, [(0, 1)])
         assert sorted(g.arcs()) == [Arc(0, 1), Arc(1, 0)]
