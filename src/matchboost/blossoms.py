@@ -210,7 +210,13 @@ def check_laminarity(omega: LaminarBlossomSet) -> None:
 
 @dataclass
 class TreeView:
-    """A rooted alternating tree over root blossom ids."""
+    """A rooted alternating tree over root blossom ids.
+
+    ``children`` holds a list only for a node with a child; the order of
+    a list carries no meaning.  The methods below the queries edit the
+    tree in place, for the basic operations that grow, re-hang and
+    contract it.
+    """
 
     root: int
     parent: dict[int, int] = field(default_factory=dict)
@@ -248,6 +254,95 @@ class TreeView:
                 out.add(c)
                 stack.append(c)
         return out
+
+    def hang(self, bid: int, parent: int, arc: Arc) -> None:
+        """Add ``bid`` as a leaf under ``parent``, entered by ``arc``."""
+        self._attach(bid, parent, arc)
+        self.depth[bid] = self.depth[parent] + 1
+
+    def rehang(self, bid: int, parent: int, arc: Arc) -> None:
+        """Move the subtree of ``bid`` under ``parent``, entered by ``arc``.
+
+        ``parent`` must lie outside that subtree.  The subtree's depths
+        shift by one constant.
+        """
+        self._detach(bid)
+        self._shift(self.subtree(bid), self.depth[parent] + 1 - self.depth[bid])
+        self._attach(bid, parent, arc)
+
+    def move_subtree(self, bid: int, taker: TreeView, parent: int, arc: Arc) -> set[int]:
+        """Move the subtree of ``bid`` into ``taker``, under its node ``parent``.
+
+        Returns the moved nodes.  Their depths shift by one constant.
+        This tree's dicts are then copied down to size: a dict keeps its
+        table after ``pop``, so a donor that gave away most of its nodes
+        would otherwise still hold the memory of all of them.
+        """
+        nodes = self.subtree(bid)
+        self._detach(bid)
+        delta = taker.depth[parent] + 1 - self.depth[bid]
+        for b in nodes:
+            taker.parent[b] = self.parent.pop(b)
+            taker.parent_arc[b] = self.parent_arc.pop(b)
+            kids = self.children.pop(b, None)
+            if kids is not None:
+                taker.children[b] = kids
+            taker.depth[b] = self.depth.pop(b) + delta
+        taker._attach(bid, parent, arc)
+        self.parent = dict(self.parent)
+        self.parent_arc = dict(self.parent_arc)
+        self.children = dict(self.children)
+        self.depth = dict(self.depth)
+        return nodes
+
+    def contract(self, cycle: list[int], bid: int) -> None:
+        """Replace the nodes of ``cycle``, its top first, by the blossom ``bid``.
+
+        ``bid`` takes the top's place, and becomes the root when the top
+        was the root.  The other children of the cycle's nodes hang
+        under ``bid`` with their subtrees, whose depths shift by the rise
+        of their parent.
+        """
+        top = cycle[0]
+        top_depth = self.depth[top]
+        if top == self.root:
+            self.root = bid
+        else:
+            up = self.parent[top]
+            self.parent[bid] = up
+            self.parent_arc[bid] = self.parent_arc[top]
+            kids = self.children[up]
+            kids[kids.index(top)] = bid
+        self.depth[bid] = top_depth
+        on_cycle = set(cycle)
+        hanging = []
+        for c in cycle:
+            delta = top_depth - self.depth.pop(c)
+            self.parent.pop(c, None)
+            self.parent_arc.pop(c, None)
+            for x in self.children.pop(c, ()):
+                if x not in on_cycle:
+                    self.parent[x] = bid
+                    hanging.append(x)
+                    self._shift(self.subtree(x), delta)
+        if hanging:
+            self.children[bid] = hanging
+
+    def _attach(self, bid: int, parent: int, arc: Arc) -> None:
+        self.parent[bid] = parent
+        self.parent_arc[bid] = arc
+        self.children.setdefault(parent, []).append(bid)
+
+    def _detach(self, bid: int) -> None:
+        kids = self.children[self.parent[bid]]
+        kids.remove(bid)
+        if not kids:
+            del self.children[self.parent[bid]]
+
+    def _shift(self, nodes: set[int], delta: int) -> None:
+        if delta:
+            for b in nodes:
+                self.depth[b] += delta
 
 
 def find_cycle_blossom(

@@ -13,7 +13,7 @@ on them.
 
 from __future__ import annotations
 
-from .blossoms import check_laminarity, validate_blossom
+from .blossoms import TreeView, check_laminarity, validate_blossom
 from .engine import TraceHooks, build_h_prime_s
 from .errors import InternalConsistencyError
 from .graph import Graph, edge_key
@@ -42,6 +42,64 @@ def critical_free_vertices(state: PhaseState) -> set[int]:
     return {s.owner for s in state.live_structures() if s.working is not None}
 
 
+def _build_view(state: PhaseState, s: Structure) -> TreeView:
+    """The reference rebuild of ``s``'s tree from its arcs and the blossoms.
+
+    Every arc of ``s`` between two root blossoms is the parent arc of
+    its head's blossom; arcs inside one blossom are skipped.  Raises
+    ``InternalConsistencyError`` when a blossom has two parent arcs or
+    the tree does not span the blossoms of ``s``'s vertices.
+    """
+    omega = state.omega
+    root = omega.root(s.owner)
+    view = TreeView(root=root)
+    nodes = {omega.root(v) for v in s.vertices}
+    for arc in s.arcs:
+        bu, bv = omega.root(arc.tail), omega.root(arc.head)
+        if bu == bv:
+            continue
+        if bv in view.parent_arc:
+            raise InternalConsistencyError(
+                f"structure {s.owner}: blossom {bv} has two parent arcs"
+            )
+        view.parent[bv] = bu
+        view.parent_arc[bv] = arc
+        view.children.setdefault(bu, []).append(bv)
+    view.depth[root] = 0
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        for ch in view.children.get(cur, []):
+            view.depth[ch] = view.depth[cur] + 1
+            stack.append(ch)
+    if set(view.depth) != nodes:
+        raise InternalConsistencyError(
+            f"structure {s.owner}: tree does not span its blossoms"
+        )
+    return view
+
+
+def view_mismatches(state: PhaseState, s: Structure) -> list[str]:
+    """The fields in which ``s``'s kept tree differs from ``_build_view``.
+
+    Children lists are compared as sets, since their order carries no
+    meaning.  Raises as ``_build_view`` does.
+    """
+    kept, ref = s.view, _build_view(state, s)
+    out = [
+        name
+        for name in ("root", "parent", "parent_arc", "depth")
+        if getattr(kept, name) != getattr(ref, name)
+    ]
+    if _child_sets(kept) != _child_sets(ref):
+        out.append("children")
+    return out
+
+
+def _child_sets(view: TreeView) -> dict[int, set[int]]:
+    return {b: set(kids) for b, kids in view.children.items() if kids}
+
+
 def _check_one_structure(state: PhaseState, s: Structure, problems: list[str]) -> None:
     tag = f"structure {s.owner}"
     if state.mate[s.owner] is not None:
@@ -62,12 +120,14 @@ def _check_one_structure(state: PhaseState, s: Structure, problems: list[str]) -
         if arc.tail not in s.vertices or arc.head not in s.vertices:
             problems.append(f"{tag}: arc {tuple(arc)} leaves the structure")
     try:
-        view = state.tree(s)
+        wrong = view_mismatches(state, s)
     except InternalConsistencyError as exc:
         problems.append(f"{tag}: tree does not build: {exc}")
         return
-    if view.root != state.root(s.owner):
-        problems.append(f"{tag}: tree root is not the owner's blossom")
+    if wrong:
+        problems.append(f"{tag}: kept tree differs from its rebuild in {', '.join(wrong)}")
+        return
+    view = s.view
     if s.working is not None:
         if not view.contains(s.working):
             problems.append(f"{tag}: working vertex {s.working} not in tree")

@@ -242,10 +242,8 @@ def dyn_initial_matching(
 
 def _sample_one(rng: random.Random, state: PhaseState, s: Structure, outer_only: bool):
     if outer_only:
-        view = state.tree(s)
-        pool = sorted(
-            v for v in s.vertices if view.is_outer(state.root(v))
-        )
+        root_of, depth = state.omega.root_of, s.view.depth
+        pool = sorted(v for v in s.vertices if depth[root_of[v]] % 2 == 0)
     else:
         pool = sorted(s.vertices)
     return pool[rng.randrange(len(pool))]
@@ -360,12 +358,12 @@ def sampled_extend_active_path(
     query_set: list[int] = []
     for s in _sampled_structures(rng, state):
         v = _sample_one(rng, state, s, outer_only=False)
-        view = state.tree(s)
-        if view.is_outer(state.root(v)):
+        bv = state.omega.root_of[v]
+        if s.view.is_outer(bv):
             if (
                 not s.on_hold
                 and not s.extended
-                and state.root(v) == s.working
+                and bv == s.working
                 and state.entry_label(s, s.working) == stage
             ):
                 query_set.append(v)

@@ -59,15 +59,15 @@ def find_type1_arc(state: PhaseState, s: Structure) -> Arc | None:
     """A same-structure outer-outer arc out of the working vertex, if any."""
     if s.working is None:
         return None
-    view = state.tree(s)
+    root_of, depth = state.omega.root_of, s.view.depth
+    removed, mate, structure_of = state.g.removed, state.mate, state.structure_of
     for x in sorted(state.omega.members_of(s.working)):
         for y in state.adj_sorted[x]:
-            if state.g.removed[y] or state.mate[x] == y:
+            if removed[y] or mate[x] == y or structure_of.get(y) != s.owner:
                 continue
-            if state.structure_of.get(y) != s.owner:
-                continue
-            by = state.root(y)
-            if by != s.working and view.is_outer(by):
+            # y is in s, so its blossom is a node of the tree
+            by = root_of[y]
+            if by != s.working and depth[by] % 2 == 0:
                 return Arc(x, y)
     return None
 
@@ -88,7 +88,7 @@ def build_h_prime(state: PhaseState):
 
     def outer_owner(x: int) -> int | None:
         o = structure_of.get(x)
-        if o is None or not state.tree(structures[o]).is_outer(root_of[x]):
+        if o is None or structures[o].view.depth[root_of[x]] % 2:
             return None
         return o
 
@@ -119,14 +119,14 @@ def build_h_prime(state: PhaseState):
 
 def _head_eligible(state: PhaseState, y: int, stage: int) -> bool:
     """Head test: inner or unvisited-and-matched, with label headroom."""
-    sv = state.structure_at(y)
-    if sv is None:
-        if state.mate[y] is None:
+    o = state.structure_of.get(y)
+    if o is not None:
+        # y is in o's structure, so its blossom is a node of the tree;
+        # an inner node is a matched vertex
+        if state.structures[o].view.depth[state.omega.root_of[y]] % 2 == 0:
             return False
-    else:
-        if not state.tree(sv).is_inner(state.root(y)):
-            return False
-    return state.head_label(y) > stage + 1
+    t = state.mate[y]
+    return t is not None and state.labels[(y, t)] > stage + 1
 
 
 def build_h_prime_s(state: PhaseState, stage: int):
@@ -229,7 +229,7 @@ def apply_augments(state: PhaseState, arcs, stats: OracleStats) -> None:
         if sa is None or sb is None or sa is sb:
             raise InternalConsistencyError(f"augment arc {arc} does not join two structures")
         for s, x in ((sa, arc.tail), (sb, arc.head)):
-            if not state.tree(s).is_outer(state.root(x)):
+            if not s.view.is_outer(state.omega.root_of[x]):
                 raise InternalConsistencyError(f"augment endpoint {x} is not outer")
         step_size = max(step_size, len(sa.vertices), len(sb.vertices))
         state.op_augment(arc)
@@ -267,7 +267,7 @@ def _extension_feasible(state: PhaseState, owner: int, x: int, y: int, stage: in
     s = state.structures.get(owner)
     if s is None or s.on_hold or s.extended or s.working is None:
         return False
-    if state.root(x) != s.working or state.entry_label(s, s.working) != stage:
+    if state.omega.root_of[x] != s.working or state.entry_label(s, s.working) != stage:
         return False
     return not state.g.removed[y] and _head_eligible(state, y, stage)
 
@@ -543,7 +543,8 @@ def run_scales(
                 hooks.on_phase_start(params, h, phase)
             paths, state = run_phase(g, m, params, finder, stats, hooks)
             g.clear_removed()
-            m = augment_all(m, paths)
+            if paths:
+                m = augment_all(m, paths)
             sc.phases_run += 1
             sc.paths_found += len(paths)
             empty_streak = 0 if paths else empty_streak + 1

@@ -25,7 +25,18 @@ from .params import PhaseParams
 
 @dataclass
 class Structure:
+    """One free vertex's search structure.
+
+    ``vertices`` and ``arcs`` are the structure as a vertex- and
+    arc-set; ``view`` is the alternating tree it contracts to under the
+    blossom family, over root blossom ids.  The view is made with the
+    structure and kept current by the basic operations, never rebuilt;
+    :class:`PhaseState` says which operation changes what.
+    ``checks.check_state`` compares it against a rebuild from ``arcs``.
+    """
+
     owner: int
+    view: TreeView
     vertices: set[int] = field(default_factory=set)
     arcs: set[Arc] = field(default_factory=set)
     blossom_ids: set[int] = field(default_factory=set)
@@ -35,34 +46,6 @@ class Structure:
     extended: bool = False
     # The entry label under which the structure sits in ``PhaseState.ready``.
     ready_label: int | None = None
-    _view: TreeView | None = None
-
-    def invalidate(self) -> None:
-        self._view = None
-
-    def to_debug_json(self, state: "PhaseState") -> dict:
-        view = state.tree(self)
-        active = (
-            list(reversed(view.path_to_root(self.working)))
-            if self.working is not None
-            else []
-        )
-        return {
-            "owner": self.owner,
-            "vertices": sorted(self.vertices),
-            "arcs": sorted(map(tuple, self.arcs)),
-            "blossoms": sorted(self.blossom_ids),
-            "working": self.working,
-            "active_path": active,
-            "active_labels": [
-                state.entry_label(self, b) for b in active if view.is_outer(b)
-            ],
-            "marks": {
-                "on_hold": self.on_hold,
-                "modified": self.modified,
-                "extended": self.extended,
-            },
-        }
 
 
 class PhaseState:
@@ -107,6 +90,18 @@ class PhaseState:
     structure whose working vertex, tree or entry labels they change
     and add to ``fresh`` as above, and ``mark_for_pass_bundle``
     rebuilds ``ready`` with the new marks.
+
+    Each structure's tree, read through :meth:`tree`, is kept current
+    the same way: every basic operation edits the trees it changes in
+    place, and no tree is ever rebuilt.  An unvisited overtake hangs
+    the head and its mate under the working vertex; a same-structure
+    overtake moves the head's subtree under the working vertex; a cross
+    overtake moves it out of the donor's tree into the taker's and
+    copies the donor's dicts down to size, so a donor does not keep the
+    memory of what it gave away; a contraction puts the new blossom in
+    the place of the cycle's top node, the root if the top was the
+    root, and re-hangs the cycle's other children under it.  An
+    augmentation drops both structures, trees and all.
 
     Two flags describe the phase as a whole: ``held`` says whether
     ``mark_for_pass_bundle`` has put any structure on hold, and
@@ -158,7 +153,12 @@ class PhaseState:
         """
         if self.mate[alpha] is not None or self.g.removed[alpha]:
             raise PreconditionError(f"vertex {alpha} is not free", code="not-free")
-        s = Structure(owner=alpha, vertices={alpha}, working=alpha)
+        s = Structure(
+            owner=alpha,
+            view=TreeView(root=alpha, depth={alpha: 0}),
+            vertices={alpha},
+            working=alpha,
+        )
         self.structures[alpha] = s
         self.structure_of[alpha] = alpha
         self.touch(s)
@@ -216,37 +216,8 @@ class PhaseState:
         return self.omega.root(v)
 
     def tree(self, s: Structure) -> TreeView:
-        if s._view is None:
-            s._view = self._build_view(s)
-        return s._view
-
-    def _build_view(self, s: Structure) -> TreeView:
-        root = self.omega.root(s.owner)
-        view = TreeView(root=root)
-        nodes = {self.omega.root(v) for v in s.vertices}
-        for arc in s.arcs:
-            bu, bv = self.omega.root(arc.tail), self.omega.root(arc.head)
-            if bu == bv:
-                continue
-            if bv in view.parent_arc:
-                raise InternalConsistencyError(
-                    f"structure {s.owner}: blossom {bv} has two parent arcs"
-                )
-            view.parent[bv] = bu
-            view.parent_arc[bv] = arc
-            view.children.setdefault(bu, []).append(bv)
-        view.depth[root] = 0
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            for ch in view.children.get(cur, []):
-                view.depth[ch] = view.depth[cur] + 1
-                stack.append(ch)
-        if set(view.depth) != nodes:
-            raise InternalConsistencyError(
-                f"structure {s.owner}: tree does not span its blossoms"
-            )
-        return view
+        """The alternating tree of ``s``, kept current by the operations."""
+        return s.view
 
     def mark_for_pass_bundle(self) -> None:
         """Reset marks; large structures go on hold for the bundle.
@@ -274,11 +245,10 @@ class PhaseState:
 
     def entry_label(self, s: Structure, bid: int) -> int:
         """Label of the matched arc entering the outer blossom ``bid``; 0 at the root."""
-        if bid == self.omega.root(s.owner):
+        view = s.view
+        if bid == view.root:
             return 0
-        view = self.tree(s)
-        arc = view.parent_arc[bid]
-        return self.labels[(arc.tail, arc.head)]
+        return self.labels[view.parent_arc[bid]]
 
     # -- classification (used by checks and by the aux-graph builders) --------
 
@@ -301,7 +271,7 @@ class PhaseState:
             return None
         su, sv = self.structure_at(u), self.structure_at(v)
         if su is not None and sv is not None:
-            vu, vv = self.tree(su), self.tree(sv)
+            vu, vv = su.view, sv.view
             if vu.is_outer(bu) and vv.is_outer(bv):
                 if su is sv:
                     if su.working in (bu, bv):
@@ -315,7 +285,7 @@ class PhaseState:
         if sv is None:
             head_ok = self.mate[v] is not None
         else:
-            head_ok = self.tree(sv).is_inner(bv)
+            head_ok = sv.view.is_inner(bv)
         if not head_ok:
             return None
         if self.head_label(v) > self.entry_label(su, bu) + 1:
@@ -339,7 +309,7 @@ class PhaseState:
                 f"arc ({u}, {v}) does not join two structures", code="augment-structures"
             )
         bu, bv = self.omega.root(u), self.omega.root(v)
-        view_u, view_v = self.tree(su), self.tree(sv)
+        view_u, view_v = su.view, sv.view
         if not view_u.is_outer(bu) or not view_v.is_outer(bv):
             raise PreconditionError(
                 f"arc ({u}, {v}) endpoints must be outer", code="augment-outer"
@@ -388,11 +358,11 @@ class PhaseState:
             raise PreconditionError(
                 f"head of ({u}, {v}) is not in the same structure", code="contract-structure"
             )
-        children, cycle = find_cycle_blossom(self.tree(s), self.omega, g_arc)
+        children, cycle = find_cycle_blossom(s.view, self.omega, g_arc)
         b = self.omega.contract(children, cycle)
+        s.view.contract(children, b.id)
         s.blossom_ids.add(b.id)
         s.arcs.add(g_arc)
-        s.invalidate()
         for arc in self.omega.defining_edges(b.id):
             if self.mate[arc.tail] == arc.head:
                 self.labels[(arc.tail, arc.head)] = 0
@@ -451,17 +421,18 @@ class PhaseState:
         self.structure_of[t] = s.owner
         s.arcs.add(g_arc)
         s.arcs.add(a_arc)
+        s.view.hang(v, s.working, g_arc)
+        s.view.hang(t, v, a_arc)
         self.labels[(v, t)] = k
-        s.working = self.omega.root(t)
+        s.working = t
         s.modified = True
         s.extended = True
-        s.invalidate()
         self.fresh.add(t)
         self.touch(s)
 
     def _check_inner_head(self, s_beta: Structure, v: int) -> tuple[int, int]:
         """Common case-2 validation; returns (parent blossom, child blossom) of {v}."""
-        view = self.tree(s_beta)
+        view = s_beta.view
         bv = self.omega.root(v)
         if not view.is_inner(bv):
             raise PreconditionError(
@@ -477,34 +448,31 @@ class PhaseState:
         return view.parent[bv], kids[0]
 
     def _overtake_same(self, s: Structure, g_arc: Arc, a_arc: Arc, k: int) -> None:
-        u, v = g_arc
-        p_prime, t_prime = self._check_inner_head(s, v)
-        view = self.tree(s)
-        if v in view.path_to_root(self.omega.root(u)):
+        v = g_arc.head
+        _, t_prime = self._check_inner_head(s, v)
+        view = s.view
+        if v in view.path_to_root(s.working):
             raise PreconditionError(
                 f"head {v} is an ancestor of the working vertex", code="P2"
             )
-        for arc in [a for a in s.arcs if a.head == v and self.omega.root(a.tail) == p_prime]:
-            s.arcs.remove(arc)
+        # {v} is a trivial inner blossom, so its parent arc is the only arc into it.
+        s.arcs.remove(view.parent_arc[v])
         s.arcs.add(g_arc)
+        view.rehang(v, s.working, g_arc)
         self.labels[a_arc] = k
         s.working = t_prime
         s.modified = True
         s.extended = True
-        s.invalidate()
         self.touch(s)
 
     def _overtake_cross(
         self, s_alpha: Structure, s_beta: Structure, g_arc: Arc, a_arc: Arc, k: int
     ) -> None:
-        u, v = g_arc
+        v = g_arc.head
         p_prime, t_prime = self._check_inner_head(s_beta, v)
-        view_beta = self.tree(s_beta)
-        moved_roots = view_beta.subtree(v)
-        beta_working_moved = s_beta.working in moved_roots
-        old_beta_working = s_beta.working
-        for arc in [a for a in s_beta.arcs if a.head == v and self.omega.root(a.tail) == p_prime]:
-            s_beta.arcs.remove(arc)
+        # {v} is a trivial inner blossom, so its parent arc is the only arc into it.
+        s_beta.arcs.remove(s_beta.view.parent_arc[v])
+        moved_roots = s_beta.view.move_subtree(v, s_alpha.view, s_alpha.working, g_arc)
         moved_vertices: set[int] = set()
         for b in moved_roots:
             moved_vertices |= self.omega.members_of(b)
@@ -531,16 +499,14 @@ class PhaseState:
         s_alpha.blossom_ids |= moved_blossoms
         s_alpha.arcs.add(g_arc)
         self.labels[a_arc] = k
-        if beta_working_moved:
-            s_alpha.working = old_beta_working
+        if s_beta.working in moved_roots:
+            s_alpha.working = s_beta.working
             s_beta.working = p_prime
         else:
             s_alpha.working = t_prime
         s_alpha.modified = True
         s_alpha.extended = True
         s_beta.modified = True
-        s_alpha.invalidate()
-        s_beta.invalidate()
         # The donor is the one structure whose stage can change in a
         # bundle without it being marked extended.
         self.touch(s_alpha)
@@ -564,7 +530,7 @@ class PhaseState:
         for s in self.live_structures():
             if s.on_hold or s.modified or s.working is None:
                 continue
-            view = self.tree(s)
+            view = s.view
             if s.working == view.root:
                 s.working = None
             else:

@@ -99,6 +99,21 @@ class TestCheckState:
         st.structure_at(0).working = 1
         assert any("is inner" in p for p in check_state(st))
 
+    def test_kept_tree_differs_from_its_rebuild(self):
+        st = grown_path6()
+        st.structure_at(0).view.depth[2] = 4  # still outer, but too deep
+        assert any(
+            "structure 0: kept tree differs from its rebuild in depth" in p
+            for p in check_state(st)
+        )
+        st = grown_path6()
+        view = st.structure_at(5).view
+        view.children[5].remove(4)  # 4 keeps its parent: no longer a child
+        assert any("in children" in p for p in check_state(st))
+        st = grown_path6()
+        st.structure_at(0).view.parent_arc[1] = Arc(0, 2)
+        assert any("in parent_arc" in p for p in check_state(st))
+
     def test_stale_marks_at_bundle_start(self):
         st = grown_path6()
         problems = check_state(st, at_bundle_start=True)

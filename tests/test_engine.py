@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchboost.checks import view_mismatches
 from matchboost.corpus import gen_blossom_gadget, gen_er, gen_path, standard_corpus
 from matchboost.dynamic import DoubleCover, DynParams, SampledFinder, static_from_weak
 from matchboost.engine import (
@@ -567,15 +568,16 @@ class TestBuildersAgainstClassify:
 
 
 class IndexAudit(TraceHooks):
-    """Checks the phase state's indexes against a full rescan.
+    """Checks the phase state's indexes and kept trees against a full rescan.
 
     At each bundle start, after the simulations and at each bundle end:
-    for every stage, ``ready_at`` lists exactly the eligible owners in
-    ascending order; no live structure outside ``dirty`` has a type-1
-    arc; and every type-2 arc has an endpoint in ``fresh``, found with
-    ``classify`` and no builder.  Given an oracle, it also wraps it and
-    checks before each call, in the middle of the simulations;
-    ``AuditedWeak`` does the same for weak queries.
+    every live structure's kept tree equals ``checks``' rebuild from its
+    arcs; for every stage, ``ready_at`` lists exactly the eligible
+    owners in ascending order; no live structure outside ``dirty`` has
+    a type-1 arc; and every type-2 arc has an endpoint in ``fresh``,
+    found with ``classify`` and no builder.  Given an oracle, it also
+    wraps it and checks before each call, in the middle of the
+    simulations; ``AuditedWeak`` does the same for weak queries.
     """
 
     def __init__(self, oracle=None):
@@ -586,6 +588,7 @@ class IndexAudit(TraceHooks):
         self.ready_seen = 0
         self.type1_in_dirty = 0
         self.type2_seen = 0
+        self.blossom_trees_seen = 0
 
     def find(self, g):
         self.audit(self.state)
@@ -607,6 +610,9 @@ class IndexAudit(TraceHooks):
     def audit(self, state: PhaseState | None) -> None:
         if state is None:  # the seed matching's calls come before any phase
             return
+        for s in state.live_structures():
+            assert view_mismatches(state, s) == [], s.owner
+            self.blossom_trees_seen += bool(s.blossom_ids)
         top = state.params.ell_max + 1
         for stage in range(top + 1):
             owners = [s.owner for s in state.ready_at(stage)]
@@ -675,12 +681,13 @@ class TestIndexesAgainstRescan:
         _sampled_phases_then_static(g, 3, IndexAudit())
 
     def test_audit_sees_ready_and_type1_work(self):
-        # a dirty structure holds a type-1 arc at some oracle call, and
-        # some checks see a type-2 arc, so neither check is vacuous
+        # a dirty structure holds a type-1 arc at some oracle call, some
+        # checks see a type-2 arc, and some a tree with a blossom, so no
+        # check is vacuous
         audit = IndexAudit(make_oracle("greedy"))
         _phases_then_boost(gen_er(14, 0.35, seed=4), 4, audit)
         assert audit.ready_seen > 0 and audit.type1_in_dirty > 0
-        assert audit.type2_seen > 0
+        assert audit.type2_seen > 0 and audit.blossom_trees_seen > 0
         weak = IndexAudit()
         _sampled_phases_then_static(gen_er(24, 0.1, seed=2), 2, weak)
         assert weak.ready_seen > 0 and weak.type2_seen > 0

@@ -1,7 +1,10 @@
 """Phase state, labels, and the three basic operations on small hand graphs."""
 
+import sys
+
 import pytest
 
+from matchboost.checks import view_mismatches
 from matchboost.engine import build_h_prime
 from matchboost.errors import (
     InternalConsistencyError,
@@ -322,6 +325,141 @@ class TestContract:
             st.op_contract(Arc(0, 2))
 
 
+def assert_kept(st: PhaseState) -> None:
+    """Every live structure's kept tree equals its rebuild from the arcs."""
+    for s in st.live_structures():
+        assert view_mismatches(st, s) == [], s.owner
+
+
+def child_sets(view) -> dict[int, set[int]]:
+    return {b: set(kids) for b, kids in view.children.items()}
+
+
+def backtrack(st: PhaseState, times: int) -> None:
+    for _ in range(times):
+        st.mark_for_pass_bundle()
+        assert st.backtrack_stuck()
+
+
+class TestKeptTrees:
+    """The operations keep each tree equal to a rebuild from the arcs."""
+
+    def test_contraction_at_the_root(self):
+        # triangle 0-1-2 with matched (1, 2) at the root 0; the branches
+        # 2-3=4 and 0-5=6 hang off the cycle
+        g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6)])
+        m = Matching(7)
+        for e in ((1, 2), (3, 4), (5, 6)):
+            m.add(*e)
+        st = PhaseState(g, m, params())
+        s = st.structure_at(0)
+        st.op_overtake(Arc(0, 5), Arc(5, 6), 1)
+        backtrack(st, 1)
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        st.op_overtake(Arc(2, 3), Arc(3, 4), 2)
+        backtrack(st, 1)
+        assert_kept(st)
+        bid = st.op_contract(Arc(2, 0))
+        view = st.tree(s)
+        assert view.root == bid == s.working
+        assert view.parent == {5: bid, 6: 5, 3: bid, 4: 3}
+        assert view.parent_arc[5] == Arc(0, 5) and view.parent_arc[3] == Arc(2, 3)
+        assert view.depth == {bid: 0, 5: 1, 6: 2, 3: 1, 4: 2}
+        assert child_sets(view) == {bid: {3, 5}, 5: {6}, 3: {4}}
+        assert_kept(st)
+
+    def test_contraction_mid_tree(self):
+        # 0-1=2, then the odd cycle 2-3=4-6=5-2 closed by (6, 4) below
+        # the outer 2, with 4-7=8 and 6-9=10 hanging off both sides
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (4, 6)]
+        g = Graph(11, edges + [(4, 7), (7, 8), (6, 9), (9, 10)])
+        m = Matching(11)
+        for e in ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)):
+            m.add(*e)
+        st = PhaseState(g, m, params())
+        s = st.structure_at(0)
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        st.op_overtake(Arc(2, 3), Arc(3, 4), 2)
+        st.op_overtake(Arc(4, 7), Arc(7, 8), 3)
+        backtrack(st, 2)
+        st.op_overtake(Arc(2, 5), Arc(5, 6), 2)
+        st.op_overtake(Arc(6, 9), Arc(9, 10), 3)
+        backtrack(st, 1)
+        assert st.tree(s).depth[8] == st.tree(s).depth[10] == 6
+        bid = st.op_contract(Arc(6, 4))
+        view = st.tree(s)
+        assert view.root == 0
+        assert view.parent == {1: 0, bid: 1, 7: bid, 8: 7, 9: bid, 10: 9}
+        assert view.parent_arc[bid] == Arc(1, 2)
+        assert view.parent_arc[7] == Arc(4, 7) and view.parent_arc[9] == Arc(6, 9)
+        # the blossom sits at its top's depth 2, and each hanging
+        # subtree rises by the depth its parent lost
+        assert view.depth == {0: 0, 1: 1, bid: 2, 7: 3, 8: 4, 9: 3, 10: 4}
+        assert child_sets(view) == {0: {1}, 1: {bid}, bid: {7, 9}, 7: {8}, 9: {10}}
+        assert_kept(st)
+
+    def test_cross_overtake_moves_the_donors_working_vertex(self):
+        g, m = branched()
+        st = PhaseState(g, m, params())
+        s5, s0 = st.structure_at(5), st.structure_at(0)
+        st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
+        st.op_overtake(Arc(3, 2), Arc(2, 1), 2)
+        st.mark_for_pass_bundle()
+        st.op_overtake(Arc(0, 2), Arc(2, 1), 1)
+        assert s0.working == 1 and s5.working == 3
+        taker, donor = st.tree(s0), st.tree(s5)
+        assert taker.parent == {2: 0, 1: 2} and taker.depth == {0: 0, 2: 1, 1: 2}
+        assert taker.parent_arc == {2: Arc(0, 2), 1: Arc(2, 1)}
+        assert child_sets(taker) == {0: {2}, 2: {1}}
+        # the donor keeps no entry of the moved nodes
+        assert donor.parent == {4: 5, 3: 4} and donor.depth == {5: 0, 4: 1, 3: 2}
+        assert donor.parent_arc == {4: Arc(5, 4), 3: Arc(4, 3)}
+        assert child_sets(donor) == {5: {4}, 4: {3}}
+        assert_kept(st)
+
+    def test_cross_overtake_copies_the_donor_down_to_size(self):
+        # the path 0-1=2-...=20 grows from 0; the free 21 takes all of
+        # it but the root through the inner 1
+        g = Graph(22, [(i, i + 1) for i in range(20)] + [(21, 1)])
+        m = Matching(22)
+        for i in range(1, 20, 2):
+            m.add(i, i + 1)
+        st = PhaseState(g, m, params())
+        s0, s21 = st.structure_at(0), st.structure_at(21)
+        for k, x in enumerate(range(0, 20, 2), start=1):
+            st.op_overtake(Arc(x, x + 1), Arc(x + 1, x + 2), k)
+        names = ("parent", "parent_arc", "children", "depth")
+        before = {name: sys.getsizeof(getattr(s0.view, name)) for name in names}
+        st.op_overtake(Arc(21, 1), Arc(1, 2), 0)
+        assert s21.working == 20 and s0.working == 0
+        assert st.tree(s0).depth == {0: 0} and st.tree(s21).depth[20] == 20
+        for name in names:
+            assert sys.getsizeof(getattr(s0.view, name)) < before[name], name
+        assert_kept(st)
+
+    def test_same_structure_rehang(self):
+        # the path 0-1=2-3=4-5=6-7=8 and a chord (0, 5): the inner 5
+        # re-hangs under the root with its subtree, four levels up
+        g = Graph(9, [(i, i + 1) for i in range(8)] + [(0, 5)])
+        m = Matching(9)
+        for i in range(1, 8, 2):
+            m.add(i, i + 1)
+        st = PhaseState(g, m, params())
+        s = st.structure_at(0)
+        for k, x in enumerate(range(0, 8, 2), start=1):
+            st.op_overtake(Arc(x, x + 1), Arc(x + 1, x + 2), k)
+        backtrack(st, 4)
+        assert s.working == 0
+        st.op_overtake(Arc(0, 5), Arc(5, 6), 1)
+        assert s.working == 6 and Arc(4, 5) not in s.arcs
+        view = st.tree(s)
+        assert view.parent == {1: 0, 2: 1, 3: 2, 4: 3, 5: 0, 6: 5, 7: 6, 8: 7}
+        assert view.parent_arc[5] == Arc(0, 5)
+        assert view.depth == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 1, 6: 2, 7: 3, 8: 4}
+        assert child_sets(view) == {0: {1, 5}, 1: {2}, 2: {3}, 3: {4}, 5: {6}, 6: {7}, 7: {8}}
+        assert_kept(st)
+
+
 class TestAugment:
     def test_path6_end_to_end(self):
         g, m = path6()
@@ -415,18 +553,6 @@ class TestBundleBookkeeping:
             for want in moves:
                 st.mark_for_pass_bundle()
                 assert st.backtrack_stuck() == want
-
-    def test_debug_json(self):
-        g, m = path6()
-        st = PhaseState(g, m, params())
-        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
-        snap = st.structure_at(0).to_debug_json(st)
-        assert snap["owner"] == 0
-        assert snap["vertices"] == [0, 1, 2]
-        assert snap["working"] == 2
-        assert snap["active_path"] == [0, 1, 2]
-        assert snap["active_labels"] == [0, 1]
-        assert snap["marks"] == {"on_hold": False, "modified": True, "extended": True}
 
 
 def _ready(st: PhaseState) -> dict[int, list[int]]:
