@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .corpus import CorpusSpec, build_corpus
-from .dynamic import DynParams, static_from_weak
+from .dynamic import static_from_weak
 from .engine import boost
 from .errors import PreconditionError
 from .graph import Graph, is_matching
@@ -73,15 +73,12 @@ class ExperimentConfig:
     seed: int = 0
     corpus: CorpusSpec = field(default_factory=lambda: CorpusSpec(kind="mixed", trials=10))
     constants: tuple[tuple[str, float], ...] = ()
-    profile: str = "desk"  # desk | paper
     verify: bool = True
     t_unit: int = 1
 
     def __post_init__(self):
         if self.mode not in ("boost", "dynamic"):
             raise PreconditionError(f"unknown mode {self.mode!r}")
-        if self.profile not in ("desk", "paper"):
-            raise PreconditionError(f"unknown profile {self.profile!r}")
         Constants().with_overrides(dict(self.constants))
 
     def to_json(self) -> str:
@@ -183,9 +180,8 @@ def _run_boost_trial(g: Graph, eps: float, config: ExperimentConfig, trial: int)
 
 
 def _run_dynamic_trial(g: Graph, eps: float, config: ExperimentConfig, trial: int) -> tuple:
-    dynp = DynParams.paper(eps) if config.profile == "paper" else DynParams.desk(eps)
     res = static_from_weak(
-        g, eps, config.oracle, dyn_params=dynp, seed=config.seed * 1_000_003 + trial,
+        g, eps, config.oracle, seed=config.seed * 1_000_003 + trial,
         constants=Constants().with_overrides(dict(config.constants)),
     )
     stats = OracleStats()

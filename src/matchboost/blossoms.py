@@ -28,16 +28,6 @@ class Blossom:
     cycle_arcs: list[Arc]          # cycle_arcs[i] joins children[i] -> children[i+1 mod k]
     parent: int | None = None      # enclosing blossom id in the laminar forest
 
-    def to_debug_json(self) -> dict:
-        return {
-            "id": self.id,
-            "base": self.base,
-            "members": sorted(self.members),
-            "children": list(self.children),
-            "cycle_arcs": [list(a) for a in self.cycle_arcs],
-            "parent": self.parent,
-        }
-
 
 class LaminarBlossomSet:
     """All blossoms over a fixed vertex range, trivial ones implicit.
@@ -139,23 +129,6 @@ class LaminarBlossomSet:
                     out.add(cid)
                     stack.append(cid)
         return out
-
-    def defining_edges(self, bid: int) -> list[Arc]:
-        """Cycle arcs of the blossom and of every nested child."""
-        out: list[Arc] = []
-        for d in self.descendants(bid):
-            if not self.is_trivial(d):
-                out.extend(self.blossoms[d].cycle_arcs)
-        return out
-
-    def to_debug_json(self) -> dict:
-        return {
-            "n": self.n,
-            "blossoms": [
-                self.blossoms[k].to_debug_json() for k in sorted(self.blossoms)
-            ],
-            "root_of": list(self.root_of),
-        }
 
 
 def validate_blossom(omega: LaminarBlossomSet, bid: int, mate: MateArray) -> None:

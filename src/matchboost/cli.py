@@ -17,7 +17,7 @@ import sys
 
 from .bench import ExperimentConfig, RunReport, component_cap, run_experiment, write_report
 from .corpus import CorpusSpec, build_corpus, format_update_stream, gen_update_stream
-from .dynamic import DynParams, parse_update_stream, problem1_harness
+from .dynamic import parse_update_stream, problem1_harness
 from .errors import InternalConsistencyError, MatchboostError, PreconditionError
 from .oracles import exact_mcm, make_oracle, make_weak_backend
 
@@ -136,7 +136,6 @@ def cmd_boost(args, mode: str = "boost") -> int:
         seed=args.seed,
         corpus=_corpus_spec(args),
         constants=_parse_constants(args.constants),
-        profile=getattr(args, "profile", "desk"),
     )
     return _finish_run(run_experiment(config), args.out)
 
@@ -163,10 +162,8 @@ def cmd_problem1(args) -> int:
             updates = parse_update_stream(fh.read())
     else:
         updates = gen_update_stream(args.n, args.updates, args.seed)
-    dynp = DynParams.paper(eps) if args.profile == "paper" else DynParams.desk(eps)
     result = problem1_harness(
-        args.n, updates, eps, backend=args.oracle, q_budget=args.q_budget,
-        seed=args.seed, dyn_params=dynp,
+        args.n, updates, eps, backend=args.oracle, q_budget=args.q_budget, seed=args.seed
     )
     if args.out:
         with open(args.out, "w") as fh:
@@ -241,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamic", help="run the weak-oracle pipeline over a corpus")
     _add_run_flags(p)
     p.add_argument("--oracle", default="weak-exact", help="weak-exact | weak-greedy")
-    p.add_argument("--profile", choices=("desk", "paper"), default="desk")
     p.set_defaults(func=cmd_dynamic)
 
     p = sub.add_parser("verify", help="boost with the ratio assertion as the outcome")
@@ -256,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", default="weak-exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q-budget", type=int, default=None)
-    p.add_argument("--profile", choices=("desk", "paper"), default="desk")
     p.add_argument("--stream", default=None, help="read updates from a file instead")
     p.add_argument("--emit-stream", action="store_true")
     p.add_argument("--out", default=None)

@@ -22,7 +22,6 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 # perfbench's tracer wraps the names marked unused here.
@@ -45,19 +44,16 @@ from .graph import (
     augment_all,  # unused
     edge_key,
 )
-from .oracles import (
-    CountedWeakOracle,
-    Host,
-    OracleStats,
-    exact_mcm,
-    make_weak_backend,
-)
+from .oracles import Host, OracleStats, counted, exact_mcm, make_weak_backend
 from .params import Constants, PhaseParams, normalize_epsilon
 from .structures import PhaseState, Structure
 
 # Fruitless sampling iterations in a row after which a stage, or a
 # contract-and-augment round, gives up.
 SAMPLE_PATIENCE = 12
+
+# Graphs with at most this many vertices go to the exact matcher.
+SMALL_N_CUTOFF = 4
 
 
 # -- double cover ---------------------------------------------------------------
@@ -175,40 +171,21 @@ def lift_bipartite_matching(mb, n: int) -> Matching:
 class DynParams:
     """Knobs of the sampled pipeline.
 
-    ``paper`` keeps the published exponents (delta = eps^107, iteration
-    counts 1/(2*lam*delta) + 1, cutoff eps^-300, all computed with exact
-    rational arithmetic); they are only useful for parameter plumbing
-    since the cutoff forces the exact fallback on any feasible input.
-    ``desk`` picks values that saturate progress on graphs small enough
-    to test, with early exits doing the actual termination work.
+    The paper's exponents are delta = eps^107, iteration counts
+    1/(2*lam*delta) + 1, and an exact-matcher fallback on graphs of at
+    most eps^-300 vertices, which takes every input small enough to
+    run.  ``desk`` picks values that saturate progress on graphs small
+    enough to test, with early exits doing the actual termination work.
     """
 
-    profile: str
     delta: float
     i_caa: int
     i_eap: int
     t_const: float = 0.25
-    small_n_cutoff: int = 4
-
-    @staticmethod
-    def paper(epsilon: float, lam: float = 1.0) -> "DynParams":
-        feps = Fraction(epsilon)
-        flam = Fraction(lam).limit_denominator(10**9)
-        delta = feps**107
-        i_caa = int(Fraction(1) / (2 * flam * delta)) + 1
-        i_eap = int(Fraction(1) / (2 * flam * feps**100)) + 1
-        cutoff = math.ceil(Fraction(1) / feps**300)
-        return DynParams(
-            profile="paper",
-            delta=float(delta),
-            i_caa=i_caa,
-            i_eap=i_eap,
-            small_n_cutoff=cutoff,
-        )
 
     @staticmethod
     def desk(epsilon: float) -> "DynParams":
-        return DynParams(profile="desk", delta=epsilon**7, i_caa=48, i_eap=48)
+        return DynParams(delta=epsilon**7, i_caa=48, i_eap=48)
 
 
 # -- initial matching -------------------------------------------------------------
@@ -481,10 +458,6 @@ class DynRunResult:
         return self.stats_g.weak_calls + self.stats_b.weak_calls
 
 
-def _counted_weak(oracle) -> CountedWeakOracle:
-    return oracle if isinstance(oracle, CountedWeakOracle) else CountedWeakOracle(oracle)
-
-
 def static_from_weak(
     g: Graph,
     epsilon: float,
@@ -499,22 +472,22 @@ def static_from_weak(
 ) -> DynRunResult:
     """Boost to (1 + epsilon) using only induced-subgraph weak queries.
 
-    Falls back to the exact matcher below the profile's size cutoff
-    (under the "paper" profile that is every practical input).  Warns,
+    Falls back to the exact matcher on graphs of at most
+    ``SMALL_N_CUTOFF`` vertices or with no edge.  Warns,
     without failing, when the seed matching shows the graph is too
     sparse for the guarantee's density promise.
     """
     eps = normalize_epsilon(epsilon)
     consts = constants or Constants()
     dynp = dyn_params or DynParams.desk(eps)
-    if g.n <= dynp.small_n_cutoff or g.m == 0:
+    if g.n <= SMALL_N_CUTOFF or g.m == 0:
         return DynRunResult(exact_mcm(g), eps, OracleStats(), OracleStats(), True)
     rng = random.Random(seed)
     if weak_g is None:
         weak_g = make_weak_backend(backend)(g)
     if weak_b is None:
         weak_b = make_weak_backend(backend)(DoubleCover(g))
-    weak_g, weak_b = _counted_weak(weak_g), _counted_weak(weak_b)
+    weak_g, weak_b = counted(weak_g), counted(weak_b)
     g.clear_removed()
     m = dyn_initial_matching(g, weak_g, eps, dynp.t_const)
     result = DynRunResult(m, eps, weak_g.stats, weak_b.stats)
@@ -618,7 +591,6 @@ def problem1_harness(
     backend: str = "weak-exact",
     q_budget: int | None = None,
     seed: int = 0,
-    dyn_params: DynParams | None = None,
 ) -> dict:
     """Replay an update stream in fixed chunks and audit the query answers.
 
@@ -632,7 +604,6 @@ def problem1_harness(
         raise PreconditionError(f"an update stream needs at least one vertex, got n = {n}")
     eps = normalize_epsilon(epsilon)
     chunk_size = math.ceil(eps * eps * n)
-    dynp = dyn_params or DynParams.desk(eps)
     g = Graph(n)
     stream = list(updates)
     if len(stream) % chunk_size:
@@ -660,7 +631,6 @@ def problem1_harness(
                 g,
                 eps,
                 backend,
-                dyn_params=dynp,
                 seed=seed + ci,
                 weak_g=provider_g,
                 weak_b=provider_b,
@@ -685,7 +655,6 @@ def problem1_harness(
         "n": n,
         "epsilon": eps,
         "chunk_size": chunk_size,
-        "profile": dynp.profile,
         "chunks": chunks,
         "total_violations": total_violations,
     }

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalConsistencyError
 from .graph import Arc, AltPath, Graph, Matching, augment_all, edge_key
-from .oracles import CountedOracle, OracleStats
+from .oracles import CountedOracle, OracleStats, counted
 from .params import Constants, PhaseParams, normalize_epsilon, scale_sequence
 from .structures import PhaseState, Structure
 
@@ -584,10 +584,10 @@ def boost(
     ``per_scale`` as ``replayed`` (see ``run_scales``).
     """
     eps = normalize_epsilon(epsilon)
-    counted = oracle if isinstance(oracle, CountedOracle) else CountedOracle(oracle)
+    oracle = counted(oracle)
     g.clear_removed()
-    m = initial_matching(g, counted)
+    m = initial_matching(g, oracle)
     m, per_scale = run_scales(
-        g, m, eps, constants or Constants(), OracleFinder(counted), counted.stats, hooks
+        g, m, eps, constants or Constants(), OracleFinder(oracle), oracle.stats, hooks
     )
-    return BoostResult(m, eps, counted.stats, per_scale)
+    return BoostResult(m, eps, oracle.stats, per_scale)

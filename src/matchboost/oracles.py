@@ -226,15 +226,15 @@ class WeakFromMatchingOracle:
         return sorted(edge_key(back[u], back[v]) for u, v in found.edges)
 
 
-def weak_from_exact(host: Host, lam: float = 1.0) -> WeakFromMatchingOracle:
-    return WeakFromMatchingOracle(host, ExactOracle(), lam)
+def weak_from_exact(host: Host) -> WeakFromMatchingOracle:
+    return WeakFromMatchingOracle(host, ExactOracle())
 
 
-def weak_from_greedy(host: Host, lam: float = 0.5) -> WeakFromMatchingOracle:
-    return WeakFromMatchingOracle(host, GreedyOracle(), lam)
+def weak_from_greedy(host: Host) -> WeakFromMatchingOracle:
+    return WeakFromMatchingOracle(host, GreedyOracle())
 
 
-def make_weak_backend(name: str, seed: int | None = None):
+def make_weak_backend(name: str):
     """Weak-oracle factory registry: weak-exact | weak-greedy.
 
     Returns a callable binding a host to a fresh weak oracle.
@@ -347,7 +347,9 @@ class CountedWeakOracle:
 
 
 def counted(oracle) -> CountedOracle | CountedWeakOracle:
-    """Wrap either oracle shape with call counting."""
+    """Wrap either oracle shape with call counting; a counted one is returned as is."""
+    if isinstance(oracle, (CountedOracle, CountedWeakOracle)):
+        return oracle
     if hasattr(oracle, "query"):
         return CountedWeakOracle(oracle)
     return CountedOracle(oracle)

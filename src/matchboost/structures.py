@@ -346,7 +346,9 @@ class PhaseState:
         The tail's root blossom must be the working vertex of its
         structure and the head an outer vertex of the same structure.
         Matched arcs inside the new blossom get label 0 in both
-        directions, and the blossom becomes the working vertex.
+        directions, and the blossom becomes the working vertex.  Only
+        its own cycle is reset: labels never rise, and a nested
+        blossom's matched arcs got label 0 when it was contracted.
         """
         u, v = g_arc
         s = self.structure_at(u)
@@ -363,7 +365,7 @@ class PhaseState:
         s.view.contract(children, b.id)
         s.blossom_ids.add(b.id)
         s.arcs.add(g_arc)
-        for arc in self.omega.defining_edges(b.id):
+        for arc in b.cycle_arcs:
             if self.mate[arc.tail] == arc.head:
                 self.labels[(arc.tail, arc.head)] = 0
                 self.labels[(arc.head, arc.tail)] = 0

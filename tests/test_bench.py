@@ -70,10 +70,6 @@ class TestExperimentConfig:
         with pytest.raises(PreconditionError, match="mode"):
             ExperimentConfig(mode="stream")
 
-    def test_bad_profile_rejected(self):
-        with pytest.raises(PreconditionError, match="profile"):
-            ExperimentConfig(profile="prod")
-
     def test_json_round_trip_includes_corpus(self):
         cfg = ExperimentConfig(
             mode="boost",

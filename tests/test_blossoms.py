@@ -47,7 +47,6 @@ class TestLaminarSet:
         assert omega.members_of(outer.id) == {0, 1, 2, 3, 4}
         # Child blossom keeps its identity but gains a parent.
         assert omega.blossoms[5].parent == outer.id
-        assert len(omega.defining_edges(outer.id)) == 6
 
     def test_dissolve(self):
         omega, mate, b = triangle_set()

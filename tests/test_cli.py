@@ -46,9 +46,9 @@ class TestArgHelpers:
         with pytest.raises(SystemExit):
             main(["boost", "--nope"])
 
-    @pytest.mark.parametrize("verb", ["boost", "verify"])
+    @pytest.mark.parametrize("verb", ["boost", "verify", "dynamic", "problem1"])
     def test_profile_is_a_dynamic_flag(self, verb):
-        # only the weak pipeline reads the profile
+        # no run verb takes a profile: the weak pipeline runs one parameter set
         with pytest.raises(SystemExit) as exc:
             main([verb, "--profile", "paper"])
         assert exc.value.code == 2

@@ -6,7 +6,6 @@ import json
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from matchboost.checks import InvariantHooks
 from matchboost.corpus import (
     format_update_stream,
     gen_er,
+    gen_path,
     gen_planted,
     gen_update_stream,
     standard_corpus,
@@ -236,22 +236,9 @@ class TestImplicitCover:
 class TestDynParams:
     def test_desk_profile(self):
         p = DynParams.desk(0.25)
-        assert p.profile == "desk"
         assert p.delta == 0.25**7
         assert p.i_caa == p.i_eap == 48
-        assert p.small_n_cutoff == 4
         assert (SampledFinder.patience, SAMPLE_PATIENCE) == (2, 12)
-
-    def test_paper_profile_exact_arithmetic(self):
-        p = DynParams.paper(0.25)
-        assert p.profile == "paper"
-        assert p.delta == float(Fraction(1, 4) ** 107)
-        assert p.i_caa == 2**213 + 1
-        assert p.i_eap == 2**199 + 1
-        assert p.small_n_cutoff == 4**300
-
-    def test_paper_profile_scales_with_lambda(self):
-        assert DynParams.paper(0.25, lam=0.5).i_caa == 2**214 + 1
 
 
 class TestSeedMatching:
@@ -439,11 +426,11 @@ class TestStaticFromWeak:
         res = static_from_weak(Graph(9), 0.25)
         assert res.fallback and len(res.matching) == 0
 
-    def test_paper_profile_forces_fallback(self):
-        g = gen_er(16, 0.3, seed=2)
-        res = static_from_weak(g, 0.25, dyn_params=DynParams.paper(0.25))
-        assert res.fallback
-        assert len(res.matching) == len(exact_mcm(g))
+    def test_size_cutoff_is_four_vertices(self):
+        at = static_from_weak(gen_path(4), 0.25)
+        assert at.fallback and at.weak_calls == 0
+        above = static_from_weak(gen_path(5), 0.25)
+        assert not above.fallback and above.weak_calls > 0
 
     def test_sparse_graph_warns_not_fails(self):
         g = Graph(50, [(0, 1)])

@@ -255,6 +255,14 @@ class TestCounting:
         g = Graph(4, [(0, 1)])
         assert isinstance(counted(GreedyOracle()), CountedOracle)
         assert isinstance(counted(weak_from_exact(g)), CountedWeakOracle)
+        # an oracle that already counts comes back as is
+        for c in (CountedOracle(GreedyOracle()), CountedWeakOracle(weak_from_exact(g))):
+            assert counted(c) is c
+        # wrapping one directly still counts at both levels
+        inner = CountedOracle(GreedyOracle())
+        outer = CountedOracle(inner)
+        outer.find(g)
+        assert inner.stats.calls == outer.stats.calls == 1
 
     def test_note_step_floors_at_one(self):
         st_ = OracleStats()
