@@ -464,14 +464,12 @@ def lift_full_path(
     mate: MateArray,
     blossom_ids: list[int],
     connectors: list[Arc],
-    end_target: int | None = None,
 ) -> list[int]:
     """Lift a contracted path to a full graph path.
 
     ``blossom_ids`` is the path in the contracted graph; ``connectors``
     give the exact graph arcs realizing each contracted arc.  Endpoints
     of the lifted path are the bases of the terminal blossoms (for an
-    augmenting path: the free vertices), unless ``end_target`` pins the
-    final vertex.
+    augmenting path: the free vertices).
     """
-    return _stitch_segments(omega, mate, blossom_ids, connectors, end_target=end_target)
+    return _stitch_segments(omega, mate, blossom_ids, connectors)

@@ -27,12 +27,12 @@ def active_arc_pairs(state: PhaseState) -> set[tuple[int, int]]:
     for s in state.live_structures():
         if s.working is None:
             continue
-        view = state.tree(s)
+        view = s.view
         for bid in view.path_to_root(s.working):
             arc = view.parent_arc.get(bid)
             if arc is None:
                 continue
-            a, b = state.root(arc.tail), state.root(arc.head)
+            a, b = state.omega.root(arc.tail), state.omega.root(arc.head)
             pairs.add((a, b))
             pairs.add((b, a))
     return pairs
@@ -219,13 +219,13 @@ def check_outer_outer_covered(state: PhaseState, ledger, context: str = "") -> l
     for u, v in sorted(state.g.edges):
         if state.g.removed[u] or state.g.removed[v]:
             continue
-        bu, bv = state.root(u), state.root(v)
+        bu, bv = state.omega.root(u), state.omega.root(v)
         if bu == bv:
             continue
         su, sv = state.structure_at(u), state.structure_at(v)
         if su is None or sv is None:
             continue
-        if state.tree(su).is_outer(bu) and state.tree(sv).is_outer(bv):
+        if su.view.is_outer(bu) and sv.view.is_outer(bv):
             if edge_key(u, v) not in ledger:
                 problems.append(
                     f"{context}: outer-outer edge ({u}, {v}) is not in the ledger"
@@ -303,7 +303,7 @@ def check_short_paths_covered(state: PhaseState, ledger, context: str = "") -> l
             continue
         covered = False
         for x, y in zip(path, path[1:]):
-            bx, by = state.root(x), state.root(y)
+            bx, by = state.omega.root(x), state.omega.root(y)
             if bx != by and (bx, by) in act_pairs:
                 covered = True
                 break
@@ -388,7 +388,7 @@ class InvariantHooks(TraceHooks):
         self.bundles_checked += 1
 
     def on_stage_end(self, state: PhaseState, stage: int) -> None:
-        arcs = build_h_prime_s(state, stage)[3]
+        arcs = build_h_prime_s(state, stage)[1]
         self.ledger_of(state).update(edge_key(x, y) for x, y in arcs)
 
     def on_augment_round_end(self, state: PhaseState) -> None:

@@ -29,10 +29,9 @@ from .engine import (
     ScaleStats,
     TraceHooks,
     backtrack_pass,  # unused
-    build_h_prime,
+    build_h_prime,  # unused
     build_h_prime_s,  # unused
     exhaust_type1,  # unused
-    find_type1_arc,
     run_scales,
     _head_eligible,
 )
@@ -44,7 +43,7 @@ from .graph import (
     augment_all,  # unused
     edge_key,
 )
-from .oracles import Host, OracleStats, counted, exact_mcm, make_weak_backend
+from .oracles import Host, OracleStats, counted, exact_mcm, make_weak_backend, require_shape
 from .params import Constants, PhaseParams, normalize_epsilon
 from .structures import PhaseState, Structure
 
@@ -352,32 +351,6 @@ def sampled_extend_active_path(
     return [(state.structure_of.get(p, -1), p, q - n) for p, q in sorted(res)]
 
 
-def _any_pending_work(state: PhaseState, params: PhaseParams) -> bool:
-    """Would a fresh pass bundle (cleared marks) still find an operation?
-
-    Exact: ignores the per-bundle marks except the size-based hold, so
-    a run never stops while an op is reachable.
-    """
-    for owner in sorted(state.dirty):
-        if find_type1_arc(state, state.structures[owner]) is not None:
-            return True
-    if build_h_prime(state)[1]:
-        return True
-    for s in state.live_structures():
-        if s.working is None or len(s.vertices) >= params.limit_h:
-            continue
-        stage = state.entry_label(s, s.working)
-        if stage > params.ell_max:
-            continue
-        for x in sorted(state.omega.members_of(s.working)):
-            for y in state.adj_sorted[x]:
-                if state.g.removed[y] or state.mate[x] == y:
-                    continue
-                if _head_eligible(state, y, stage):
-                    return True
-    return False
-
-
 class SampledFinder:
     """Finds batches by sampling one vertex per structure for weak queries.
 
@@ -387,10 +360,9 @@ class SampledFinder:
     work that exists, so ``SAMPLE_PATIENCE`` empty batches in a row end
     a loop, and the in-structure sweep consumes what a member scan finds
     before every sample.  A sampled phase without a path may have missed
-    one, so a scale stops after two such phases in a row, and a bundle
-    that changes nothing ends the phase only once no operation is
-    reachable.  The generator advances between phases, so no phase
-    repeats another and every scale runs.
+    one, so a scale stops after two such phases in a row.  The
+    generator advances between phases, so no phase repeats another and
+    every scale runs.
 
     ``unvisited`` lists, ascending, the phase's matched vertices that
     are in no structure and not removed.  It is the matched vertices at
@@ -436,9 +408,6 @@ class SampledFinder:
     def augment_batch(self, state: PhaseState, pairs, hooks=None) -> list[Arc]:
         return sampled_contract_and_augment(state, self.weak_g, self.dynp.delta, self.rng)
 
-    def pending_work(self, state: PhaseState, params: PhaseParams) -> bool:
-        return _any_pending_work(state, params)
-
 
 # -- full pipeline -----------------------------------------------------------------
 
@@ -478,6 +447,9 @@ def static_from_weak(
     sparse for the guarantee's density promise.
     """
     eps = normalize_epsilon(epsilon)
+    for role, weak in (("weak_g", weak_g), ("weak_b", weak_b)):
+        if weak is not None:
+            require_shape(weak, "weak", role)
     consts = constants or Constants()
     dynp = dyn_params or DynParams.desk(eps)
     if g.n <= SMALL_N_CUTOFF or g.m == 0:

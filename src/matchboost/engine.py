@@ -16,8 +16,9 @@ picks one batch of disjoint operations per iteration
 structure-pair graph or one bipartite layer graph per stage, and
 ``dynamic.SampledFinder`` a weak oracle on a sample.  The finder also
 caps the iterations, says how many empty batches in a row end a loop,
-may ``sweep`` a stage, and tells ``run_phase`` and ``run_scales`` its
-``patience``, ``pending_work`` and ``calls``.
+may ``sweep`` a stage, and tells ``run_scales`` its ``patience`` and
+``calls``.  When a phase is done is the engine's own test (see
+``run_phase``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalConsistencyError
 from .graph import Arc, AltPath, Graph, Matching, augment_all, edge_key
-from .oracles import CountedOracle, OracleStats, counted
+from .oracles import CountedOracle, OracleStats, counted, require_shape
 from .params import Constants, PhaseParams, normalize_epsilon, scale_sequence
 from .structures import PhaseState, Structure
 
@@ -75,10 +76,9 @@ def find_type1_arc(state: PhaseState, s: Structure) -> Arc | None:
 def build_h_prime(state: PhaseState):
     """Structure-pair graph: one edge per pair joined by an outer-outer arc.
 
-    Returns ``(owners, pairs)`` where ``owners`` lists all live
-    structures and ``pairs`` maps each joined ``(owner_a, owner_b)``
-    (a < b) to its lexicographically smallest witness arc, which runs
-    from ``owner_a``'s structure to ``owner_b``'s.  Only the arcs out of
+    Returns a dict that maps each joined ``(owner_a, owner_b)`` (a < b)
+    to its lexicographically smallest witness arc, which runs from
+    ``owner_a``'s structure to ``owner_b``'s.  Only the arcs out of
     ``state.fresh`` are scanned, since every type-2 arc has an endpoint
     there.  Fresh vertices that are no longer outer in a live structure
     leave it, and it is cleared when no pair is found.
@@ -114,7 +114,7 @@ def build_h_prime(state: PhaseState):
         fresh.difference_update(stale)
     else:
         fresh.clear()
-    return sorted(structures), pairs
+    return pairs
 
 
 def _head_eligible(state: PhaseState, y: int, stage: int) -> bool:
@@ -136,11 +136,10 @@ def build_h_prime_s(state: PhaseState, stage: int):
     are neither on hold nor already extended, read from
     ``state.ready_at(stage)``.  Right: inner or unvisited matched
     vertices whose downward label exceeds ``stage + 1`` and that have at
-    least one candidate arc from the left.  Returns ``(left_owners,
-    right_heads, pairs, arcs)`` with one witness arc per (owner, head)
-    pair and the full candidate arc list, which the contamination
-    ledger reads.  Heads are found by walking out of the left side, each
-    tested once per call.
+    least one candidate arc from the left.  Returns ``(pairs, arcs)``:
+    one witness arc per (owner, head) pair, and the full candidate arc
+    list, which the contamination ledger reads.  Heads are found by
+    walking out of the left side, each tested once per call.
     """
     left = state.ready_at(stage)
     removed, mate = state.g.removed, state.mate
@@ -161,8 +160,7 @@ def build_h_prime_s(state: PhaseState, stage: int):
                 arcs.append(arc)
                 # x ascends, so an owner's first arc to a head is its smallest
                 pairs.setdefault((s.owner, y), arc)
-    right = sorted({y for _, y in pairs})
-    return [s.owner for s in left], right, pairs, arcs
+    return pairs, arcs
 
 
 def _aux_graph_pairs(pairs) -> tuple[Graph, list[int]]:
@@ -300,7 +298,7 @@ def extend_active_path(
             changed |= finder.sweep(state, stage)
             fruitless = 0
             for _ in range(iterations):
-                _, _, pairs, _ = build_h_prime_s(state, stage)
+                pairs, _ = build_h_prime_s(state, stage)
                 if not pairs or fruitless >= finder.fruitless_limit:
                     break
                 batch = finder.extension_batch(state, stage, pairs, hooks)
@@ -328,12 +326,15 @@ def contract_and_augment(
 
     Runs while the structure-pair graph has an edge, for at most the
     finder's augment iterations, until ``finder.fruitless_limit`` empty
-    batches in a row.
+    batches in a row.  ``state.pairs_left`` records whether its last
+    build still had an edge, which ``run_phase``'s fixpoint test reads;
+    with no iteration there is no build, and no bundle acts on a pair.
     """
     changed = exhaust_type1(state, stats)
     fruitless = 0
+    pairs = {}
     for _ in range(finder.iterations(params)[1]):
-        _, pairs = build_h_prime(state)
+        pairs = build_h_prime(state)
         if not pairs or fruitless >= finder.fruitless_limit:
             break
         arcs = finder.augment_batch(state, pairs, hooks)
@@ -343,6 +344,7 @@ def contract_and_augment(
             fruitless = 0
         else:
             fruitless += 1
+    state.pairs_left = bool(pairs)
     if hooks:
         hooks.on_augment_round_end(state)
     return changed
@@ -369,11 +371,10 @@ class OracleFinder:
     The oracle sees only the auxiliary graphs, and a batch is never
     empty: ``CountedOracle`` rejects an empty answer on a graph with an
     edge.  A deterministic oracle on unchanged input repeats a phase
-    verbatim, so a scale stops after its first phase without a path,
-    and a bundle that changes nothing leaves no work behind.  The same
-    argument reaches across scales: a settled phase without a path (see
-    ``run_scales``) is what the first phase of every smaller scale
-    would be.
+    verbatim, so a scale stops after its first phase without a path.
+    The same argument reaches across scales: a settled phase without a
+    path (see ``run_scales``) is what the first phase of every smaller
+    scale would be.
     """
 
     patience = 1
@@ -424,9 +425,6 @@ class OracleFinder:
         )
         return [pairs[key] for key in keys]
 
-    def pending_work(self, state: PhaseState, params: PhaseParams) -> bool:
-        return False
-
 
 def run_phase(
     g: Graph,
@@ -441,11 +439,21 @@ def run_phase(
     ``finder`` supplies the batches of each pass bundle (an
     ``OracleFinder`` or ``dynamic.SampledFinder``).  The graph's removal
     flags are left set on return; the caller clears them after applying
-    the paths.  A pass bundle that changes nothing and after which the
-    finder sees no pending work is a fixpoint, so the bundle loop stops
-    there early; the outcome is the same as running all ``tau_max``
-    bundles.  ``state.settled`` records a stop there with no structure
-    put on hold in any bundle.
+    the paths.
+
+    A pass bundle is a fixpoint, and the bundle loop stops there with
+    the outcome of all ``tau_max`` bundles, when it changed nothing,
+    backtracking moved nothing, and its last contract-and-augment loop
+    did not stop with the structure-pair graph still holding an edge
+    (``state.pairs_left``).  No operation is then left: a structure
+    neither modified (a change) nor on hold is backtracked, so every
+    structure with a working vertex is on hold and has no type-3 arc;
+    ``exhaust_type1`` emptied ``state.dirty``, which only an operation
+    or a move refills; and nothing changed since the last, empty,
+    pair-graph build.  An oracle batch on a graph with an edge is never
+    empty, so with an oracle no pair is left once nothing changed.
+    ``state.settled`` records a stop there with no structure put on
+    hold in any bundle.
     """
     stats = stats if stats is not None else OracleStats()
     state = PhaseState(g, m, params)
@@ -468,7 +476,7 @@ def run_phase(
         moved = backtrack_pass(state, stats)
         if hooks:
             hooks.on_bundle_end(state, tau)
-        if not changed and not moved and not finder.pending_work(state, params):
+        if not changed and not moved and not state.pairs_left:
             state.settled = not state.held
             break
     if hooks:
@@ -584,6 +592,7 @@ def boost(
     ``per_scale`` as ``replayed`` (see ``run_scales``).
     """
     eps = normalize_epsilon(epsilon)
+    require_shape(oracle, "matching", "boost's oracle")
     oracle = counted(oracle)
     g.clear_removed()
     m = initial_matching(g, oracle)

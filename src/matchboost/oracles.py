@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
-from .errors import OracleContractError
+from .errors import OracleContractError, PreconditionError
 from .graph import Edge, Graph, Matching, edge_key
 
 
@@ -208,14 +208,14 @@ class WeakFromMatchingOracle:
 
     Bound to a host.  ``query(s, delta)`` runs the inner oracle on
     ``host[s]`` and reports None when the found matching is smaller than
-    ``lam * delta * n``.  With an exact inner oracle ``lam = 1`` is
-    sound; with a c-approximate one ``lam = 1/c``.
+    ``lam * delta * n``, with ``lam = 1/c`` for a c-approximate inner
+    oracle.
     """
 
-    def __init__(self, host: Host, inner, lam: float | None = None):
+    def __init__(self, host: Host, inner):
         self.host = host
         self.inner = inner
-        self.lam = (1.0 / inner.c) if lam is None else lam
+        self.lam = 1.0 / inner.c
 
     def query(self, s: set[int], delta: float) -> list[Edge] | None:
         sub, back = self.host.induced(s)
@@ -312,9 +312,9 @@ class CountedOracle:
     Every answer is checked by :func:`check_answer` before it is counted.
     """
 
-    def __init__(self, inner, stats: OracleStats | None = None):
+    def __init__(self, inner):
         self.inner = inner
-        self.stats = stats or OracleStats()
+        self.stats = OracleStats()
         self.c = inner.c
 
     def find(self, g: Graph) -> Matching:
@@ -330,9 +330,9 @@ class CountedOracle:
 class CountedWeakOracle:
     """Counting wrapper for weak oracles; exposes the same query shape."""
 
-    def __init__(self, inner, stats: OracleStats | None = None):
+    def __init__(self, inner):
         self.inner = inner
-        self.stats = stats or OracleStats()
+        self.stats = OracleStats()
         self.lam = inner.lam
 
     def query(self, s: set[int], delta: float) -> list[Edge] | None:
@@ -344,6 +344,20 @@ class CountedWeakOracle:
         else:
             self.stats.per_call_sizes.append(len(out))
         return out
+
+
+# The members of each oracle shape.
+SHAPES = {"matching": ("find", "c"), "weak": ("query", "lam")}
+
+
+def require_shape(oracle, shape: str, role: str) -> None:
+    """Raise :class:`PreconditionError` unless ``oracle`` has the members of ``shape``."""
+    members = SHAPES[shape]
+    if not all(hasattr(oracle, name) for name in members):
+        raise PreconditionError(
+            f"{role} must be a {shape} oracle with {' and '.join(members)}, "
+            f"got {type(oracle).__name__}"
+        )
 
 
 def counted(oracle) -> CountedOracle | CountedWeakOracle:

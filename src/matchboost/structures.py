@@ -91,9 +91,9 @@ class PhaseState:
     and add to ``fresh`` as above, and ``mark_for_pass_bundle``
     rebuilds ``ready`` with the new marks.
 
-    Each structure's tree, read through :meth:`tree`, is kept current
-    the same way: every basic operation edits the trees it changes in
-    place, and no tree is ever rebuilt.  An unvisited overtake hangs
+    Each structure's tree, ``Structure.view``, is kept current the same
+    way: every basic operation edits the trees it changes in place, and
+    no tree is ever rebuilt.  An unvisited overtake hangs
     the head and its mate under the working vertex; a same-structure
     overtake moves the head's subtree under the working vertex; a cross
     overtake moves it out of the donor's tree into the taker's and
@@ -103,8 +103,10 @@ class PhaseState:
     root, and re-hangs the cycle's other children under it.  An
     augmentation drops both structures, trees and all.
 
-    Two flags describe the phase as a whole: ``held`` says whether
-    ``mark_for_pass_bundle`` has put any structure on hold, and
+    Three flags describe the phase as a whole: ``held`` says whether
+    ``mark_for_pass_bundle`` has put any structure on hold;
+    ``pairs_left``, set by ``engine.contract_and_augment``, whether its
+    last loop stopped with a structure pair still joined; and
     ``settled``, set by ``engine.run_phase``, whether the bundle loop
     stopped at its fixpoint with ``held`` still false.
     """
@@ -125,6 +127,7 @@ class PhaseState:
         self.ready: dict[int, set[int]] = {}
         self.dirty: set[int] = set()
         self.held = False
+        self.pairs_left = False
         self.settled = False
         for u, v in m.edges:
             self.labels[(u, v)] = params.ell_max + 1
@@ -211,13 +214,6 @@ class PhaseState:
     def structure_at(self, v: int) -> Structure | None:
         owner = self.structure_of.get(v)
         return None if owner is None else self.structures[owner]
-
-    def root(self, v: int) -> int:
-        return self.omega.root(v)
-
-    def tree(self, s: Structure) -> TreeView:
-        """The alternating tree of ``s``, kept current by the operations."""
-        return s.view
 
     def mark_for_pass_bundle(self) -> None:
         """Reset marks; large structures go on hold for the bundle.

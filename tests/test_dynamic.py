@@ -28,7 +28,6 @@ from matchboost.dynamic import (
     DynParams,
     ValidatingWeakProvider,
     _in_structure_sweep,
-    _any_pending_work,
     _sample_one,
     _unit_draws,
     dyn_initial_matching,
@@ -299,15 +298,6 @@ class TestSampling:
         assert Arc(2, 5) in s.arcs and Arc(4, 5) not in s.arcs
         assert not _in_structure_sweep(state, 1)
 
-    def test_pending_work_scan(self):
-        state = path6_state()
-        assert _any_pending_work(state, state.params)
-        state.op_overtake(Arc(0, 1), Arc(1, 2), 1)
-        state.op_overtake(Arc(2, 3), Arc(3, 4), 2)
-        assert _any_pending_work(state, state.params)  # the (4, 5) augment
-        state.op_augment(Arc(4, 5))
-        assert not _any_pending_work(state, state.params)
-
     def test_sampled_augment_on_isolated_pairs(self):
         g = Graph(4, [(0, 1), (2, 3)])
         state = PhaseState(g, Matching(4), quarter_params())
@@ -414,6 +404,11 @@ class TestStaticFromWeak:
         mu = len(exact_mcm(g))
         res = static_from_weak(g, 0.25, "weak-greedy", seed=2)
         assert len(res.matching) >= math.ceil(mu / 1.25)
+
+    @pytest.mark.parametrize("role", ["weak_g", "weak_b"])
+    def test_a_matching_oracle_is_rejected_at_entry(self, role):
+        with pytest.raises(PreconditionError, match="weak oracle with query and lam"):
+            static_from_weak(gen_path(8), 0.25, **{role: GreedyOracle()})
 
     def test_small_graph_falls_back(self):
         g = Graph(4, [(0, 1), (2, 3)])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from matchboost.engine import (
     run_phase,
     run_scales,
 )
+from matchboost.errors import PreconditionError
 from matchboost.graph import AltPath, Arc, Graph, Matching, augment_all, is_matching
 from matchboost.oracles import (
     AdversarialOracle,
@@ -98,9 +100,7 @@ class TestAuxBuilders:
     def test_layer_graph_fresh_path(self):
         g, m = path6()
         state = PhaseState(g, m, quarter_params())
-        left, right, pairs, arcs = build_h_prime_s(state, 0)
-        assert left == [0, 5]
-        assert right == [1, 4]
+        pairs, arcs = build_h_prime_s(state, 0)
         assert pairs == {(0, 1): Arc(0, 1), (5, 4): Arc(5, 4)}
         assert arcs == [Arc(0, 1), Arc(5, 4)]
 
@@ -114,35 +114,28 @@ class TestAuxBuilders:
         state = PhaseState(g, m, quarter_params())
         assert _head_eligible(state, 2, 0) and _head_eligible(state, 3, 0)
         assert state.edgeless == [6] and 6 not in state.structure_of
-        left, right, pairs, _ = build_h_prime_s(state, 0)
-        assert left == [0, 5]
-        assert right == [1, 4]
+        pairs, _ = build_h_prime_s(state, 0)
         aux, nodes = _aux_graph_bipartite(pairs)
         assert nodes == [("L", 0), ("L", 5), ("R", 1), ("R", 4)]
         assert sorted(aux.edges) == [(0, 2), (1, 3)]
         state.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         state.op_overtake(Arc(5, 4), Arc(4, 3), 1)
-        owners, pairs = build_h_prime(state)
-        assert owners == [0, 5]
-        aux, owners = _aux_graph_pairs(pairs)
+        aux, owners = _aux_graph_pairs(build_h_prime(state))
         assert owners == [0, 5]
         assert sorted(aux.edges) == [(0, 1)]
 
     def test_layer_graph_empty_without_tails(self):
         g, m = path6()
         state = PhaseState(g, m, quarter_params())
-        assert build_h_prime_s(state, 1) == ([], [], {}, [])
+        assert build_h_prime_s(state, 1) == ({}, [])
 
     def test_pair_graph_after_growth(self):
         g, m = path6()
         state = PhaseState(g, m, quarter_params())
-        owners, pairs = build_h_prime(state)
-        assert owners == [0, 5]
-        assert pairs == {}
+        assert build_h_prime(state) == {}
         state.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         state.op_overtake(Arc(5, 4), Arc(4, 3), 1)
-        _, pairs = build_h_prime(state)
-        assert pairs == {(0, 5): Arc(2, 3)}
+        assert build_h_prime(state) == {(0, 5): Arc(2, 3)}
 
     def test_type1_detection_and_exhaust(self):
         g, m = triangle_tail()
@@ -153,7 +146,7 @@ class TestAuxBuilders:
         assert find_type1_arc(state, s) == Arc(2, 0)
         stats = OracleStats()
         assert exhaust_type1(state, stats)
-        assert state.root(0) == state.root(2) == 5
+        assert state.omega.root(0) == state.omega.root(2) == 5
         assert find_type1_arc(state, s) is None
         assert stats.processing_steps == [3]
 
@@ -189,8 +182,8 @@ class TestRunPhase:
 
     def test_stats_instance_reused(self):
         g, m = path6()
-        stats = OracleStats()
-        oracle = CountedOracle(ExactOracle(), stats)
+        oracle = CountedOracle(ExactOracle())
+        stats = oracle.stats
         run_phase(g, m, quarter_params(), OracleFinder(oracle), stats)
         assert stats.calls > 0
         assert len(stats.per_call_sizes) == stats.calls
@@ -238,8 +231,12 @@ class TestStageEnds:
         assert 0 < sum(map(len, rec.built)) < sum(map(len, rec.ended))
 
 
-def idle(finder_cls):
-    """A finder of ``finder_cls``'s patience that never finds an operation."""
+def idle(finder_cls, iterations=(0, 0)):
+    """A finder of ``finder_cls``'s patience that never finds an operation.
+
+    With ``iterations`` above zero it is asked for batches and returns
+    empty ones, so every structure pair stays joined.
+    """
 
     class Idle(finder_cls):
         calls = 0
@@ -251,13 +248,16 @@ def idle(finder_cls):
             pass
 
         def iterations(self, params):
-            return 0, 0
+            return iterations
 
         def sweep(self, state, stage):
             return False
 
-        def pending_work(self, state, params):
-            return False
+        def extension_batch(self, state, stage, pairs, hooks=None):
+            return []
+
+        def augment_batch(self, state, pairs, hooks=None):
+            return []
 
     return Idle()
 
@@ -381,6 +381,41 @@ class TestBoost:
         assert len(res.per_scale) == len(scale_sequence(0.25, consts))
         assert len(res.per_scale) < len(scale_sequence(0.25))
 
+    def test_a_weak_oracle_is_rejected_at_entry(self):
+        g = gen_path(6)
+        with pytest.raises(PreconditionError, match="matching oracle with find and c"):
+            boost(g, 0.25, weak_from_exact(g))
+
+
+class ApproxAudit:
+    """A matching oracle that checks each of ``inner``'s answers against ``exact_mcm``.
+
+    Every answer on a graph of at most 64 vertices, auxiliary or seed,
+    must hold at least mu/c edges.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.c = inner.c
+        self.checked = 0
+
+    def find(self, g: Graph) -> Matching:
+        m = self.inner.find(g)
+        if g.n <= 64:
+            mu = len(exact_mcm(g))
+            assert len(m) * self.c >= mu, f"{len(m)} edges, mu = {mu}, c = {self.c}"
+            self.checked += 1
+        return m
+
+
+class TestOracleApproximation:
+    @pytest.mark.parametrize("spec", ["greedy", "adversarial:2", "adversarial:3"])
+    def test_every_answer_holds_mu_over_c(self, spec):
+        for _, g in standard_corpus(12, 16, 64, seed=5):
+            audit = ApproxAudit(make_oracle(spec, seed=1))
+            res = boost(g, 0.25, audit)
+            assert audit.checked == res.oracle_calls > 0
+
 
 class TestStopRule:
     """A settled phase without a path ends ``boost``'s scale loop, and only such a phase."""
@@ -433,6 +468,15 @@ class TestStopRule:
         assert not res.per_scale[1].replayed and second.h == 0.25
         assert first.bundles < second.bundles < second.tau_max
 
+    def test_no_iterations_settle_the_first_phase(self):
+        # with no simulation iteration no pair is ever acted on, so the
+        # first bundle is a fixpoint and every smaller scale replays it
+        consts = Constants(iter_coeff=0)
+        res = boost(gen_er(40, 0.1, seed=3), 0.25, make_oracle("adversarial:3"), constants=consts)
+        first, *rest = res.per_scale
+        assert first.h == 0.5 and first.phases_run == 1 and not first.replayed
+        assert rest and all(sc.replayed for sc in rest)
+
 
 @st.composite
 def er_graphs(draw):
@@ -450,6 +494,61 @@ class TestBoostProperties:
         res = boost(g, 0.25, make_oracle(spec, seed=1))
         assert is_matching(g, res.matching)
         assert len(res.matching) >= approx_floor(mu, 0.25)
+
+
+class LeftoverAudit(TraceHooks):
+    """A phase whose bundle loop stops before ``tau_max`` leaves no operation behind."""
+
+    def __init__(self):
+        self.bundles = 0
+        self.early = 0
+
+    def on_phase_start(self, params, scale, phase):
+        self.bundles = 0
+
+    def on_bundle_start(self, state, tau):
+        self.bundles += 1
+
+    def on_phase_end(self, state):
+        if self.bundles == state.params.tau_max:
+            return
+        assert [arc for arc in sorted(state.g.arcs()) if state.classify(*arc)] == []
+        self.early += 1
+
+
+PIPELINES = ["greedy", "exact", "adversarial:2", "weak-exact", "weak-greedy"]
+
+
+def _run_pipeline(g: Graph, eps: float, spec: str, hooks: TraceHooks) -> None:
+    """``boost`` with a matching oracle, or ``static_from_weak`` with a weak backend."""
+    if spec.startswith("weak"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            static_from_weak(g, eps, spec, seed=1, hooks=hooks)
+    else:
+        boost(g, eps, make_oracle(spec, seed=1), hooks=hooks)
+
+
+class TestFixpoint:
+    def test_a_pair_left_joined_keeps_the_bundles_running(self):
+        # the free edge (0, 1) joins two structures in every bundle
+        params, audit = quarter_params(), LeftoverAudit()
+        finder = idle(OracleFinder, iterations=(1, 1))
+        paths, state = run_phase(Graph(2, [(0, 1)]), Matching(2), params, finder, hooks=audit)
+        assert paths == [] and state.pairs_left and not state.settled
+        assert audit.bundles == params.tau_max and audit.early == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(er_graphs(), st.sampled_from([0.25, 0.125]), st.sampled_from(PIPELINES))
+    def test_a_phase_that_stops_early_leaves_no_operation(self, g, eps, spec):
+        _run_pipeline(g, eps, spec, LeftoverAudit())
+
+    @pytest.mark.parametrize("spec", PIPELINES)
+    def test_the_audit_sees_early_stops(self, spec):
+        audit = LeftoverAudit()
+        for _, g in standard_corpus(10, 8, 40, seed=2026):
+            _run_pipeline(g, 0.25, spec, audit)
+        assert audit.early > 0
 
 
 def _eligible_owners(state: PhaseState, stage: int) -> list[int]:
@@ -527,16 +626,14 @@ class BuilderAudit(TraceHooks):
             a, b = state.structure_of[x], state.structure_of[y]
             if a < b and (a, b) not in want_pairs:
                 want_pairs[(a, b)] = Arc(x, y)
-        assert build_h_prime(state) == (sorted(state.structures), want_pairs)
+        assert build_h_prime(state) == want_pairs
         for stage in range(state.params.ell_max + 1):
             owners = _eligible_owners(state, stage)
             want_arcs = [a for a in by_type[3] if state.structure_of[a.tail] in owners]
             want_layer: dict[tuple[int, int], Arc] = {}
             for x, y in want_arcs:
                 want_layer.setdefault((state.structure_of[x], y), Arc(x, y))
-            left, right, pairs, arcs = build_h_prime_s(state, stage)
-            assert left == owners
-            assert right == sorted({y for _, y in want_layer})
+            pairs, arcs = build_h_prime_s(state, stage)
             assert pairs == want_layer
             assert sorted(arcs) == want_arcs and len(set(arcs)) == len(arcs)
             self.nonempty[3] += bool(pairs)

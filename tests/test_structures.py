@@ -188,7 +188,7 @@ class TestOvertake:
         assert st.labels[(1, 2)] == 1
         assert st.labels[(2, 1)] == st.params.ell_max + 1
         assert st.structure_of[1] == 0 and st.structure_of[2] == 0
-        view = st.tree(s)
+        view = s.view
         assert view.depth == {0: 0, 1: 1, 2: 2}
         assert st.entry_label(s, 2) == 1
 
@@ -243,7 +243,7 @@ class TestOvertake:
         assert s.working == 1
         assert Arc(3, 2) not in s.arcs
         assert Arc(9, 2) in s.arcs
-        view = st.tree(s)
+        view = s.view
         assert view.parent[2] == 9
         assert view.depth[1] == 6
 
@@ -304,12 +304,12 @@ class TestContract:
         st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         bid = st.op_contract(Arc(2, 0))
         assert bid == 5
-        assert st.root(0) == st.root(1) == st.root(2) == bid
+        assert st.omega.root(0) == st.omega.root(1) == st.omega.root(2) == bid
         assert st.omega.members_of(bid) == {0, 1, 2}
         assert s.working == bid
         assert bid in s.blossom_ids
         assert st.labels[(1, 2)] == 0 and st.labels[(2, 1)] == 0
-        assert st.tree(s).depth == {bid: 0}
+        assert s.view.depth == {bid: 0}
 
     def test_contract_requires_same_structure(self):
         g, m = triangle_tail()
@@ -360,7 +360,7 @@ class TestKeptTrees:
         backtrack(st, 1)
         assert_kept(st)
         bid = st.op_contract(Arc(2, 0))
-        view = st.tree(s)
+        view = s.view
         assert view.root == bid == s.working
         assert view.parent == {5: bid, 6: 5, 3: bid, 4: 3}
         assert view.parent_arc[5] == Arc(0, 5) and view.parent_arc[3] == Arc(2, 3)
@@ -385,9 +385,9 @@ class TestKeptTrees:
         st.op_overtake(Arc(2, 5), Arc(5, 6), 2)
         st.op_overtake(Arc(6, 9), Arc(9, 10), 3)
         backtrack(st, 1)
-        assert st.tree(s).depth[8] == st.tree(s).depth[10] == 6
+        assert s.view.depth[8] == s.view.depth[10] == 6
         bid = st.op_contract(Arc(6, 4))
-        view = st.tree(s)
+        view = s.view
         assert view.root == 0
         assert view.parent == {1: 0, bid: 1, 7: bid, 8: 7, 9: bid, 10: 9}
         assert view.parent_arc[bid] == Arc(1, 2)
@@ -407,7 +407,7 @@ class TestKeptTrees:
         st.mark_for_pass_bundle()
         st.op_overtake(Arc(0, 2), Arc(2, 1), 1)
         assert s0.working == 1 and s5.working == 3
-        taker, donor = st.tree(s0), st.tree(s5)
+        taker, donor = s0.view, s5.view
         assert taker.parent == {2: 0, 1: 2} and taker.depth == {0: 0, 2: 1, 1: 2}
         assert taker.parent_arc == {2: Arc(0, 2), 1: Arc(2, 1)}
         assert child_sets(taker) == {0: {2}, 2: {1}}
@@ -432,7 +432,7 @@ class TestKeptTrees:
         before = {name: sys.getsizeof(getattr(s0.view, name)) for name in names}
         st.op_overtake(Arc(21, 1), Arc(1, 2), 0)
         assert s21.working == 20 and s0.working == 0
-        assert st.tree(s0).depth == {0: 0} and st.tree(s21).depth[20] == 20
+        assert s0.view.depth == {0: 0} and s21.view.depth[20] == 20
         for name in names:
             assert sys.getsizeof(getattr(s0.view, name)) < before[name], name
         assert_kept(st)
@@ -452,7 +452,7 @@ class TestKeptTrees:
         assert s.working == 0
         st.op_overtake(Arc(0, 5), Arc(5, 6), 1)
         assert s.working == 6 and Arc(4, 5) not in s.arcs
-        view = st.tree(s)
+        view = s.view
         assert view.parent == {1: 0, 2: 1, 3: 2, 4: 3, 5: 0, 6: 5, 7: 6, 8: 7}
         assert view.parent_arc[5] == Arc(0, 5)
         assert view.depth == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 1, 6: 2, 7: 3, 8: 4}
@@ -639,11 +639,11 @@ class TestIndexes:
         st = PhaseState(g, m, params())
         st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         # (1, 3) leaves an inner vertex, so no pair yet
-        assert build_h_prime(st) == ([0, 3], {}) and st.fresh == set()
+        assert build_h_prime(st) == {} and st.fresh == set()
         st.op_contract(Arc(2, 0))
         # the inner vertex 1 turns outer, and (1, 3) joins two structures
         assert st.fresh == {0, 1, 2}
-        assert build_h_prime(st) == ([0, 3], {(0, 3): Arc(1, 3)})
+        assert build_h_prime(st) == {(0, 3): Arc(1, 3)}
 
     def test_cross_overtake_adds_the_moved_vertices(self):
         g, m = branched()
@@ -653,11 +653,11 @@ class TestIndexes:
         st.op_overtake(Arc(3, 2), Arc(2, 1), 2)
         st.mark_for_pass_bundle()
         # (1, 5) lies inside one structure
-        assert build_h_prime(st)[1] == {} and st.fresh == set()
+        assert build_h_prime(st) == {} and st.fresh == set()
         st.op_overtake(Arc(0, 2), Arc(2, 1), 1)
         # 1 and 2 move to 0's structure, so (1, 5) joins two structures
         assert st.fresh == {1, 2}
-        assert build_h_prime(st)[1] == {(0, 5): Arc(1, 5)}
+        assert build_h_prime(st) == {(0, 5): Arc(1, 5)}
 
     def test_same_overtake_backtrack_and_marks_add_nothing(self):
         g, m = branched()
@@ -682,7 +682,7 @@ class TestIndexes:
         assert st.fresh == {2, 3}
         st.op_augment(Arc(2, 3))
         assert st.fresh == {2, 3}
-        assert build_h_prime(st) == ([], {})
+        assert build_h_prime(st) == {}
         assert st.fresh == set()
 
     def test_a_nonempty_build_keeps_fresh_but_drops_stale_vertices(self):
@@ -691,6 +691,6 @@ class TestIndexes:
         st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
         st.fresh.add(1)  # inner: no type-2 arc can leave it
-        assert build_h_prime(st) == ([0, 5], {(0, 5): Arc(2, 3)})
+        assert build_h_prime(st) == {(0, 5): Arc(2, 3)}
         assert st.fresh == {2, 3}
 
