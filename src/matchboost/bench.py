@@ -184,12 +184,8 @@ def _run_dynamic_trial(g: Graph, eps: float, config: ExperimentConfig, trial: in
         g, eps, config.oracle, seed=config.seed * 1_000_003 + trial,
         constants=Constants().with_overrides(dict(config.constants)),
     )
-    stats = OracleStats()
-    stats.calls = res.stats_g.weak_calls + res.stats_b.weak_calls
-    stats.processing_steps = (
-        res.stats_g.processing_steps + res.stats_b.processing_steps
-    )
-    stats.weak_calls = res.weak_calls
+    stats = OracleStats(calls=res.weak_calls, weak_calls=res.weak_calls)
+    stats.processing_steps = res.stats_g.processing_steps
     return res.matching, stats, [asdict(s) for s in res.per_scale]
 
 

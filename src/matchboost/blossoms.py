@@ -35,7 +35,7 @@ class LaminarBlossomSet:
     ``root_of[v]`` is the id of the maximal (root) blossom containing
     ``v``; it is updated eagerly on contraction, which doubles as a
     fully-compressed union-find.  The explicit parent links form the
-    laminar forest used for dissolution and lifting.
+    laminar forest.
     """
 
     def __init__(self, n: int):
@@ -105,30 +105,6 @@ class LaminarBlossomSet:
         for v in members:
             self.root_of[v] = b.id
         return b
-
-    def dissolve(self, bids: set[int]) -> None:
-        """Drop the given non-trivial blossoms; their vertices go trivial."""
-        touched: set[int] = set()
-        for bid in bids:
-            if bid in self.blossoms:
-                touched |= self.blossoms[bid].members
-                del self.blossoms[bid]
-        for v in touched:
-            self.root_of[v] = v
-
-    def descendants(self, bid: int) -> set[int]:
-        """The blossom id itself plus all nested non-trivial blossom ids."""
-        if self.is_trivial(bid):
-            return {bid}
-        out = {bid}
-        stack = [bid]
-        while stack:
-            cur = stack.pop()
-            for cid in self.blossoms[cur].children:
-                if not self.is_trivial(cid):
-                    out.add(cid)
-                    stack.append(cid)
-        return out
 
 
 def validate_blossom(omega: LaminarBlossomSet, bid: int, mate: MateArray) -> None:

@@ -104,14 +104,14 @@ def _check_one_structure(state: PhaseState, s: Structure, problems: list[str]) -
     tag = f"structure {s.owner}"
     if state.mate[s.owner] is not None:
         problems.append(f"{tag}: owner is matched")
-    if state.g.removed[s.owner]:
+    if state.removed[s.owner]:
         problems.append(f"{tag}: owner is removed")
     if s.owner not in s.vertices:
         problems.append(f"{tag}: owner not among its vertices")
     for v in s.vertices:
         if state.structure_of.get(v) != s.owner:
             problems.append(f"{tag}: vertex {v} not registered to it")
-        if state.g.removed[v]:
+        if state.removed[v]:
             problems.append(f"{tag}: contains removed vertex {v}")
         w = state.mate[v]
         if w is not None and w not in s.vertices:
@@ -194,16 +194,16 @@ def check_state(
     for arc, lab in state.labels.items():
         if not 0 <= lab <= state.params.ell_max + 1:
             problems.append(f"label of {arc} out of range: {lab}")
-    # Only overtakes and contractions lower a label, and both put the
+    # Only overtakes and contractions store a label, and both put the
     # vertex into a structure, which it leaves only by being removed.
     top = state.params.ell_max + 1
     for u, v in sorted(state.m.edges):
-        if state.g.removed[u] or u in state.structure_of or v in state.structure_of:
+        if state.removed[u] or u in state.structure_of or v in state.structure_of:
             continue
-        if state.labels[(u, v)] != top or state.labels[(v, u)] != top:
+        if (u, v) in state.labels or (v, u) in state.labels:
             problems.append(
                 f"unvisited matched edge ({u}, {v}) has labels "
-                f"{state.labels[(u, v)]}/{state.labels[(v, u)]}, not {top}"
+                f"{state.label((u, v))}/{state.label((v, u))}, not {top}"
             )
     if context:
         problems = [f"{context}: {p}" for p in problems]
@@ -217,7 +217,7 @@ def check_outer_outer_covered(state: PhaseState, ledger, context: str = "") -> l
     """
     problems = []
     for u, v in sorted(state.g.edges):
-        if state.g.removed[u] or state.g.removed[v]:
+        if state.removed[u] or state.removed[v]:
             continue
         bu, bv = state.omega.root(u), state.omega.root(v)
         if bu == bv:
@@ -258,14 +258,15 @@ def check_no_actionable_arcs(state: PhaseState, ledger, context: str = "") -> li
 # -- short augmenting path audit ---------------------------------------------------
 
 
-def enumerate_short_augmenting_paths(g: Graph, mate, max_arcs: int):
+def enumerate_short_augmenting_paths(g: Graph, mate, max_arcs: int, removed=None):
     """Yield augmenting paths with at most ``max_arcs`` arcs, each once.
 
-    Paths are vertex sequences; each undirected path is produced for
-    exactly one orientation (smaller endpoint first).  Intended for
-    small graphs; the search is a pruned alternating DFS.
+    Paths are vertex sequences, each undirected one in one orientation
+    (smaller endpoint first); vertices flagged in ``removed`` (default
+    none) are skipped.  For small graphs: a pruned alternating DFS.
     """
-    free = [v for v in range(g.n) if not g.removed[v] and mate[v] is None]
+    removed = removed or [False] * g.n
+    free = [v for v in range(g.n) if not removed[v] and mate[v] is None]
     for alpha in free:
         stack = [(alpha, [alpha], frozenset([alpha]))]
         while stack:
@@ -273,7 +274,7 @@ def enumerate_short_augmenting_paths(g: Graph, mate, max_arcs: int):
             arcs_so_far = len(path) - 1
             want_matched = arcs_so_far % 2 == 1
             for y in sorted(g.adj[v], reverse=True):
-                if g.removed[y] or y in used:
+                if removed[y] or y in used:
                     continue
                 if want_matched != (mate[v] == y):
                     continue
@@ -297,7 +298,7 @@ def check_short_paths_covered(state: PhaseState, ledger, context: str = "") -> l
     act_free = critical_free_vertices(state)
     problems = []
     for path in enumerate_short_augmenting_paths(
-        state.g, state.mate, state.params.ell_max
+        state.g, state.mate, state.params.ell_max, state.removed
     ):
         if path[0] in act_free and path[-1] in act_free:
             continue

@@ -63,6 +63,13 @@ def _check_oracle(name: str, factory) -> None:
         raise PreconditionError(f"--oracle: {exc}") from None
 
 
+def _check_out(path: str | None) -> None:
+    """An ``--out`` file whose directory is missing is bad input, found before any run."""
+    where = os.path.dirname(path or "")
+    if where and not os.path.isdir(where):
+        raise PreconditionError(f"--out: no directory {where}")
+
+
 def _corpus_spec(args) -> CorpusSpec:
     return CorpusSpec(
         kind=args.kind,
@@ -129,6 +136,7 @@ def cmd_gen(args) -> int:
 
 def cmd_boost(args, mode: str = "boost") -> int:
     _check_oracle(args.oracle, make_weak_backend if mode == "dynamic" else make_oracle)
+    _check_out(args.out)
     config = ExperimentConfig(
         mode=mode,
         epsilons=_parse_epsilons(args.epsilon or ["0.25"]),
@@ -157,8 +165,10 @@ def cmd_problem1(args) -> int:
     if args.updates < 0:
         raise PreconditionError(f"--updates must be non-negative, got {args.updates}")
     eps = _parse_epsilons([args.epsilon or "0.25"])[0]
+    _check_out(args.out)
     if args.stream:
-        with open(args.stream) as fh:
+        # undecodable bytes reach the parser, which names their line
+        with open(args.stream, errors="replace") as fh:
             updates = parse_update_stream(fh.read())
     else:
         updates = gen_update_stream(args.n, args.updates, args.seed)
@@ -187,8 +197,14 @@ REPORT_COLUMNS = (
 
 def cmd_report(args) -> int:
     """Sum the rows' own round counts; exit 1 iff a row broke the component cap."""
-    with open(args.path) as fh:
-        rows = json.load(fh).get("rows", [])
+    try:
+        with open(args.path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise PreconditionError(f"{args.path}: not a JSON report: {exc}") from None
+    rows = doc.get("rows", []) if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise PreconditionError(f'{args.path}: "rows" must be a list of objects')
     for i, r in enumerate(rows):
         missing = [k for k in REPORT_COLUMNS if k not in r]
         if missing:
@@ -273,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except MatchboostError as exc:
         # bad inputs get one line; internal errors still traceback
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file named on the command line; the engine does no I/O
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -42,6 +42,7 @@ from .graph import (
     Matching,
     augment_all,  # unused
     edge_key,
+    free_vertices,
 )
 from .oracles import Host, OracleStats, counted, exact_mcm, make_weak_backend, require_shape
 from .params import Constants, PhaseParams, normalize_epsilon
@@ -202,8 +203,7 @@ def dyn_initial_matching(
     delta = d_const * epsilon / 3
     m = Matching(g.n)
     for _ in range(g.n + 2):
-        free = [v for v in range(g.n) if not g.removed[v] and m.mate[v] is None]
-        res = weak.query(free, delta)
+        res = weak.query(free_vertices(g, m), delta)
         if res is None:
             return m
         if not res:
@@ -293,9 +293,7 @@ def _in_structure_sweep(state: PhaseState, stage: int) -> bool:
         hit = None
         for x in sorted(state.omega.members_of(s.working)):
             for y in state.adj_sorted[x]:
-                if state.structure_of.get(y) != s.owner:
-                    continue
-                if state.mate[x] == y or state.g.removed[y]:
+                if state.structure_of.get(y) != s.owner or state.mate[x] == y:
                     continue
                 if _head_eligible(state, y, stage):
                     hit = (x, y)
@@ -336,12 +334,7 @@ def sampled_extend_active_path(
         v = _sample_one(rng, state, s, outer_only=False)
         bv = state.omega.root_of[v]
         if s.view.is_outer(bv):
-            if (
-                not s.on_hold
-                and not s.extended
-                and bv == s.working
-                and state.entry_label(s, s.working) == stage
-            ):
+            if s.ready_label == stage and bv == s.working:
                 query_set.append(v)
         elif state.head_label(v) > stage + 1:
             query_set.append(v + n)
@@ -397,7 +390,7 @@ class SampledFinder:
         return _in_structure_sweep(state, stage)
 
     def extension_batch(self, state: PhaseState, stage: int, pairs, hooks=None):
-        removed, structure_of = state.g.removed, state.structure_of
+        removed, structure_of = state.removed, state.structure_of
         self.unvisited = [
             v for v in self.unvisited if not removed[v] and v not in structure_of
         ]
@@ -460,7 +453,6 @@ def static_from_weak(
     if weak_b is None:
         weak_b = make_weak_backend(backend)(DoubleCover(g))
     weak_g, weak_b = counted(weak_g), counted(weak_b)
-    g.clear_removed()
     m = dyn_initial_matching(g, weak_g, eps, dynp.t_const)
     result = DynRunResult(m, eps, weak_g.stats, weak_b.stats)
     if 3 * len(m) < dynp.t_const * eps * g.n:

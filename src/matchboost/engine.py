@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InternalConsistencyError
-from .graph import Arc, AltPath, Graph, Matching, augment_all, edge_key
+from .errors import InternalConsistencyError, PreconditionError
+from .graph import Arc, AltPath, Graph, Matching, augment_all, edge_key, free_vertices
 from .oracles import CountedOracle, OracleStats, counted, require_shape
 from .params import Constants, PhaseParams, normalize_epsilon, scale_sequence
 from .structures import PhaseState, Structure
@@ -61,10 +61,11 @@ def find_type1_arc(state: PhaseState, s: Structure) -> Arc | None:
     if s.working is None:
         return None
     root_of, depth = state.omega.root_of, s.view.depth
-    removed, mate, structure_of = state.g.removed, state.mate, state.structure_of
+    mate, structure_of = state.mate, state.structure_of
     for x in sorted(state.omega.members_of(s.working)):
         for y in state.adj_sorted[x]:
-            if removed[y] or mate[x] == y or structure_of.get(y) != s.owner:
+            # a removed vertex is in no structure
+            if mate[x] == y or structure_of.get(y) != s.owner:
                 continue
             # y is in s, so its blossom is a node of the tree
             by = root_of[y]
@@ -125,8 +126,10 @@ def _head_eligible(state: PhaseState, y: int, stage: int) -> bool:
         # an inner node is a matched vertex
         if state.structures[o].view.depth[state.omega.root_of[y]] % 2 == 0:
             return False
+    elif state.removed[y]:
+        return False
     t = state.mate[y]
-    return t is not None and state.labels[(y, t)] > stage + 1
+    return t is not None and state.label((y, t)) > stage + 1
 
 
 def build_h_prime_s(state: PhaseState, stage: int):
@@ -142,7 +145,7 @@ def build_h_prime_s(state: PhaseState, stage: int):
     walking out of the left side, each tested once per call.
     """
     left = state.ready_at(stage)
-    removed, mate = state.g.removed, state.mate
+    mate = state.mate
     head_ok: dict[int, bool] = {}
     pairs: dict[tuple[int, int], Arc] = {}
     arcs: list[Arc] = []
@@ -153,7 +156,7 @@ def build_h_prime_s(state: PhaseState, stage: int):
                     continue
                 ok = head_ok.get(y)
                 if ok is None:
-                    ok = head_ok[y] = not removed[y] and _head_eligible(state, y, stage)
+                    ok = head_ok[y] = _head_eligible(state, y, stage)
                 if not ok:
                     continue
                 arc = Arc(x, y)
@@ -192,7 +195,7 @@ def _aux_graph_bipartite(pairs) -> tuple[Graph, list[tuple[str, int]]]:
 # -- simulations ----------------------------------------------------------------
 
 
-def exhaust_type1(state: PhaseState, stats: OracleStats) -> bool:
+def exhaust_type1(state: PhaseState) -> bool:
     """Contract until no structure has an outer-outer arc at its working vertex.
 
     Only the dirty structures can hold such an arc, so only they are
@@ -210,12 +213,12 @@ def exhaust_type1(state: PhaseState, stats: OracleStats) -> bool:
             state.op_contract(arc)
             changed = contracted = True
         if contracted:
-            stats.note_step(len(s.vertices))
+            state.note_step(len(s.vertices))
     state.dirty.clear()
     return changed
 
 
-def apply_augments(state: PhaseState, arcs, stats: OracleStats) -> None:
+def apply_augments(state: PhaseState, arcs) -> None:
     """Augment along a non-empty batch of arcs, in order, as one step.
 
     Every arc must join outer vertices of two distinct structures;
@@ -224,17 +227,15 @@ def apply_augments(state: PhaseState, arcs, stats: OracleStats) -> None:
     step_size = 1
     for arc in arcs:
         sa, sb = state.structure_at(arc.tail), state.structure_at(arc.head)
-        if sa is None or sb is None or sa is sb:
-            raise InternalConsistencyError(f"augment arc {arc} does not join two structures")
-        for s, x in ((sa, arc.tail), (sb, arc.head)):
-            if not s.view.is_outer(state.omega.root_of[x]):
-                raise InternalConsistencyError(f"augment endpoint {x} is not outer")
+        try:
+            state.op_augment(arc)
+        except PreconditionError as exc:
+            raise InternalConsistencyError(f"augment batch: {exc}") from None
         step_size = max(step_size, len(sa.vertices), len(sb.vertices))
-        state.op_augment(arc)
-    stats.note_step(step_size)
+    state.note_step(step_size)
 
 
-def apply_overtakes(state: PhaseState, stage: int, batch, stats: OracleStats) -> None:
+def apply_overtakes(state: PhaseState, stage: int, batch) -> None:
     """Overtake along a non-empty batch of ``(owner, x, y)`` extensions, in order.
 
     Each extension is re-validated first.  One can stop being feasible
@@ -257,26 +258,18 @@ def apply_overtakes(state: PhaseState, stage: int, batch, stats: OracleStats) ->
         state.op_overtake(Arc(x, y), Arc(y, mate_y), stage + 1)
         taken.add(edge_key(y, mate_y))
         step_size = max(step_size, len(state.structures[owner].vertices))
-    stats.note_step(step_size)
+    state.note_step(step_size)
 
 
 def _extension_feasible(state: PhaseState, owner: int, x: int, y: int, stage: int) -> bool:
-    """Can ``owner``'s structure overtake along ``(x, y)`` at ``stage``?"""
+    """Can ``owner``'s structure, ready at ``stage``, overtake along ``(x, y)``?"""
     s = state.structures.get(owner)
-    if s is None or s.on_hold or s.extended or s.working is None:
+    if s is None or s.ready_label != stage or state.omega.root_of[x] != s.working:
         return False
-    if state.omega.root_of[x] != s.working or state.entry_label(s, s.working) != stage:
-        return False
-    return not state.g.removed[y] and _head_eligible(state, y, stage)
+    return _head_eligible(state, y, stage)
 
 
-def extend_active_path(
-    state: PhaseState,
-    finder,
-    params: PhaseParams,
-    stats: OracleStats,
-    hooks: TraceHooks | None = None,
-) -> bool:
+def extend_active_path(state: PhaseState, finder, hooks: TraceHooks | None = None) -> bool:
     """Stage-by-stage extension, then a contract-and-augment round.
 
     Stage ``s`` lets every structure whose working vertex sits at entry
@@ -292,8 +285,8 @@ def extend_active_path(
     ``hooks.on_stage_end`` fires for it.
     """
     changed = False
-    iterations = finder.iterations(params)[0]
-    for stage in range(0, params.ell_max + 1):
+    iterations = finder.iterations(state.params)[0]
+    for stage in range(0, state.params.ell_max + 1):
         if state.ready.get(stage):
             changed |= finder.sweep(state, stage)
             fruitless = 0
@@ -303,7 +296,7 @@ def extend_active_path(
                     break
                 batch = finder.extension_batch(state, stage, pairs, hooks)
                 if batch:
-                    apply_overtakes(state, stage, batch, stats)
+                    apply_overtakes(state, stage, batch)
                     changed = True
                     fruitless = 0
                 else:
@@ -311,17 +304,11 @@ def extend_active_path(
                 changed |= finder.sweep(state, stage)
         if hooks:
             hooks.on_stage_end(state, stage)
-    changed |= contract_and_augment(state, finder, params, stats, hooks)
+    changed |= contract_and_augment(state, finder, hooks)
     return changed
 
 
-def contract_and_augment(
-    state: PhaseState,
-    finder,
-    params: PhaseParams,
-    stats: OracleStats,
-    hooks: TraceHooks | None = None,
-) -> bool:
+def contract_and_augment(state: PhaseState, finder, hooks: TraceHooks | None = None) -> bool:
     """Exhaust contractions, then augment along the finder's batches.
 
     Runs while the structure-pair graph has an edge, for at most the
@@ -330,16 +317,16 @@ def contract_and_augment(
     build still had an edge, which ``run_phase``'s fixpoint test reads;
     with no iteration there is no build, and no bundle acts on a pair.
     """
-    changed = exhaust_type1(state, stats)
+    changed = exhaust_type1(state)
     fruitless = 0
     pairs = {}
-    for _ in range(finder.iterations(params)[1]):
+    for _ in range(finder.iterations(state.params)[1]):
         pairs = build_h_prime(state)
         if not pairs or fruitless >= finder.fruitless_limit:
             break
         arcs = finder.augment_batch(state, pairs, hooks)
         if arcs:
-            apply_augments(state, arcs, stats)
+            apply_augments(state, arcs)
             changed = True
             fruitless = 0
         else:
@@ -350,7 +337,7 @@ def contract_and_augment(
     return changed
 
 
-def backtrack_pass(state: PhaseState, stats: OracleStats) -> bool:
+def backtrack_pass(state: PhaseState) -> bool:
     sizes = [
         len(s.vertices)
         for s in state.live_structures()
@@ -358,7 +345,7 @@ def backtrack_pass(state: PhaseState, stats: OracleStats) -> bool:
     ]
     moved = state.backtrack_stuck()
     if moved:
-        stats.note_step(max(sizes, default=1))
+        state.note_step(max(sizes, default=1))
     return moved
 
 
@@ -427,19 +414,14 @@ class OracleFinder:
 
 
 def run_phase(
-    g: Graph,
-    m: Matching,
-    params: PhaseParams,
-    finder,
-    stats: OracleStats | None = None,
-    hooks: TraceHooks | None = None,
+    g: Graph, m: Matching, params: PhaseParams, finder, hooks: TraceHooks | None = None
 ) -> tuple[list[AltPath], PhaseState]:
-    """One phase: returns vertex-disjoint augmenting paths for ``m``.
+    """One phase: returns vertex-disjoint augmenting paths for ``m``, and its state.
 
     ``finder`` supplies the batches of each pass bundle (an
-    ``OracleFinder`` or ``dynamic.SampledFinder``).  The graph's removal
-    flags are left set on return; the caller clears them after applying
-    the paths.
+    ``OracleFinder`` or ``dynamic.SampledFinder``).  ``g`` and ``m`` are
+    left untouched: what the phase changes, its removal flags and its
+    processing steps among it, is in the returned ``PhaseState``.
 
     A pass bundle is a fixpoint, and the bundle loop stops there with
     the outcome of all ``tau_max`` bundles, when it changed nothing,
@@ -455,14 +437,13 @@ def run_phase(
     ``state.settled`` records a stop there with no structure put on
     hold in any bundle.
     """
-    stats = stats if stats is not None else OracleStats()
     state = PhaseState(g, m, params)
     finder.start_phase(state)
     for tau in range(1, params.tau_max + 1):
         state.mark_for_pass_bundle()
         if hooks:
             hooks.on_bundle_start(state, tau)
-        changed = extend_active_path(state, finder, params, stats, hooks)
+        changed = extend_active_path(state, finder, hooks)
         # The extension round ends with a contract-and-augment of its own,
         # so this one does work only when that one stopped at its iteration
         # cap or at sample patience.  Over the benchmark's three workloads
@@ -470,10 +451,10 @@ def run_phase(
         # oracle and 19,357 sampled ones asked no oracle, drew no random
         # number and changed nothing; a test in test_dynamic.py has it
         # find a path.
-        changed |= contract_and_augment(state, finder, params, stats, hooks)
+        changed |= contract_and_augment(state, finder, hooks)
         if hooks:
             hooks.on_after_simulations(state, tau)
-        moved = backtrack_pass(state, stats)
+        moved = backtrack_pass(state)
         if hooks:
             hooks.on_bundle_end(state, tau)
         if not changed and not moved and not state.pairs_left:
@@ -493,8 +474,7 @@ def initial_matching(g: Graph, oracle: CountedOracle) -> Matching:
     """
     m = Matching(g.n)
     for _ in range(2 * math.ceil(oracle.c)):
-        free = [v for v in range(g.n) if not g.removed[v] and m.mate[v] is None]
-        sub, back = g.induced(free)
+        sub, back = g.induced(free_vertices(g, m))
         found = oracle.find(sub)
         for a, b in sorted(found.edges):
             m.add(back[a], back[b])
@@ -523,6 +503,7 @@ def run_scales(
 
     Each scale runs phases until ``finder.patience`` phases in a row
     find no augmenting path.  ``oracle_calls`` counts ``finder.calls``.
+    Each phase's steps go to ``stats.processing_steps`` after it.
 
     A phase is *settled* when its bundle loop stopped at its fixpoint
     and no structure went on hold.  If a settled phase finds no path and
@@ -549,8 +530,8 @@ def run_scales(
         for phase in range(1, params.phases + 1):
             if hooks:
                 hooks.on_phase_start(params, h, phase)
-            paths, state = run_phase(g, m, params, finder, stats, hooks)
-            g.clear_removed()
+            paths, state = run_phase(g, m, params, finder, hooks)
+            stats.processing_steps += state.steps
             if paths:
                 m = augment_all(m, paths)
             sc.phases_run += 1
@@ -594,7 +575,6 @@ def boost(
     eps = normalize_epsilon(epsilon)
     require_shape(oracle, "matching", "boost's oracle")
     oracle = counted(oracle)
-    g.clear_removed()
     m = initial_matching(g, oracle)
     m, per_scale = run_scales(
         g, m, eps, constants or Constants(), OracleFinder(oracle), oracle.stats, hooks

@@ -4,10 +4,6 @@ Vertices are dense integers ``0 .. n-1``.  Edges are unordered pairs,
 stored canonically as ``(min, max)`` tuples; directed *arcs* are plain
 ``(tail, head)`` tuples and exist only as two views of an edge.  Graphs
 are simple: no self loops, no parallel edges.
-
-A per-vertex ``removed`` flag supports the hypothetical removal used by
-the phase engine: removed vertices stay in the vertex range but are
-skipped by the operations that honour the flag.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ class Graph:
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.edges: set[Edge] = set()
-        self.removed: list[bool] = [False] * n
         self._sorted_adj: list[list[int]] | None = None
         for u, v in edges:
             self.add_edge(u, v)
@@ -114,15 +109,6 @@ class Graph:
             yield Arc(u, v)
             yield Arc(v, u)
 
-    # -- hypothetical removal ------------------------------------------------
-
-    def remove_vertices(self, vs: Iterable[int]) -> None:
-        for v in vs:
-            self.removed[v] = True
-
-    def clear_removed(self) -> None:
-        self.removed = [False] * self.n
-
     # -- derived graphs ------------------------------------------------------
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
@@ -141,9 +127,7 @@ class Graph:
         return sub, back
 
     def copy(self) -> "Graph":
-        g = Graph(self.n, self.edges)
-        g.removed = list(self.removed)
-        return g
+        return Graph(self.n, self.edges)
 
     # -- serialization ---------------------------------------------------------
 
@@ -278,11 +262,7 @@ def load_matching(text: str, n: int) -> Matching:
 
 
 def is_matching(g: Graph, m: Matching) -> bool:
-    """True iff every edge of ``m`` is an edge of ``g`` and no vertex repeats.
-
-    The ``removed`` flags are ignored: a matching may keep covering
-    vertices that a phase hypothetically removed.
-    """
+    """True iff every edge of ``m`` is an edge of ``g`` and no vertex repeats."""
     if m.n != g.n:
         return False
     seen: set[int] = set()
@@ -297,8 +277,8 @@ def is_matching(g: Graph, m: Matching) -> bool:
 
 
 def free_vertices(g: Graph, m: Matching) -> list[int]:
-    """Non-removed vertices with no incident matched edge, ascending."""
-    return [v for v in range(g.n) if not g.removed[v] and m.mate[v] is None]
+    """Vertices with no incident matched edge, ascending."""
+    return [v for v in range(g.n) if m.mate[v] is None]
 
 
 class AltPath:

@@ -254,8 +254,9 @@ class OracleStats:
     """What happened across the counted calls.
 
     ``processing_steps`` holds one entry per engine processing step: the
-    largest component (structure) size the step touched.  The simulated
-    round models are derived from these numbers by the reporting layer.
+    largest component (structure) size the step touched, copied from
+    each phase's ``PhaseState.steps`` by ``engine.run_scales``.  The
+    reporting layer derives the simulated round models from them.
 
     ``queried_vertices`` sums the vertex counts of the graphs given to a
     matching oracle and the query-set sizes of a weak oracle.  The
@@ -273,9 +274,6 @@ class OracleStats:
     queried_edges: int = 0
     per_call_sizes: list[int] = field(default_factory=list)
     processing_steps: list[int] = field(default_factory=list)
-
-    def note_step(self, max_component: int) -> None:
-        self.processing_steps.append(max(1, max_component))
 
 
 def check_answer(g: Graph, m: Matching, call: int) -> None:

@@ -6,11 +6,11 @@ tree.  A free vertex with no edge can never augment, contract or
 overtake, so it owns no structure and is only listed in
 ``PhaseState.edgeless``.  All structures of a phase share one
 :class:`PhaseState`: the blossom family, the matched-arc labels, the
-removal flags, the augmenting paths found so far, and three indexes of
-the structures by what they can do next.
+removal flags, the augmenting paths and processing steps so far, and
+three indexes of the structures by what they can do next.
 
-The matching itself never changes inside a phase.  Augmentations are
-recorded as paths and applied by the driver at phase end.
+Neither the graph nor the matching changes inside a phase.  Augmentations
+are recorded as paths and applied by the driver at phase end.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class Structure:
     view: TreeView
     vertices: set[int] = field(default_factory=set)
     arcs: set[Arc] = field(default_factory=set)
-    blossom_ids: set[int] = field(default_factory=set)
     working: int | None = None
     on_hold: bool = False
     modified: bool = False
@@ -49,7 +48,10 @@ class Structure:
 
 
 class PhaseState:
-    """Shared mutable state of one phase.
+    """Shared mutable state of one phase: all that the phase changes.
+
+    ``labels`` stores only the matched-arc labels an operation lowered;
+    :meth:`label` reads any other as ``ell_max + 1``.
 
     There is one structure per free vertex with an edge.  The free
     vertices with no edge are kept apart, ascending, in ``edgeless``;
@@ -101,7 +103,8 @@ class PhaseState:
     memory of what it gave away; a contraction puts the new blossom in
     the place of the cycle's top node, the root if the top was the
     root, and re-hangs the cycle's other children under it.  An
-    augmentation drops both structures, trees and all.
+    augmentation drops both structures, trees and all; their blossoms
+    stay, since every reader skips a removed vertex before its blossom.
 
     Three flags describe the phase as a whole: ``held`` says whether
     ``mark_for_pass_bundle`` has put any structure on hold;
@@ -123,15 +126,14 @@ class PhaseState:
         self.structure_of: dict[int, int] = {}
         self.edgeless: list[int] = []
         self.labels: dict[tuple[int, int], int] = {}
+        self.removed: list[bool] = [False] * g.n
         self.found_paths: list[AltPath] = []
+        self.steps: list[int] = []
         self.ready: dict[int, set[int]] = {}
         self.dirty: set[int] = set()
         self.held = False
         self.pairs_left = False
         self.settled = False
-        for u, v in m.edges:
-            self.labels[(u, v)] = params.ell_max + 1
-            self.labels[(v, u)] = params.ell_max + 1
         for a in free_vertices(g, m):
             if self.adj_sorted[a]:
                 self.init_structure(a)
@@ -154,7 +156,7 @@ class PhaseState:
         Leaves ``fresh`` to the caller, which at phase start seeds it
         from all the roots at once.
         """
-        if self.mate[alpha] is not None or self.g.removed[alpha]:
+        if self.mate[alpha] is not None or self.removed[alpha]:
             raise PreconditionError(f"vertex {alpha} is not free", code="not-free")
         s = Structure(
             owner=alpha,
@@ -215,6 +217,10 @@ class PhaseState:
         owner = self.structure_of.get(v)
         return None if owner is None else self.structures[owner]
 
+    def note_step(self, max_component: int) -> None:
+        """Log one processing step by the largest structure it touched, at least 1."""
+        self.steps.append(max(1, max_component))
+
     def mark_for_pass_bundle(self) -> None:
         """Reset marks; large structures go on hold for the bundle.
 
@@ -232,12 +238,16 @@ class PhaseState:
 
     # -- label helpers ----------------------------------------------------------
 
+    def label(self, arc: tuple[int, int]) -> int:
+        """Label of the matched ``arc``: the stored one, else ``ell_max + 1``."""
+        return self.labels.get(arc, self.params.ell_max + 1)
+
     def head_label(self, v: int) -> int:
         """Label of the matched arc leaving ``v`` (its downward arc)."""
         t = self.mate[v]
         if t is None:
             raise PreconditionError(f"vertex {v} is unmatched", code="unmatched")
-        return self.labels[(v, t)]
+        return self.label((v, t))
 
     def entry_label(self, s: Structure, bid: int) -> int:
         """Label of the matched arc entering the outer blossom ``bid``; 0 at the root."""
@@ -257,10 +267,7 @@ class PhaseState:
         structure not on hold, head inner or unvisited-and-matched, and
         the head's downward label exceeds the tail's entry label + 1.
         """
-        g = self.g
-        if g.removed[u] or g.removed[v]:
-            return None
-        if self.mate[u] == v:
+        if self.removed[u] or self.removed[v] or self.mate[u] == v:
             return None
         bu, bv = self.omega.root(u), self.omega.root(v)
         if bu == bv:
@@ -323,11 +330,9 @@ class PhaseState:
                 f"lifted path {lifted} is not augmenting"
             )
         self.found_paths.append(path)
-        dead = su.vertices | sv.vertices
-        self.g.remove_vertices(dead)
-        for x in dead:
+        for x in su.vertices | sv.vertices:
+            self.removed[x] = True
             self.structure_of.pop(x, None)
-        self.omega.dissolve(su.blossom_ids | sv.blossom_ids)
         del self.structures[su.owner]
         del self.structures[sv.owner]
         self.touch(su)
@@ -359,7 +364,6 @@ class PhaseState:
         children, cycle = find_cycle_blossom(s.view, self.omega, g_arc)
         b = self.omega.contract(children, cycle)
         s.view.contract(children, b.id)
-        s.blossom_ids.add(b.id)
         s.arcs.add(g_arc)
         for arc in b.cycle_arcs:
             if self.mate[arc.tail] == arc.head:
@@ -396,9 +400,9 @@ class PhaseState:
             raise PreconditionError(
                 f"tail of ({u}, {v}) is not inside the working vertex", code="P1"
             )
-        if k >= self.labels[(v, t)]:
+        if k >= self.label((v, t)):
             raise PreconditionError(
-                f"new label {k} does not undercut {self.labels[(v, t)]}", code="P3"
+                f"new label {k} does not undercut {self.label((v, t))}", code="P3"
             )
         s_beta = self.structure_at(v)
         if s_beta is None:
@@ -489,12 +493,6 @@ class PhaseState:
         for x in moved_vertices:
             self.structure_of[x] = s_alpha.owner
         self.fresh |= moved_vertices
-        moved_blossoms: set[int] = set()
-        for b in moved_roots:
-            if not self.omega.is_trivial(b):
-                moved_blossoms |= self.omega.descendants(b)
-        s_beta.blossom_ids -= moved_blossoms
-        s_alpha.blossom_ids |= moved_blossoms
         s_alpha.arcs.add(g_arc)
         self.labels[a_arc] = k
         if s_beta.working in moved_roots:

@@ -28,26 +28,26 @@ class PhaseRecord:
 
 
 class PhaseRecorder(TraceHooks):
-    """Records each phase's oracle calls, processing steps and bundles from ``stats``."""
+    """Records each phase's oracle calls from ``stats``, its steps and bundles from its state."""
 
     def __init__(self, stats: OracleStats):
         self.stats = stats
         self.phases: list[PhaseRecord] = []
 
     def on_phase_start(self, params, scale, phase):
-        self._start = (scale, self.stats.calls, len(self.stats.processing_steps))
+        self._start = (scale, self.stats.calls)
         self._bundles = 0
 
     def on_bundle_start(self, state, tau):
         self._bundles += 1
 
     def on_phase_end(self, state):
-        h, calls, steps = self._start
+        h, calls = self._start
         self.phases.append(
             PhaseRecord(
                 h=h,
                 calls=self.stats.calls - calls,
-                steps=self.stats.processing_steps[steps:],
+                steps=list(state.steps),
                 bundles=self._bundles,
                 paths=len(state.found_paths),
                 held=state.held,

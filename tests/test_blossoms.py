@@ -43,15 +43,9 @@ class TestLaminarSet:
         mate[4] = 3
         outer = omega.contract([5, 3, 4], [Arc(0, 3), Arc(3, 4), Arc(4, 1)])
         assert omega.root(1) == outer.id
-        assert omega.descendants(outer.id) == {outer.id, 5}
         assert omega.members_of(outer.id) == {0, 1, 2, 3, 4}
         # Child blossom keeps its identity but gains a parent.
         assert omega.blossoms[5].parent == outer.id
-
-    def test_dissolve(self):
-        omega, mate, b = triangle_set()
-        omega.dissolve({b.id})
-        assert omega.root(0) == 0 and omega.blossoms == {}
 
     def test_contract_rejects_even_cycle(self):
         omega = LaminarBlossomSet(4)

@@ -80,17 +80,18 @@ class TestCheckState:
         assert any("out of range" in p for p in check_state(st))
 
     def test_lowered_unvisited_label(self):
-        """An unvisited matched edge keeps label ell_max + 1 both ways."""
+        """An unvisited matched edge stores no label: it keeps ell_max + 1 both ways."""
         top = params().ell_max + 1
         for arc in ((1, 2), (2, 1)):
-            st = path6()
-            st.labels[arc] = top - 1
-            assert any("unvisited matched edge (1, 2)" in p for p in check_state(st))
+            for lab in (top - 1, top):
+                st = path6()
+                st.labels[arc] = lab
+                assert any("unvisited matched edge (1, 2)" in p for p in check_state(st))
         st = grown_path6()
         st.labels[(2, 1)] = top - 1  # visited: lowering is legal
         assert check_state(st) == []
         st = path6()
-        st.g.remove_vertices([1, 2])
+        st.removed[1] = st.removed[2] = True
         st.labels[(1, 2)] = 0  # removed: no longer unvisited
         assert check_state(st) == []
 
@@ -161,8 +162,9 @@ class TestShortPathEnumeration:
 
     def test_respects_removal(self):
         st = path6()
-        st.g.remove_vertices([3])
-        assert list(enumerate_short_augmenting_paths(st.g, st.mate, 5)) == []
+        assert list(enumerate_short_augmenting_paths(st.g, st.mate, 5, st.removed)) != []
+        st.removed[3] = True
+        assert list(enumerate_short_augmenting_paths(st.g, st.mate, 5, st.removed)) == []
 
 
 class TestCoverageChecks:

@@ -133,6 +133,59 @@ class TestBadInput:
         assert main(["problem1", "--n", "4", "--stream", str(path)]) == 0
         assert "1 chunks of 1 updates, 0 contract violation(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file or directory"),
+            ("rows, not JSON", "not a JSON report: "),
+            ("[1, 2]", '"rows" must be a list of objects'),
+            ('{"rows": 5}', '"rows" must be a list of objects'),
+            ('{"rows": [5]}', '"rows" must be a list of objects'),
+        ],
+    )
+    def test_unreadable_report(self, tmp_path, content, message, capsys):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["report", str(path)]) == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {path}: {message}")
+        assert out == ""
+
+    def test_missing_stream_file(self, tmp_path, capsys):
+        path = tmp_path / "none.txt"
+        assert main(["problem1", "--n", "4", "--stream", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: {path}: No such file or directory"]
+        assert out == ""
+
+    def test_stream_file_that_is_not_text(self, tmp_path, capsys):
+        path = tmp_path / "s.bin"
+        path.write_bytes(b"+ 0 1\n\xff\xfe 2\n")
+        assert main(["problem1", "--n", "4", "--stream", str(path)]) == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert line.startswith("error: line 2: bad update record")
+        assert out == ""
+
+    def test_gen_onto_a_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("keep me\n")
+        assert main(["gen", "--trials", "1", "--n", "6", "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: {path}: File exists"]
+        assert out == "" and path.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("verb", ["boost", "problem1"])
+    def test_out_into_a_missing_directory(self, verb, tmp_path, capsys):
+        where = tmp_path / "no" / "such"
+        argv = [verb, "--n", "8", "--out", str(where / "run")]
+        assert main(argv + (["--trials", "1"] if verb == "boost" else [])) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: --out: no directory {where}"]
+        assert out == ""  # refused before any run
+
     def test_internal_errors_still_raise(self, monkeypatch):
         def broken(config):
             raise InternalConsistencyError("broken invariant")

@@ -44,7 +44,6 @@ from matchboost.oracles import (
     CountedWeakOracle,
     ExactOracle,
     GreedyOracle,
-    OracleStats,
     exact_mcm,
     make_weak_backend,
     weak_from_exact,
@@ -306,7 +305,7 @@ class TestSampling:
         batch = sampled_contract_and_augment(state, weak, dynp.delta, random.Random(0))
         assert batch == [Arc(0, 1), Arc(2, 3)] and state.found_paths == []
         finder = SampledFinder(weak, None, dynp, random.Random(0))
-        assert contract_and_augment(state, finder, state.params, OracleStats())
+        assert contract_and_augment(state, finder)
         assert sorted(p.vertices for p in state.found_paths) == [[0, 1], [2, 3]]
 
 
@@ -321,7 +320,7 @@ class TestSampling:
             finder = SampledFinder(
                 weak_from_exact(g), None, dataclasses.replace(dynp, i_caa=1), rng
             )
-            contract_and_augment(state, finder, state.params, OracleStats())
+            contract_and_augment(state, finder)
             want = one_draw_per_free_vertex(seed, [1])
             picked = [1, 3][want.randrange(2)]
             for k in [1, 1, 1]:
@@ -337,7 +336,7 @@ class TestSampling:
                 weak_from_exact(g), weak_b, dataclasses.replace(dynp, i_eap=1, i_caa=0), rng
             )
             finder.start_phase(state)
-            extend_active_path(state, finder, state.params, OracleStats())
+            extend_active_path(state, finder)
             # stage 0 samples once and 5 takes (6, 7); no later stage has work
             assert weak_b.stats.weak_calls == 1 and state.labels[(6, 7)] == 1
             want = one_draw_per_free_vertex(seed, [1, 3, 1, 1, 1])
@@ -353,7 +352,7 @@ class TestRunPhaseSampled:
         weak_g = CountedWeakOracle(weak_from_exact(g))
         weak_b = CountedWeakOracle(make_weak_backend("weak-exact")(DoubleCover(g)))
         finder = SampledFinder(weak_g, weak_b, DynParams.desk(0.25), random.Random(3))
-        paths, _ = run_phase(g, m, quarter_params(), finder, OracleStats())
+        paths, _ = run_phase(g, m, quarter_params(), finder)
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert weak_b.stats.weak_calls > 0
 
@@ -374,7 +373,7 @@ class TestRunPhaseSampled:
         dynp = dataclasses.replace(DynParams.desk(0.25), i_caa=1)
         weak_b = weak_from_exact(DoubleCover(g))
         finder = SampledFinder(weak_from_exact(g), weak_b, dynp, random.Random(4))
-        paths, _ = run_phase(g, m, quarter_params(), finder, OracleStats(), Spy())
+        paths, _ = run_phase(g, m, quarter_params(), finder, Spy())
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert record[:2] == [0, 1]
 

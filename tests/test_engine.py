@@ -19,6 +19,7 @@ from matchboost.engine import (
     _aux_graph_bipartite,
     _aux_graph_pairs,
     _head_eligible,
+    apply_augments,
     boost,
     build_h_prime,
     build_h_prime_s,
@@ -28,7 +29,7 @@ from matchboost.engine import (
     run_phase,
     run_scales,
 )
-from matchboost.errors import PreconditionError
+from matchboost.errors import InternalConsistencyError, PreconditionError
 from matchboost.graph import AltPath, Arc, Graph, Matching, augment_all, is_matching
 from matchboost.oracles import (
     AdversarialOracle,
@@ -144,11 +145,20 @@ class TestAuxBuilders:
         assert find_type1_arc(state, s) is None
         state.op_overtake(Arc(0, 1), Arc(1, 2), 1)
         assert find_type1_arc(state, s) == Arc(2, 0)
-        stats = OracleStats()
-        assert exhaust_type1(state, stats)
+        assert exhaust_type1(state)
         assert state.omega.root(0) == state.omega.root(2) == 5
         assert find_type1_arc(state, s) is None
-        assert stats.processing_steps == [3]
+        assert state.steps == [3]
+
+    def test_a_bad_augment_arc_is_an_internal_error(self):
+        g, m = path6()
+        state = PhaseState(g, m, quarter_params())
+        state.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        # 3 is in no structure; 0 and 2 share one
+        for arc in (Arc(2, 3), Arc(2, 0)):
+            with pytest.raises(InternalConsistencyError, match="does not join two structures"):
+                apply_augments(state, [arc])
+        assert state.found_paths == [] and state.steps == []
 
 
 class TestRunPhase:
@@ -158,7 +168,6 @@ class TestRunPhase:
         paths, state = run_phase(g, m, quarter_params(), OracleFinder(oracle))
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert state.structures == {}
-        g.clear_removed()
         m2 = augment_all(m, paths)
         assert len(m2) == 3
 
@@ -177,14 +186,27 @@ class TestRunPhase:
         g = Graph(4, [(0, 1), (2, 3)])
         oracle = CountedOracle(ExactOracle())
         paths, _ = run_phase(g, Matching(4), quarter_params(), OracleFinder(oracle))
-        g.clear_removed()
         assert [p.vertices for p in paths] == [[0, 1], [2, 3]]
+
+    def test_a_phase_leaves_the_graph_and_matching_as_it_found_them(self):
+        # nothing is cleared between the two phases: the removal flags
+        # live on each phase's own state
+        for g, m in (path6(), triangle_tail(), (gen_er(16, 0.3, seed=4), Matching(16))):
+            g0, m0 = g.copy(), m.copy()
+            runs = [
+                run_phase(g, m, quarter_params(), OracleFinder(CountedOracle(ExactOracle())))
+                for _ in range(2)
+            ]
+            (first, s1), (second, s2) = runs
+            assert first and first == second and s1.steps == s2.steps
+            assert s1.removed == s2.removed and any(s1.removed)
+            assert g == g0 and m == m0
 
     def test_stats_instance_reused(self):
         g, m = path6()
         oracle = CountedOracle(ExactOracle())
         stats = oracle.stats
-        run_phase(g, m, quarter_params(), OracleFinder(oracle), stats)
+        run_phase(g, m, quarter_params(), OracleFinder(oracle))
         assert stats.calls > 0
         assert len(stats.per_call_sizes) == stats.calls
 
@@ -436,10 +458,7 @@ class TestStopRule:
                     again = PhaseRecorder(oracle.stats)
                     again.on_phase_start(None, h, 1)
                     params = PhaseParams.for_scale(0.25, h)
-                    paths, state = run_phase(
-                        g, res.matching, params, OracleFinder(oracle), oracle.stats, again
-                    )
-                    g.clear_removed()
+                    paths, state = run_phase(g, res.matching, params, OracleFinder(oracle), again)
                     (phase,) = again.phases
                     assert paths == [] and state.settled
                     assert (phase.calls, phase.steps, phase.bundles) == (
@@ -578,7 +597,6 @@ def _phases_then_boost(g: Graph, seed: int, audit) -> None:
     for h in (0.5, 0.125):
         params = PhaseParams.for_scale(0.25, h)
         run_phase(g, m, params, OracleFinder(CountedOracle(audit)), hooks=audit)
-        g.clear_removed()
     boost(g, 0.25, audit, hooks=audit)
 
 
@@ -709,7 +727,7 @@ class IndexAudit(TraceHooks):
             return
         for s in state.live_structures():
             assert view_mismatches(state, s) == [], s.owner
-            self.blossom_trees_seen += bool(s.blossom_ids)
+            self.blossom_trees_seen += any(not state.omega.is_trivial(b) for b in s.view.depth)
         top = state.params.ell_max + 1
         for stage in range(top + 1):
             owners = [s.owner for s in state.ready_at(stage)]
@@ -754,8 +772,7 @@ def _sampled_phases_then_static(g: Graph, seed: int, audit: IndexAudit) -> None:
     for h in (0.5, 0.125):
         params = PhaseParams.for_scale(0.25, h)
         finder = SampledFinder(weak_g, weak_b, DynParams.desk(0.25), random.Random(seed))
-        run_phase(g, m, params, finder, OracleStats(), audit)
-        g.clear_removed()
+        run_phase(g, m, params, finder, audit)
     static_from_weak(g, 0.25, seed=seed, hooks=audit, weak_g=weak_g, weak_b=weak_b)
 
 

@@ -63,15 +63,6 @@ class TestGraph:
         with pytest.raises(UnknownVertexError):
             g.remove_edge(0, 1)
 
-    def test_removal_flags(self):
-        g = Graph(4, [(0, 1)])
-        g.remove_vertices([1, 3])
-        assert g.removed == [False, True, False, True]
-        # Flags do not touch the edge set.
-        assert g.has_edge(0, 1)
-        g.clear_removed()
-        assert g.removed == [False] * 4
-
     def test_induced(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         sub, back = g.induced([4, 0, 1])
@@ -94,8 +85,6 @@ class TestGraph:
         g.add_edge(2, 0)
         assert g.sorted_adj == [[1, 2, 3], [0], [0], [0]]
         g.remove_edge(1, 0)
-        assert g.sorted_adj == [[2, 3], [], [0], [0]]
-        g.remove_vertices([2])  # the removal flags leave it alone
         assert g.sorted_adj == [[2, 3], [], [0], [0]]
 
     def test_arcs_both_orientations(self):
@@ -157,12 +146,12 @@ class TestMatching:
         assert not is_matching(g, Matching(4, [(0, 2)]))  # not an edge
         assert not is_matching(g, Matching(3))  # wrong n
 
-    def test_free_vertices_respects_removal(self):
+    def test_free_vertices_reads_the_matching(self):
         g = Graph(4, [(0, 1)])
         m = Matching(4, [(0, 1)])
         assert free_vertices(g, m) == [2, 3]
-        g.remove_vertices([2])
-        assert free_vertices(g, m) == [3]
+        m.discard(0, 1)
+        assert free_vertices(g, m) == [0, 1, 2, 3]
 
 
 class TestAltPath:

@@ -15,7 +15,6 @@ from matchboost.oracles import (
     CountedWeakOracle,
     ExactOracle,
     GreedyOracle,
-    OracleStats,
     check_answer,
     counted,
     exact_mcm,
@@ -263,12 +262,6 @@ class TestCounting:
         outer = CountedOracle(inner)
         outer.find(g)
         assert inner.stats.calls == outer.stats.calls == 1
-
-    def test_note_step_floors_at_one(self):
-        st_ = OracleStats()
-        st_.note_step(0)
-        st_.note_step(7)
-        assert st_.processing_steps == [1, 7]
 
 
 class Faulty:

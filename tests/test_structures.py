@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from matchboost.checks import view_mismatches
+from matchboost.checks import check_state, view_mismatches
 from matchboost.engine import build_h_prime
 from matchboost.errors import (
     InternalConsistencyError,
@@ -119,9 +119,17 @@ class TestStateInit:
         g, m = path6()
         st = PhaseState(g, m, params())
         top = st.params.ell_max + 1
-        assert st.labels[(1, 2)] == top
-        assert st.labels[(2, 1)] == top
+        # no label is stored until an operation lowers one
+        assert st.labels == {}
+        assert st.label((1, 2)) == st.label((2, 1)) == top
         assert st.head_label(3) == top
+
+    def test_note_step_floors_at_one(self):
+        g, m = path6()
+        st = PhaseState(g, m, params())
+        st.note_step(0)
+        st.note_step(7)
+        assert st.steps == [1, 7]
 
     def test_init_structure_rejects_matched(self):
         g, m = path6()
@@ -171,7 +179,7 @@ class TestClassify:
     def test_removed_endpoint(self):
         g, m = path6()
         st = PhaseState(g, m, params())
-        g.remove_vertices([1])
+        st.removed[1] = True
         assert st.classify(0, 1) is None
 
 
@@ -185,8 +193,8 @@ class TestOvertake:
         assert s.arcs == {Arc(0, 1), Arc(1, 2)}
         assert s.working == 2
         assert s.modified and s.extended
-        assert st.labels[(1, 2)] == 1
-        assert st.labels[(2, 1)] == st.params.ell_max + 1
+        assert st.labels == {(1, 2): 1}
+        assert st.label((2, 1)) == st.params.ell_max + 1
         assert st.structure_of[1] == 0 and st.structure_of[2] == 0
         view = s.view
         assert view.depth == {0: 0, 1: 1, 2: 2}
@@ -307,7 +315,6 @@ class TestContract:
         assert st.omega.root(0) == st.omega.root(1) == st.omega.root(2) == bid
         assert st.omega.members_of(bid) == {0, 1, 2}
         assert s.working == bid
-        assert bid in s.blossom_ids
         assert st.labels[(1, 2)] == 0 and st.labels[(2, 1)] == 0
         assert s.view.depth == {bid: 0}
 
@@ -470,7 +477,8 @@ class TestAugment:
         assert path == AltPath([0, 1, 2, 3, 4, 5])
         assert st.found_paths == [path]
         assert st.structures == {}
-        assert all(g.removed[v] for v in range(6))
+        assert st.removed == [True] * 6
+        assert (g, m) == path6()  # the phase changes only its state
 
     def test_meet_in_the_middle(self):
         g, m = path6()
@@ -490,7 +498,9 @@ class TestAugment:
         assert path == AltPath([0, 1, 2, 3])
         assert st.structures == {}
         assert_edgeless(st, 4)
-        assert not g.removed[4]
+        assert st.removed == [True] * 4 + [False]
+        # The blossom outlives its structure and still passes the checks.
+        assert st.omega.root(0) == 5 and check_state(st) == []
 
     def test_rejects_same_structure(self):
         g, m = path6()
