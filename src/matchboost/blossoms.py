@@ -188,13 +188,6 @@ class TreeView:
             out.append(self.parent[out[-1]])
         return out
 
-    def lca(self, a: int, b: int) -> int:
-        seen = set(self.path_to_root(a))
-        cur = b
-        while cur not in seen:
-            cur = self.parent[cur]
-        return cur
-
     def subtree(self, bid: int) -> set[int]:
         out = {bid}
         stack = [bid]
@@ -312,9 +305,10 @@ def find_cycle_blossom(
             raise PreconditionError(f"blossom {b} is not outer", code="endpoints-not-outer")
     if bu == bv:
         raise PreconditionError("arc lies inside one blossom", code="endpoints-not-outer")
-    top = view.lca(bu, bv)
     up_u = view.path_to_root(bu)
     up_v = view.path_to_root(bv)
+    on_u = set(up_u)
+    top = next(b for b in up_v if b in on_u)
     path_u = up_u[: up_u.index(top) + 1]  # bu .. top
     path_v = up_v[: up_v.index(top) + 1]  # bv .. top
     # Cycle order: top, down to bu, across g_arc, back up from bv.
@@ -363,76 +357,9 @@ def lift_even_path(
         seq = [0] + list(range(k - 1, idx - 1, -1))
         conns = [b.cycle_arcs[j].reverse() for j in range(k - 1, idx - 1, -1)]
     ids = [b.children[j] for j in seq]
-    return _stitch_segments(omega, mate, ids, conns, end_target=target)
-
-
-def _stitch_segments(
-    omega: LaminarBlossomSet,
-    mate: MateArray,
-    ids: list[int],
-    conns: list[Arc],
-    end_target: int | None = None,
-) -> list[int]:
-    """Concatenate within-blossom segments along connector arcs.
-
-    ``conns[j]`` joins ``ids[j]`` to ``ids[j+1]`` with exact endpoints.
-    The walk starts at ``base(ids[0])``; it ends at ``end_target`` when
-    given, else at the natural anchor of the last blossom (its base, or
-    the entry vertex if the entry arc is unmatched).
-    """
-    if len(conns) != len(ids) - 1:
-        raise InternalConsistencyError("connector count must be len(ids) - 1")
-    out: list[int] = []
-
-    def matched(a: Arc) -> bool:
-        return mate[a.tail] == a.head
-
-    for j, bid in enumerate(ids):
-        entry = conns[j - 1] if j > 0 else None
-        exit_ = conns[j] if j < len(conns) else None
-        if entry is None:
-            if exit_ is not None and matched(exit_):
-                seg = [omega.base_of(bid)]
-                if exit_.tail != seg[0]:
-                    raise InternalConsistencyError("matched exit arc must leave the base")
-            elif exit_ is not None:
-                seg = lift_even_path(omega, mate, bid, exit_.tail)
-            else:
-                seg = [end_target if end_target is not None else omega.base_of(bid)]
-        elif exit_ is None:
-            if matched(entry):
-                if entry.head != omega.base_of(bid):
-                    raise InternalConsistencyError("matched entry arc must hit the base")
-                seg = (
-                    lift_even_path(omega, mate, bid, end_target)
-                    if end_target is not None
-                    else [omega.base_of(bid)]
-                )
-            else:
-                # Unmatched entry: walk back to the base, the only even exit.
-                seg = list(reversed(lift_even_path(omega, mate, bid, entry.head)))
-                if end_target is not None and seg[-1] != end_target:
-                    raise InternalConsistencyError(
-                        "unmatched entry cannot reach a non-base target"
-                    )
-        else:
-            em, xm = matched(entry), matched(exit_)
-            if em == xm and not omega.is_trivial(bid):
-                raise InternalConsistencyError(
-                    f"blossom {bid} entered and left with equal matched parity"
-                )
-            if omega.is_trivial(bid):
-                seg = [bid]
-            elif em:
-                if entry.head != omega.base_of(bid):
-                    raise InternalConsistencyError("matched entry arc must hit the base")
-                seg = lift_even_path(omega, mate, bid, exit_.tail)
-            else:
-                if exit_.tail != omega.base_of(bid):
-                    raise InternalConsistencyError("matched exit arc must leave the base")
-                seg = list(reversed(lift_even_path(omega, mate, bid, entry.head)))
-        out.extend(seg)
-    return out
+    # The last child is entered by a matched arc, on its base.
+    head = lift_full_path(omega, mate, ids[:-1], conns[:-1])
+    return head + lift_even_path(omega, mate, ids[-1], target)
 
 
 def lift_full_path(
@@ -443,9 +370,23 @@ def lift_full_path(
 ) -> list[int]:
     """Lift a contracted path to a full graph path.
 
-    ``blossom_ids`` is the path in the contracted graph; ``connectors``
-    give the exact graph arcs realizing each contracted arc.  Endpoints
-    of the lifted path are the bases of the terminal blossoms (for an
-    augmenting path: the free vertices).
+    ``blossom_ids`` is the path in the contracted graph; ``connectors[j]``
+    is the exact graph arc from ``blossom_ids[j]`` to ``blossom_ids[j+1]``.
+    One rule crosses each blossom: one entered by an unmatched arc is
+    crossed from the entry vertex back to its base; any other (the
+    first, or one entered by a matched arc, on its base) from its base
+    to the tail of the next connector, or to its own base at the end.
+    The ends are thus the bases of the end blossoms.  The result is not
+    checked against the graph here; ``PhaseState.op_augment`` does that.
     """
-    return _stitch_segments(omega, mate, blossom_ids, connectors)
+    if len(connectors) != len(blossom_ids) - 1:
+        raise InternalConsistencyError("connector count must be len(ids) - 1")
+    out: list[int] = []
+    for j, bid in enumerate(blossom_ids):
+        entry = connectors[j - 1] if j > 0 else None
+        if entry is not None and mate[entry.tail] != entry.head:
+            out.extend(reversed(lift_even_path(omega, mate, bid, entry.head)))
+        else:
+            end = connectors[j].tail if j < len(connectors) else omega.base_of(bid)
+            out.extend(lift_even_path(omega, mate, bid, end))
+    return out

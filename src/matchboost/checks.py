@@ -336,7 +336,6 @@ class InvariantHooks(TraceHooks):
         self.g = g
         self.epsilon = epsilon
         self.audit_paths = audit_paths
-        self.params: PhaseParams | None = None
         self.scale = 0.0
         self.phase = 0
         self.bundles_checked = 0
@@ -370,7 +369,6 @@ class InvariantHooks(TraceHooks):
         return self.ledger
 
     def on_phase_start(self, params: PhaseParams, scale: float, phase: int) -> None:
-        self.params = params
         self.scale = scale
         self.phase = phase
         self._label_snapshot = None

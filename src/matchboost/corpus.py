@@ -114,6 +114,12 @@ class CorpusSpec:
     def __post_init__(self):
         if self.kind not in GENERATORS and self.kind != "mixed":
             raise PreconditionError(f"unknown generator kind {self.kind!r}")
+        if self.trials < 0:
+            raise PreconditionError(f"trials must be non-negative, got {self.trials}")
+        if not 0.0 <= self.p <= 1.0:
+            raise PreconditionError(f"p must be in [0, 1], got {self.p}")
+        if self.n_max is not None and self.n_max < self.n:
+            raise PreconditionError(f"n_max {self.n_max} is below n {self.n}")
 
 
 def build_one(spec: CorpusSpec, trial: int) -> tuple[str, Graph]:

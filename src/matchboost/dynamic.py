@@ -559,7 +559,7 @@ def problem1_harness(
     """Replay an update stream in fixed chunks and audit the query answers.
 
     The graph starts empty.  Each chunk applies exactly
-    ``ceil(epsilon^2 * n)`` updates (the stream is padded with empty
+    ``max(1, ceil(epsilon^2 * n))`` updates (the stream is padded with empty
     updates), then the full weak-oracle pipeline recomputes a matching
     of the current graph, with every query it issues validated against
     the contract.  Reports one record per chunk.
@@ -567,7 +567,7 @@ def problem1_harness(
     if n < 1:
         raise PreconditionError(f"an update stream needs at least one vertex, got n = {n}")
     eps = normalize_epsilon(epsilon)
-    chunk_size = math.ceil(eps * eps * n)
+    chunk_size = max(1, math.ceil(eps * eps * n))
     g = Graph(n)
     stream = list(updates)
     if len(stream) % chunk_size:
@@ -592,12 +592,7 @@ def problem1_harness(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = static_from_weak(
-                g,
-                eps,
-                backend,
-                seed=seed + ci,
-                weak_g=provider_g,
-                weak_b=provider_b,
+                g, eps, seed=seed + ci, weak_g=provider_g, weak_b=provider_b
             )
         queries = provider_g.queries + provider_b.queries
         violations = provider_g.violations + provider_b.violations

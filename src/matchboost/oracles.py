@@ -240,9 +240,9 @@ def make_weak_backend(name: str):
     Returns a callable binding a host to a fresh weak oracle.
     """
     if name == "weak-exact":
-        return lambda host: weak_from_exact(host)
+        return weak_from_exact
     if name == "weak-greedy":
-        return lambda host: weak_from_greedy(host)
+        return weak_from_greedy
     raise ValueError(f"unknown weak backend {name!r}")
 
 

@@ -69,11 +69,19 @@ def normalize_epsilon(epsilon: float) -> float:
 
 
 def scale_sequence(epsilon: float, constants: Constants = Constants()) -> list[float]:
-    """Scales 1/2, 1/4, ... down to eps^2 / scale_floor_coeff."""
+    """Scales 1/2, 1/4, ... down to eps^2 / scale_floor_coeff.
+
+    Raises ``InvalidEpsilonError`` when that floor is 0.0 in floating
+    point, since the halving would then never stop.
+    """
     floor = epsilon * epsilon / constants.scale_floor_coeff
+    if floor == 0.0:
+        raise InvalidEpsilonError(
+            f"epsilon {epsilon} too small: eps^2 / {constants.scale_floor_coeff} is 0.0"
+        )
     out = []
     h = 0.5
-    while h >= floor - 1e-18:
+    while h >= floor:
         out.append(h)
         h /= 2.0
     return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blossoms import LaminarBlossomSet, TreeView, find_cycle_blossom, lift_full_path
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import InternalConsistencyError, InvalidPathError, PreconditionError
 from .graph import AltPath, Arc, Graph, Matching, free_vertices
 from .params import PhaseParams
 
@@ -302,8 +302,10 @@ class PhaseState:
 
         ``g_arc`` must join outer vertices of two distinct structures.
         The path runs from one owner through the lifted tree paths and
-        the connecting arc to the other owner.  All vertices of both
-        structures are hypothetically removed.
+        the connecting arc to the other owner.  Before it is recorded it
+        must step only along edges, repeat no vertex, alternate and end
+        at free vertices, else ``InternalConsistencyError`` is raised.
+        All vertices of both structures are hypothetically removed.
         """
         u, v = g_arc
         su, sv = self.structure_at(u), self.structure_at(v)
@@ -325,10 +327,12 @@ class PhaseState:
         connectors += [view_v.parent_arc[b].reverse() for b in up[:-1]]
         lifted = lift_full_path(self.omega, self.mate, blossom_path, connectors)
         path = AltPath(lifted)
+        try:
+            path.validate(self.g, self.m)
+        except InvalidPathError as exc:
+            raise InternalConsistencyError(f"lifted path {lifted}: {exc}") from exc
         if not path.is_augmenting(self.m):
-            raise InternalConsistencyError(
-                f"lifted path {lifted} is not augmenting"
-            )
+            raise InternalConsistencyError(f"lifted path {lifted} is not augmenting")
         self.found_paths.append(path)
         for x in su.vertices | sv.vertices:
             self.removed[x] = True

@@ -9,8 +9,11 @@ from matchboost.blossoms import (
     lift_full_path,
     validate_blossom,
 )
+from matchboost.corpus import gen_blossom_gadget, standard_corpus
+from matchboost.engine import TraceHooks, boost
 from matchboost.errors import InternalConsistencyError, PreconditionError
 from matchboost.graph import Arc
+from matchboost.oracles import make_oracle
 
 
 def triangle_set():
@@ -112,7 +115,6 @@ class TestTreeView:
         assert view.is_outer(0) and view.is_inner(1) and view.is_outer(2)
         assert not view.contains(9) and not view.is_outer(9)
         assert view.path_to_root(2) == [2, 1, 0]
-        assert view.lca(2, 1) == 1
         assert view.subtree(1) == {1, 2}
 
     def test_find_cycle_blossom(self):
@@ -121,6 +123,17 @@ class TestTreeView:
         children, arcs = find_cycle_blossom(view, omega, Arc(2, 0))
         assert children == [0, 1, 2]
         assert arcs == [Arc(0, 1), Arc(1, 2), Arc(2, 0)]
+
+    def test_find_cycle_blossom_below_the_root(self):
+        # 0 -> 1 -> 2, then two branches 2 -> 3 -> 4 and 2 -> 5 -> 6: the
+        # arc (4, 6) closes a cycle whose top is 2, not the root.
+        view = TreeView(root=0, depth={0: 0})
+        for parent, kid in [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]:
+            view.hang(kid, parent, Arc(parent, kid))
+        omega = LaminarBlossomSet(7)
+        children, arcs = find_cycle_blossom(view, omega, Arc(4, 6))
+        assert children == [2, 3, 4, 6, 5]
+        assert arcs == [Arc(2, 3), Arc(3, 4), Arc(4, 6), Arc(6, 5), Arc(5, 2)]
 
     def test_find_cycle_rejects_inner_endpoint(self):
         view = path_tree()
@@ -173,3 +186,39 @@ class TestLifting:
         outer = omega.contract([b.id, 3, 4], [Arc(0, 3), Arc(3, 4), Arc(4, 1)])
         out = lift_full_path(omega, mate, [5, outer.id], [Arc(5, 2)])
         assert out == [5, 2, 1, 0]
+
+
+class LiftAudit(TraceHooks):
+    """At every bundle end, lifts each member of each blossom and checks the path.
+
+    The path must run from the base to the member inside the blossom,
+    with an odd vertex count and no repeat, along edges of the graph,
+    with the matched steps exactly at the odd positions.  Dead blossoms
+    are audited too: the graph and matching are fixed within a phase.
+    """
+
+    def __init__(self):
+        self.nested = 0
+
+    def on_bundle_end(self, state, tau):
+        omega, mate, g = state.omega, state.mate, state.g
+        for b in omega.blossoms.values():
+            self.nested += any(not omega.is_trivial(c) for c in b.children)
+            for v in b.members:
+                path = lift_even_path(omega, mate, b.id, v)
+                assert path[0] == b.base and path[-1] == v
+                assert len(path) % 2 == 1 and len(set(path)) == len(path)
+                assert set(path) <= b.members
+                for i, (x, y) in enumerate(zip(path, path[1:])):
+                    assert g.has_edge(x, y), (b.id, v, path)
+                    assert (mate[x] == y) == (i % 2 == 1), (b.id, v, path)
+
+
+@pytest.mark.parametrize("oracle", ["greedy", "adversarial:2"])
+def test_every_blossom_member_lifts_to_an_even_path(oracle):
+    graphs = [g for _, g in standard_corpus(40, 8, 40, seed=7)]
+    graphs += [gen_blossom_gadget(petals) for petals in range(1, 5)]
+    audit = LiftAudit()
+    for g in graphs:
+        boost(g, 0.25, make_oracle(oracle), hooks=audit)
+    assert audit.nested > 0

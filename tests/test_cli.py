@@ -186,6 +186,38 @@ class TestBadInput:
         assert err.splitlines() == [f"error: --out: no directory {where}"]
         assert out == ""  # refused before any run
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "-3"], "trials must be non-negative, got -3"),
+            (["--kind", "er", "--p", "-1"], "p must be in [0, 1], got -1.0"),
+            (["--p", "1.5"], "p must be in [0, 1], got 1.5"),
+            (["--n-max", "3", "--n", "10"], "n_max 3 is below n 10"),
+        ],
+        ids=["negative-trials", "p-below-0", "p-above-1", "n-max-below-n"],
+    )
+    @pytest.mark.parametrize("verb", ["gen", "boost", "dynamic", "verify"])
+    def test_bad_corpus_flags(self, verb, flags, message, tmp_path, capsys):
+        argv = [verb, *flags]
+        if verb == "gen":
+            argv += ["--out", str(tmp_path / "corpus")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: {message}"]
+        assert out == ""  # refused before any run
+        assert not (tmp_path / "corpus").exists()
+
+    def test_no_trials_is_no_error(self, capsys):
+        assert main(["boost", "--trials", "0"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_epsilon_too_small_for_the_scales(self, capsys):
+        # eps^2 / 64 underflows to 0.0, so no scale list can reach it
+        assert main(["boost", "--trials", "1", "--epsilon", "1e-300"]) == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert line.startswith("error: epsilon ") and line.endswith("too small: eps^2 / 64 is 0.0")
+
     def test_internal_errors_still_raise(self, monkeypatch):
         def broken(config):
             raise InternalConsistencyError("broken invariant")
@@ -285,6 +317,11 @@ class TestDynamicVerb:
 
 
 class TestProblem1Verb:
+    def test_tiny_epsilon_chunks_one_update_at_a_time(self, capsys):
+        # eps^2 * n rounds to 0 here, yet a chunk holds at least one update
+        assert main(["problem1", "--n", "4", "--updates", "3", "--epsilon", "1e-300"]) == 0
+        assert "3 chunks of 1 updates, 0 contract violation(s)" in capsys.readouterr().out
+
     def test_chunked_run_writes_summary(self, tmp_path, capsys):
         out = tmp_path / "p1.json"
         rc = main(

@@ -64,6 +64,24 @@ class TestCorpusSpec:
         with pytest.raises(PreconditionError):
             CorpusSpec(kind="hypercube")
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"trials": -1}, "trials must be non-negative"),
+            ({"p": -0.5}, r"p must be in \[0, 1\]"),
+            ({"p": float("nan")}, r"p must be in \[0, 1\]"),
+            ({"n": 10, "n_max": 3}, "n_max 3 is below n 10"),
+        ],
+        ids=["negative-trials", "p-below-0", "p-nan", "n-max-below-n"],
+    )
+    def test_rejects_bad_knobs(self, knobs, message):
+        with pytest.raises(PreconditionError, match=message):
+            CorpusSpec(kind="er", **knobs)
+
+    def test_edge_knobs_are_valid(self):
+        CorpusSpec(kind="er", trials=0, p=0.0, n=10, n_max=10)
+        CorpusSpec(kind="er", p=1.0)
+
     def test_fixed_n_naming(self):
         name, g = build_one(CorpusSpec(kind="path", n=6), 3)
         assert name == "path-0003-n6"

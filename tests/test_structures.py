@@ -18,6 +18,7 @@ from matchboost.params import (
     normalize_epsilon,
     scale_sequence,
 )
+from matchboost import structures
 from matchboost.structures import PhaseState
 
 
@@ -87,6 +88,13 @@ class TestParams:
         assert scales[0] == 0.5
         assert scales[-1] == 2.0**-10
         assert len(scales) == 10
+
+    def test_scale_sequence_small_epsilon(self):
+        # the floor 2^-60 is below 1e-18; the scales stop exactly at it
+        scales = scale_sequence(2.0**-27)
+        assert len(scales) == 60 and scales[-1] == 2.0**-60
+        with pytest.raises(InvalidEpsilonError, match=r"too small: eps\^2 / 64 is 0\.0"):
+            scale_sequence(2.0**-600)
 
     def test_overrides(self):
         c = Constants().with_overrides({"limit_coeff": 1})
@@ -501,6 +509,26 @@ class TestAugment:
         assert st.removed == [True] * 4 + [False]
         # The blossom outlives its structure and still passes the checks.
         assert st.omega.root(0) == 5 and check_state(st) == []
+
+    @pytest.mark.parametrize(
+        "lifted, message",
+        [
+            # free ends and alternating in the matching, but (0, 2) and
+            # (1, 5) are no edges of the path
+            ([0, 2, 1, 5], r"\(0, 2\) is not an edge"),
+            ([0, 1, 2, 1, 2, 5], "repeated vertex"),
+        ],
+        ids=["non-edge", "repeat"],
+    )
+    def test_a_bad_lifted_path_is_an_internal_error(self, monkeypatch, lifted, message):
+        g, m = path6()
+        st = PhaseState(g, m, params())
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        st.op_overtake(Arc(5, 4), Arc(4, 3), 1)
+        monkeypatch.setattr(structures, "lift_full_path", lambda *args: list(lifted))
+        with pytest.raises(InternalConsistencyError, match=f"lifted path .*{message}"):
+            st.op_augment(Arc(2, 3))
+        assert st.found_paths == []
 
     def test_rejects_same_structure(self):
         g, m = path6()
