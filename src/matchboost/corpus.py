@@ -24,6 +24,28 @@ def gen_cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def gen_long_paths(k: int, copies: int) -> Graph:
+    """``copies`` disjoint paths on ``2k + 2`` vertices each.
+
+    In each copy the ``2k`` inner vertices come first, in path order,
+    then the two ends.  Scanning edges in sorted order, a greedy
+    matching takes every other inner edge and leaves both ends free:
+    one augmenting path of ``2k + 1`` edges per copy, which a search
+    capped below that length cannot find.
+    """
+    if k < 1 or copies < 0:
+        raise PreconditionError(f"need k >= 1 and copies >= 0, got k = {k}, copies = {copies}")
+    size = 2 * k + 2
+    g = Graph(size * copies)
+    for base in range(0, size * copies, size):
+        inner = range(base, base + 2 * k)
+        for v in inner[:-1]:
+            g.add_edge(v, v + 1)
+        g.add_edge(base + 2 * k, inner[0])
+        g.add_edge(inner[-1], base + 2 * k + 1)
+    return g
+
+
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """Erdős–Rényi G(n, p), edges decided in fixed (u, v) order."""
     rng = random.Random(seed)

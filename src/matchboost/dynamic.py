@@ -352,10 +352,13 @@ class SampledFinder:
     Each batch comes from one sample and one weak query, which may miss
     work that exists, so ``SAMPLE_PATIENCE`` empty batches in a row end
     a loop, and the in-structure sweep consumes what a member scan finds
-    before every sample.  A sampled phase without a path may have missed
-    one, so a scale stops after two such phases in a row.  The
-    generator advances between phases, so no phase repeats another and
-    every scale runs.
+    before every sample.  A loop that stops that way may have missed
+    work, so its phase is not settled, and a sampled phase without a
+    path may have missed one: a scale stops after two such phases in a
+    row.  The generator advances between phases, so no phase repeats
+    another; the run still ends after a settled phase without a path,
+    which certifies the matching whatever the finder (see
+    ``engine.run_scales``).
 
     ``unvisited`` lists, ascending, the phase's matched vertices that
     are in no structure and not removed.  It is the matched vertices at
@@ -365,7 +368,6 @@ class SampledFinder:
     """
 
     patience = 2
-    settled_phase_repeats = False
     fruitless_limit = SAMPLE_PATIENCE
 
     def __init__(self, weak_g, weak_b, dynp: DynParams, rng: random.Random):

@@ -278,7 +278,9 @@ def extend_active_path(state: PhaseState, finder, hooks: TraceHooks | None = Non
     of disjoint extensions, applied in order, for at most the finder's
     extension iterations; ``finder.fruitless_limit`` empty batches in a
     row end the stage.  ``finder.sweep`` runs at the stage's start and
-    after every batch.
+    after every batch.  A stage that ends any other way than on an empty
+    layer graph, at the iteration cap (0 included) or at the fruitless
+    limit, may leave an extension behind and sets ``state.gave_up``.
 
     A stage with no ready structure has no left side, so its sweep,
     layer graph and batch would all be empty; it is skipped, and only
@@ -292,7 +294,10 @@ def extend_active_path(state: PhaseState, finder, hooks: TraceHooks | None = Non
             fruitless = 0
             for _ in range(iterations):
                 pairs, _ = build_h_prime_s(state, stage)
-                if not pairs or fruitless >= finder.fruitless_limit:
+                if not pairs:
+                    break
+                if fruitless >= finder.fruitless_limit:
+                    state.gave_up = True
                     break
                 batch = finder.extension_batch(state, stage, pairs, hooks)
                 if batch:
@@ -302,6 +307,8 @@ def extend_active_path(state: PhaseState, finder, hooks: TraceHooks | None = Non
                 else:
                     fruitless += 1
                 changed |= finder.sweep(state, stage)
+            else:
+                state.gave_up = True
         if hooks:
             hooks.on_stage_end(state, stage)
     changed |= contract_and_augment(state, finder, hooks)
@@ -316,13 +323,18 @@ def contract_and_augment(state: PhaseState, finder, hooks: TraceHooks | None = N
     batches in a row.  ``state.pairs_left`` records whether its last
     build still had an edge, which ``run_phase``'s fixpoint test reads;
     with no iteration there is no build, and no bundle acts on a pair.
+    As in ``extend_active_path``, a loop that ends any other way than on
+    an empty graph sets ``state.gave_up``.
     """
     changed = exhaust_type1(state)
     fruitless = 0
     pairs = {}
     for _ in range(finder.iterations(state.params)[1]):
         pairs = build_h_prime(state)
-        if not pairs or fruitless >= finder.fruitless_limit:
+        if not pairs:
+            break
+        if fruitless >= finder.fruitless_limit:
+            state.gave_up = True
             break
         arcs = finder.augment_batch(state, pairs, hooks)
         if arcs:
@@ -331,6 +343,8 @@ def contract_and_augment(state: PhaseState, finder, hooks: TraceHooks | None = N
             fruitless = 0
         else:
             fruitless += 1
+    else:
+        state.gave_up = True
     state.pairs_left = bool(pairs)
     if hooks:
         hooks.on_augment_round_end(state)
@@ -359,13 +373,11 @@ class OracleFinder:
     empty: ``CountedOracle`` rejects an empty answer on a graph with an
     edge.  A deterministic oracle on unchanged input repeats a phase
     verbatim, so a scale stops after its first phase without a path.
-    The same argument reaches across scales: a settled phase without a
-    path (see ``run_scales``) is what the first phase of every smaller
-    scale would be.
+    For the same reason the scales skipped after a settled phase without
+    a path (see ``run_scales``) would only have replayed that phase.
     """
 
     patience = 1
-    settled_phase_repeats = True
     fruitless_limit = 1
 
     def __init__(self, oracle: CountedOracle):
@@ -434,8 +446,11 @@ def run_phase(
     or a move refills; and nothing changed since the last, empty,
     pair-graph build.  An oracle batch on a graph with an edge is never
     empty, so with an oracle no pair is left once nothing changed.
+
     ``state.settled`` records a stop there with no structure put on
-    hold in any bundle.
+    hold in any bundle and no simulation loop that gave up with work
+    possibly left (``state.gave_up``): such a phase looked at all its
+    work, and ``run_scales`` ends the run on it when it found no path.
     """
     state = PhaseState(g, m, params)
     finder.start_phase(state)
@@ -458,7 +473,7 @@ def run_phase(
         if hooks:
             hooks.on_bundle_end(state, tau)
         if not changed and not moved and not state.pairs_left:
-            state.settled = not state.held
+            state.settled = not state.held and not state.gave_up
             break
     if hooks:
         hooks.on_phase_end(state)
@@ -487,7 +502,7 @@ class ScaleStats:
     phases_run: int = 0
     paths_found: int = 0
     oracle_calls: int = 0
-    replayed: bool = False
+    skipped: bool = False
 
 
 def run_scales(
@@ -505,15 +520,24 @@ def run_scales(
     find no augmenting path.  ``oracle_calls`` counts ``finder.calls``.
     Each phase's steps go to ``stats.processing_steps`` after it.
 
-    A phase is *settled* when its bundle loop stopped at its fixpoint
-    and no structure went on hold.  If a settled phase finds no path and
-    the finder says ``settled_phase_repeats``, the run ends there: every
-    smaller scale's first phase would replay it, since the matching is
-    unchanged, ``ell_max`` and the simulation iterations do not depend
-    on the scale, ``limit_h`` and ``tau_max`` only grow as it shrinks,
-    and ``delta_h`` is read only by the checks.  Each scale left out is
-    recorded as ``replayed``, with no phase, path or call; hooks see no
-    phase of it.
+    The run ends after the first *settled* phase that finds no path,
+    whatever the finder (see ``run_phase``).  Such a phase is a
+    certificate that ``m`` has no augmenting path of at most ``ell_max``
+    arcs (the phase analysis of Fischer, Mitrović and Uitto, STOC 2022):
+    every backtrack in it moved a working vertex that had no operation
+    left, since no loop gave up with work possibly left; nothing was
+    held, so no structure stopped short of the depth cap; and no vertex
+    was removed, since no path was found.  By Hopcroft and Karp (1973),
+    ``|m| >= k / (k + 1) * mu`` with ``k = (ell_max + 1) // 2``, and
+    ``ell_max = ceil(ell_coeff / eps)`` makes that at least
+    ``mu / (1 + eps)`` for any ``ell_coeff >= 2`` (3 by default).  With an
+    ``OracleFinder`` the skipped scales also give up nothing: each
+    smaller scale's first phase would replay the stopping one, since
+    the matching is unchanged, ``ell_max`` and the simulation
+    iterations do not depend on the scale, ``limit_h`` and ``tau_max``
+    only grow as it shrinks, and ``delta_h`` is read only by the
+    checks.  Each scale left out is recorded as ``skipped``, with no
+    phase, path or call; hooks see no phase of it.
 
     Returns the final matching and one record per scale.
     """
@@ -521,7 +545,7 @@ def run_scales(
     settled = False
     for h in scale_sequence(eps, consts):
         if settled:
-            per_scale.append(ScaleStats(h, replayed=True))
+            per_scale.append(ScaleStats(h, skipped=True))
             continue
         params = PhaseParams.for_scale(eps, h, consts)
         sc = ScaleStats(h=h)
@@ -537,7 +561,7 @@ def run_scales(
             sc.phases_run += 1
             sc.paths_found += len(paths)
             empty_streak = 0 if paths else empty_streak + 1
-            settled = finder.settled_phase_repeats and state.settled and not paths
+            settled = state.settled and not paths
             if settled or empty_streak >= finder.patience:
                 break
         sc.oracle_calls = finder.calls - calls_before
@@ -570,7 +594,7 @@ def boost(
     epsilon-dependent floor; each scale runs phases until one finds no
     augmenting path.  Once such a phase is settled, the smaller scales
     would only replay it, so they are skipped and listed in
-    ``per_scale`` as ``replayed`` (see ``run_scales``).
+    ``per_scale`` as ``skipped`` (see ``run_scales``).
     """
     eps = normalize_epsilon(epsilon)
     require_shape(oracle, "matching", "boost's oracle")

@@ -104,15 +104,30 @@ class PhaseParams:
     def for_scale(
         epsilon: float, h: float, constants: Constants = Constants()
     ) -> "PhaseParams":
+        """The counts of scale ``h``.
+
+        Raises ``InvalidEpsilonError`` when a count overflows to
+        infinity in floating point, as a tiny epsilon makes it do on
+        the smallest scales.
+        """
         c = constants
+
+        def count(coeff: int, denom: float, name: str) -> int:
+            x = coeff / denom if denom else math.inf
+            if not math.isfinite(x):
+                raise InvalidEpsilonError(
+                    f"epsilon {epsilon} too small: {name} is {x} at scale {h}"
+                )
+            return math.ceil(x)
+
         return PhaseParams(
             epsilon=epsilon,
             h=h,
-            ell_max=math.ceil(c.ell_coeff / epsilon),
-            limit_h=math.ceil(c.limit_coeff / h) + 1,
-            tau_max=math.ceil(c.bundle_coeff / (h * epsilon)),
-            delta_h=math.ceil(c.delta_coeff / (h * epsilon)),
-            phases=math.ceil(c.phase_coeff / (h * epsilon)),
+            ell_max=count(c.ell_coeff, epsilon, "ell_max"),
+            limit_h=count(c.limit_coeff, h, "limit_h") + 1,
+            tau_max=count(c.bundle_coeff, h * epsilon, "tau_max"),
+            delta_h=count(c.delta_coeff, h * epsilon, "delta_h"),
+            phases=count(c.phase_coeff, h * epsilon, "phases"),
             iter_coeff=c.iter_coeff,
         )
 

@@ -106,12 +106,15 @@ class PhaseState:
     augmentation drops both structures, trees and all; their blossoms
     stay, since every reader skips a removed vertex before its blossom.
 
-    Three flags describe the phase as a whole: ``held`` says whether
+    Four flags describe the phase as a whole: ``held`` says whether
     ``mark_for_pass_bundle`` has put any structure on hold;
     ``pairs_left``, set by ``engine.contract_and_augment``, whether its
-    last loop stopped with a structure pair still joined; and
-    ``settled``, set by ``engine.run_phase``, whether the bundle loop
-    stopped at its fixpoint with ``held`` still false.
+    last loop stopped with a structure pair still joined; ``gave_up``,
+    set by the engine's simulation loops and never reset, whether any
+    loop stopped with its graph still holding an edge, or at an
+    iteration cap; and ``settled``, set by ``engine.run_phase``, whether
+    the bundle loop stopped at its fixpoint with ``held`` and
+    ``gave_up`` still false.
     """
 
     def __init__(self, g: Graph, m: Matching, params: PhaseParams):
@@ -133,6 +136,7 @@ class PhaseState:
         self.dirty: set[int] = set()
         self.held = False
         self.pairs_left = False
+        self.gave_up = False
         self.settled = False
         for a in free_vertices(g, m):
             if self.adj_sorted[a]:

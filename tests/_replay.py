@@ -1,8 +1,9 @@
 """Expanding the scales ``boost`` skipped as replays of its last phase.
 
 ``boost`` stops after a settled phase without a path and lists every
-smaller scale as ``replayed``, with no phase and no call.  Each such
-scale would have run exactly one phase: a copy of the stopping one.
+smaller scale as ``skipped``, with no phase and no call.  With an
+oracle each such scale would have run exactly one phase: a copy of the
+stopping one.
 :func:`expand_replayed` writes those copies back in, so digests
 recorded while every scale still ran can be checked unchanged.
 """
@@ -67,12 +68,12 @@ def recorded_boost(g, eps, oracle, **kwargs):
 def expand_replayed(res, rec: PhaseRecorder) -> tuple[int, list[list], list[int]]:
     """``(oracle_calls, per_scale rows, processing_steps)`` with replays run out.
 
-    Each replayed scale becomes one phase without a path, with the
+    Each skipped scale becomes one phase without a path, with the
     stopping phase's calls and processing steps appended in scale order.
     """
     calls, steps, rows = res.oracle_calls, list(res.stats.processing_steps), []
     for sc in res.per_scale:
-        if sc.replayed:
+        if sc.skipped:
             last = rec.phases[-1]
             calls += last.calls
             steps += last.steps

@@ -128,15 +128,15 @@ class TestRunExperiment:
         rep = run_experiment(small_config())
         doc = json.loads(rep.to_json())
         seed_calls = 2 * math.ceil(make_oracle("greedy").c)
-        replayed = 0
+        skipped = 0
         for row, entry in zip(doc["rows"], doc["per_scale"]):
             scales = entry["scales"]
             for sc in scales:
-                if sc["replayed"]:
-                    replayed += 1
+                if sc["skipped"]:
+                    skipped += 1
                     assert sc["phases_run"] == sc["paths_found"] == sc["oracle_calls"] == 0
             assert sum(sc["oracle_calls"] for sc in scales) + seed_calls == row["oracle_calls"]
-        assert replayed > 0
+        assert skipped > 0
 
     def test_verify_off_leaves_optimum_blank(self):
         rep = run_experiment(small_config(verify=False))

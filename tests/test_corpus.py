@@ -11,6 +11,7 @@ from matchboost.corpus import (
     gen_blossom_gadget,
     gen_cycle,
     gen_er,
+    gen_long_paths,
     gen_path,
     gen_planted,
     gen_update_stream,
@@ -18,7 +19,7 @@ from matchboost.corpus import (
 )
 from matchboost.errors import PreconditionError
 from matchboost.graph import Graph
-from matchboost.oracles import exact_mcm
+from matchboost.oracles import GreedyOracle, exact_mcm
 
 
 class TestGenerators:
@@ -57,6 +58,16 @@ class TestGenerators:
             assert len(exact_mcm(g)) >= int(0.75 * 24 / 2)
         sparse = gen_planted(9, 1.0, 0.0, seed=1)
         assert sparse.m == 4
+
+    def test_long_paths_leave_one_long_augmenting_path_per_copy(self):
+        g = gen_long_paths(3, 2)
+        # copy 0: inner 0..5 in path order, ends 6 and 7
+        assert sorted(g.edges)[:7] == [(0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 7)]
+        assert g.n == 16 and g.m == 14 and len(exact_mcm(g)) == 8
+        m = GreedyOracle().find(g)
+        assert sorted(m.edges) == [(0, 1), (2, 3), (4, 5), (8, 9), (10, 11), (12, 13)]
+        with pytest.raises(PreconditionError):
+            gen_long_paths(0, 1)
 
 
 class TestCorpusSpec:

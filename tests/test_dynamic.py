@@ -395,8 +395,13 @@ class TestStaticFromWeak:
         dyn_initial_matching(g, seed_weak, 0.25, DynParams.desk(0.25).t_const)
         res = static_from_weak(g, 0.25, seed=1)
         scale_calls = [sc.oracle_calls for sc in res.per_scale]
-        assert res.weak_calls == 160 and scale_calls[0] > 0
+        assert res.weak_calls == 10 and scale_calls[0] > 0
         assert sum(scale_calls) + seed_weak.stats.weak_calls == res.weak_calls
+        # the first scale's phase settles without a path; the rest are skipped
+        first, *rest = res.per_scale
+        assert not first.skipped and first.phases_run == 1
+        assert rest and all(sc.skipped for sc in rest)
+        assert all(sc.phases_run == sc.oracle_calls == 0 for sc in rest)
 
     def test_greedy_backend_bound(self):
         g = gen_planted(28, 0.9, 0.4, seed=4)
@@ -638,27 +643,30 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# Digests recorded before the phase state kept its ready and dirty
-# indexes: problem1_harness chunk records without wall_ms, and
-# static_from_weak's matching, weak calls per oracle and per-scale
-# stats on standard_corpus(6, 24, 64, seed=11), all at eps = 1/4.
+# Digests of problem1_harness chunk records without wall_ms, and of
+# static_from_weak's matching, weak calls per oracle and per-scale stats
+# on standard_corpus(6, 24, 64, seed=11), all at eps = 1/4.  Recorded
+# once the run ended after its first settled phase without a path; the
+# cycle, bipartite and weak-exact gadget runs never settle such a phase
+# and keep the digests recorded before the phase state kept its ready
+# and dirty indexes.
 GOLDEN_HARNESS = {
-    (40, 48, 3): "c1c1d2d087de5760",
-    (64, 64, 8): "c994632166109370",
+    (40, 48, 3): "90e7748e92fe4c68",
+    (64, 64, 8): "d18b89fa8065449a",
 }
 GOLDEN_WEAK = {
-    ("path-0000-n64", "weak-exact"): "7cda9d540fc29f49",
-    ("path-0000-n64", "weak-greedy"): "7cda9d540fc29f49",
+    ("path-0000-n64", "weak-exact"): "9f32800710937629",
+    ("path-0000-n64", "weak-greedy"): "9f32800710937629",
     ("cycle-0001-n37", "weak-exact"): "afa202c90eb545bf",
     ("cycle-0001-n37", "weak-greedy"): "578651bce6b3d6ce",
-    ("er-0002-n44", "weak-exact"): "10951baea54b187d",
-    ("er-0002-n44", "weak-greedy"): "03b352c95604c2aa",
+    ("er-0002-n44", "weak-exact"): "d65edbfaf7492d89",
+    ("er-0002-n44", "weak-greedy"): "d4ce447d424fc2b1",
     ("bipartite-0003-n27", "weak-exact"): "3f310c8657cdfa3d",
     ("bipartite-0003-n27", "weak-greedy"): "54c9e1961501b2ae",
     ("blossom-gadget-0004-n19", "weak-exact"): "fbcefa76239ca29d",
-    ("blossom-gadget-0004-n19", "weak-greedy"): "2c48abd0ecca91cc",
-    ("planted-0005-n54", "weak-exact"): "2e485742e699dbcd",
-    ("planted-0005-n54", "weak-greedy"): "9df2613368e9646b",
+    ("blossom-gadget-0004-n19", "weak-greedy"): "821951443a1bda6e",
+    ("planted-0005-n54", "weak-exact"): "8d1108f125d098d5",
+    ("planted-0005-n54", "weak-greedy"): "229ed6643021d9f2",
 }
 
 
@@ -687,8 +695,10 @@ class TestGoldenReplay:
     def test_static_from_weak_reproduces_recorded_digests(self):
         got = {}
         for name, g in standard_corpus(6, 24, 64, seed=11):
+            bound = math.ceil(len(exact_mcm(g)) / 1.25)
             for backend in ("weak-exact", "weak-greedy"):
                 res = static_from_weak(g.copy(), 0.25, backend, seed=5)
+                assert len(res.matching) >= bound, (name, backend)
                 got[(name, backend)] = _digest(
                     {
                         "matching": sorted(res.matching.edges),

@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchboost.checks import view_mismatches
-from matchboost.corpus import gen_blossom_gadget, gen_er, gen_path, standard_corpus
+from matchboost.checks import enumerate_short_augmenting_paths, view_mismatches
+from matchboost.corpus import (
+    gen_blossom_gadget,
+    gen_er,
+    gen_long_paths,
+    gen_path,
+    gen_planted,
+    standard_corpus,
+)
 from matchboost.dynamic import DoubleCover, DynParams, SampledFinder, static_from_weak
 from matchboost.engine import (
     OracleFinder,
@@ -293,14 +300,9 @@ class TestRunScales:
         assert finder_cls.patience == patience
         assert [sc.h for sc in per_scale] == scale_sequence(0.25)
         assert all(PhaseParams.for_scale(0.25, sc.h).phases > 2 for sc in per_scale)
-        if finder_cls.settled_phase_repeats:
-            # the first phase settles without a path; every later scale replays it
-            rest = len(per_scale) - 1
-            assert [sc.phases_run for sc in per_scale] == [patience] + [0] * rest
-            assert [sc.replayed for sc in per_scale] == [False] + [True] * rest
-        else:
-            assert [sc.phases_run for sc in per_scale] == [patience] * len(per_scale)
-            assert not any(sc.replayed for sc in per_scale)
+        # zero iterations certify nothing, so no phase settles and every scale runs
+        assert [sc.phases_run for sc in per_scale] == [patience] * len(per_scale)
+        assert not any(sc.skipped for sc in per_scale)
         assert all(sc.paths_found == sc.oracle_calls == 0 for sc in per_scale)
         assert m.edges == set() and stats.calls == 0
 
@@ -363,10 +365,10 @@ class TestBoost:
         g = gen_er(14, 0.2, seed=2)
         res = boost(g, 0.25, GreedyOracle())
         assert len(res.per_scale) == len(scale_sequence(0.25))
-        assert all(sc.phases_run >= 1 for sc in res.per_scale if not sc.replayed)
-        replayed = [sc for sc in res.per_scale if sc.replayed]
-        assert replayed == res.per_scale[-len(replayed):]
-        assert all(sc.phases_run == sc.paths_found == sc.oracle_calls == 0 for sc in replayed)
+        assert all(sc.phases_run >= 1 for sc in res.per_scale if not sc.skipped)
+        skipped = [sc for sc in res.per_scale if sc.skipped]
+        assert skipped == res.per_scale[-len(skipped):]
+        assert all(sc.phases_run == sc.paths_found == sc.oracle_calls == 0 for sc in skipped)
         assert sum(sc.oracle_calls for sc in res.per_scale) + 4 == res.oracle_calls
         assert res.oracle_calls == res.stats.calls
 
@@ -448,7 +450,7 @@ class TestStopRule:
             for spec in ("greedy", "adversarial:2"):
                 res, rec = recorded_boost(g, 0.25, make_oracle(spec))
                 last = rec.phases[-1]
-                skipped = [sc.h for sc in res.per_scale if sc.replayed]
+                skipped = [sc.h for sc in res.per_scale if sc.skipped]
                 if not skipped:
                     continue
                 stops += 1
@@ -474,7 +476,7 @@ class TestStopRule:
         first = rec.phases[0]
         assert first.held and not first.settled and first.paths == 0
         assert res.per_scale[0].phases_run == 1 and res.per_scale[0].paths_found == 0
-        assert not res.per_scale[1].replayed and res.per_scale[1].paths_found >= 1
+        assert not res.per_scale[1].skipped and res.per_scale[1].paths_found >= 1
 
     def test_a_phase_that_runs_out_of_bundles_keeps_the_scales_running(self):
         # tau_max == 8 at h = 1/2 and the first phase uses all 8 bundles;
@@ -484,17 +486,23 @@ class TestStopRule:
         first, second = rec.phases[:2]
         assert first.bundles == first.tau_max == 8 and not first.held
         assert not first.settled and first.paths == 0
-        assert not res.per_scale[1].replayed and second.h == 0.25
+        assert not res.per_scale[1].skipped and second.h == 0.25
         assert first.bundles < second.bundles < second.tau_max
 
-    def test_no_iterations_settle_the_first_phase(self):
-        # with no simulation iteration no pair is ever acted on, so the
-        # first bundle is a fixpoint and every smaller scale replays it
+    def test_no_iterations_certify_nothing(self):
+        # with no simulation iteration every phase reaches its fixpoint, but
+        # its loops looked at nothing: zero iterations certify nothing, and
+        # every scale runs one phase without a path and without a call
         consts = Constants(iter_coeff=0)
-        res = boost(gen_er(40, 0.1, seed=3), 0.25, make_oracle("adversarial:3"), constants=consts)
-        first, *rest = res.per_scale
-        assert first.h == 0.5 and first.phases_run == 1 and not first.replayed
-        assert rest and all(sc.replayed for sc in rest)
+        res, rec = recorded_boost(
+            gen_er(40, 0.1, seed=3), 0.25, make_oracle("adversarial:3"), constants=consts
+        )
+        assert [sc.h for sc in res.per_scale] == scale_sequence(0.25)
+        assert all(sc.phases_run == 1 and not sc.skipped for sc in res.per_scale)
+        assert all(sc.paths_found == sc.oracle_calls == 0 for sc in res.per_scale)
+        # each phase stops at its fixpoint, not at tau_max, and still is not settled
+        assert all(p.bundles < p.tau_max and not p.held and not p.settled for p in rec.phases)
+        assert res.oracle_calls == 6
 
 
 @st.composite
@@ -557,6 +565,34 @@ class TestFixpoint:
         assert paths == [] and state.pairs_left and not state.settled
         assert audit.bundles == params.tau_max and audit.early == 0
 
+    @pytest.mark.parametrize("cap", [3, 1, 0])
+    def test_a_stage_that_gives_up_with_pairs_left_spoils_the_fixpoint(self, cap):
+        # stage 0 of path6 has the arcs 0 -> 1 and 5 -> 4, and the idle
+        # finder returns empty batches: with 3 iterations the stage stops
+        # at fruitless_limit (1), with 1 or 0 at its cap, each time with
+        # both arcs left; the structures are backtracked, and the bundle
+        # loop reaches its fixpoint with nothing held
+        g, m = path6()
+        params, rec = quarter_params(), FlightRecorder()
+        finder = idle(OracleFinder, iterations=(cap, 3))
+        assert finder.fruitless_limit == 1
+        paths, state = run_phase(g, m, params, finder, hooks=rec)
+        assert paths == [] and not state.held and not state.pairs_left
+        assert rec.bundles < params.tau_max
+        assert state.gave_up and not state.settled
+
+    def test_an_augment_round_with_no_iteration_spoils_the_fixpoint(self):
+        # the free edge (0, 1) has no layer graph, and a round capped at 0
+        # never builds the pair graph: the bundle loop reaches its fixpoint
+        # with the augmenting path (0, 1) left, so the phase is not settled
+        params, rec = quarter_params(), FlightRecorder()
+        g, m = Graph(2, [(0, 1)]), Matching(2)
+        paths, state = run_phase(g, m, params, idle(OracleFinder, iterations=(1, 0)), hooks=rec)
+        assert paths == [] and not state.held and not state.pairs_left
+        assert rec.bundles < params.tau_max
+        assert list(enumerate_short_augmenting_paths(g, m.mate, params.ell_max)) == [[0, 1]]
+        assert state.gave_up and not state.settled
+
     @settings(max_examples=40, deadline=None)
     @given(er_graphs(), st.sampled_from([0.25, 0.125]), st.sampled_from(PIPELINES))
     def test_a_phase_that_stops_early_leaves_no_operation(self, g, eps, spec):
@@ -568,6 +604,70 @@ class TestFixpoint:
         for _, g in standard_corpus(10, 8, 40, seed=2026):
             _run_pipeline(g, 0.25, spec, audit)
         assert audit.early > 0
+
+
+class CertificateAudit(TraceHooks):
+    """A settled phase without a path leaves no augmenting path of at most ``ell_max`` arcs."""
+
+    def __init__(self):
+        self.certified = 0
+
+    def on_phase_end(self, state):
+        if state.settled and not state.found_paths:
+            short = enumerate_short_augmenting_paths(state.g, state.mate, state.params.ell_max)
+            assert next(short, None) is None
+            self.certified += 1
+
+
+class TestCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(er_graphs(), st.sampled_from([0.25, 0.125]), st.sampled_from(PIPELINES))
+    def test_a_settled_phase_without_a_path_leaves_no_short_path(self, g, eps, spec):
+        _run_pipeline(g, eps, spec, CertificateAudit())
+
+    @pytest.mark.parametrize("spec", ["greedy", "weak-exact"])
+    def test_the_audit_sees_settled_phases(self, spec):
+        audit = CertificateAudit()
+        for _, g in standard_corpus(10, 8, 24, seed=2026):
+            _run_pipeline(g, 0.125, spec, audit)
+        assert audit.certified > 0
+
+    def test_static_from_weak_stops_at_its_first_settled_phase(self):
+        g = gen_planted(32, 0.85, 0.5, seed=11)
+        audit = CertificateAudit()
+        res = static_from_weak(g, 0.25, seed=1, hooks=audit)
+        first, *rest = res.per_scale
+        assert audit.certified == first.phases_run == 1 and first.paths_found == 0
+        assert rest and all(sc.skipped and sc.phases_run == 0 for sc in rest)
+        assert len(res.matching) == len(exact_mcm(g))
+
+
+class TestDepthCap:
+    """``gen_long_paths`` leaves one augmenting path of ``2k + 1`` edges per copy.
+
+    Two structures grow towards each other from the path's ends, each
+    up to ``ell_max`` matched arcs deep, so ``boost`` finds the paths
+    up to ``k = 2 * ell_max`` and settles without them above it.
+    """
+
+    @pytest.mark.parametrize("eps, k", [(0.25, 24), (0.125, 48)])
+    def test_paths_within_the_cap_are_found(self, eps, k):
+        g = gen_long_paths(k, 20)
+        res = boost(g, eps, GreedyOracle())
+        assert 2 * PhaseParams.for_scale(eps, 0.5).ell_max == k
+        assert len(res.matching) == len(exact_mcm(g)) == 20 * (k + 1)
+
+    @pytest.mark.parametrize("eps, k", [(0.25, 25), (0.125, 49)])
+    def test_paths_beyond_the_cap_end_a_settled_run(self, eps, k):
+        g = gen_long_paths(k, 20)
+        audit = CertificateAudit()
+        res = boost(g, eps, GreedyOracle(), hooks=audit)
+        mu = len(exact_mcm(g))
+        assert (len(res.matching), mu) == (20 * k, 20 * (k + 1))
+        assert audit.certified == 1 and res.per_scale[-1].skipped
+        ell_max = PhaseParams.for_scale(eps, 0.5).ell_max
+        half = (ell_max + 1) // 2
+        assert len(res.matching) * (half + 1) >= half * mu
 
 
 def _eligible_owners(state: PhaseState, stage: int) -> list[int]:

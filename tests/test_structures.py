@@ -96,6 +96,19 @@ class TestParams:
         with pytest.raises(InvalidEpsilonError, match=r"too small: eps\^2 / 64 is 0\.0"):
             scale_sequence(2.0**-600)
 
+    def test_counts_that_overflow_are_an_epsilon_error(self):
+        # at 2^-340 the smallest scale's bundle count is inf; at 2^-336
+        # every scale's counts are finite
+        scales = scale_sequence(2.0**-340)
+        PhaseParams.for_scale(2.0**-340, scales[0])
+        with pytest.raises(InvalidEpsilonError, match="too small: tau_max is inf"):
+            PhaseParams.for_scale(2.0**-340, scales[-1])
+        # at 2^-360, h * eps underflows to 0.0 on the smallest scale
+        with pytest.raises(InvalidEpsilonError, match="too small: tau_max is inf"):
+            PhaseParams.for_scale(2.0**-360, scale_sequence(2.0**-360)[-1])
+        eps = 2.0**-336
+        assert all(PhaseParams.for_scale(eps, h).phases > 0 for h in scale_sequence(eps))
+
     def test_overrides(self):
         c = Constants().with_overrides({"limit_coeff": 1})
         assert c.limit_coeff == 1
