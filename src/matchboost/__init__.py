@@ -17,9 +17,7 @@ from .engine import (
 )
 from .dynamic import (
     DoubleCover,
-    DynParams,
     DynRunResult,
-    lift_bipartite_matching,
     parse_update_stream,
     SampledFinder,
     problem1_harness,
@@ -71,7 +69,6 @@ __all__ = [
     "CountedOracle",
     "CountedWeakOracle",
     "DoubleCover",
-    "DynParams",
     "DynRunResult",
     "ExactOracle",
     "Graph",
@@ -95,7 +92,6 @@ __all__ = [
     "free_vertices",
     "initial_matching",
     "is_matching",
-    "lift_bipartite_matching",
     "load_graph",
     "load_matching",
     "make_oracle",

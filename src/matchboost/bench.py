@@ -116,11 +116,15 @@ class RunReport:
     failures: int = 0
 
     def aggregates(self) -> list[dict]:
+        """One summary per epsilon the rows ran at, in first-seen order.
+
+        Rows hold the normalized epsilon, not the configured one.
+        """
+        groups: dict[float, list[dict]] = {}
+        for r in self.rows:
+            groups.setdefault(r["epsilon"], []).append(r)
         out = []
-        for eps in self.config.epsilons:
-            sub = [r for r in self.rows if r["epsilon"] == eps]
-            if not sub:
-                continue
+        for eps, sub in groups.items():
             ratios = [r["ratio"] for r in sub if r["ratio"] is not None]
             out.append(
                 {

@@ -164,6 +164,8 @@ def cmd_problem1(args) -> int:
         raise PreconditionError(f"--n must be at least 1, got {args.n}")
     if args.updates < 0:
         raise PreconditionError(f"--updates must be non-negative, got {args.updates}")
+    if args.q_budget is not None and args.q_budget < 0:
+        raise PreconditionError(f"--q-budget must be non-negative, got {args.q_budget}")
     eps = _parse_epsilons([args.epsilon or "0.25"])[0]
     _check_out(args.out)
     if args.stream:

@@ -41,7 +41,6 @@ from .graph import (
     Graph,
     Matching,
     augment_all,  # unused
-    edge_key,
     free_vertices,
 )
 from .oracles import Host, OracleStats, counted, exact_mcm, make_weak_backend, require_shape
@@ -54,6 +53,19 @@ SAMPLE_PATIENCE = 12
 
 # Graphs with at most this many vertices go to the exact matcher.
 SMALL_N_CUTOFF = 4
+
+# The paper's exponents are delta = eps^107, iteration counts
+# 1/(2*lam*delta) + 1, and an exact-matcher fallback on graphs of at most
+# eps^-300 vertices, which takes every input small enough to run.  The
+# values here (delta = eps^7 in ``static_from_weak``, the two below)
+# saturate progress on graphs small enough to test, with early exits
+# doing the actual termination work.
+#
+# Iteration cap of each sampled extension stage and augment round.
+SAMPLE_ITERATIONS = 48
+# The density promise: the guarantee covers graphs whose maximum
+# matching is at least ``DENSITY_COEFF * epsilon * n``.
+DENSITY_COEFF = 0.25
 
 
 # -- double cover ---------------------------------------------------------------
@@ -110,97 +122,17 @@ class DoubleCover:
         return b
 
 
-def lift_bipartite_matching(mb, n: int) -> Matching:
-    """Turn a double-cover matching into a matching of the base graph.
-
-    Projects each cover edge to its base edge (deduplicating the two
-    copies), which yields a degree-at-most-2 edge set; picking every
-    other edge along its paths and cycles gives a matching of at least
-    a sixth of the input size.
-    """
-    proj: set[tuple[int, int]] = set()
-    for p, q in mb:
-        o, i = (p, q) if p < n else (q, p)
-        if not (o < n <= i) or o == i - n:
-            raise InternalConsistencyError(f"not a cover edge: ({p}, {q})")
-        proj.add(edge_key(o, i - n))
-    adj: dict[int, list[int]] = {}
-    for u, v in sorted(proj):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v, nbrs in adj.items():
-        if len(nbrs) > 2:
-            raise InternalConsistencyError(f"projection has degree {len(nbrs)} at {v}")
-    out = Matching(n)
-    done: set[tuple[int, int]] = set()
-
-    def walk(start: int) -> list[tuple[int, int]]:
-        run = []
-        cur, prev = start, None
-        while True:
-            nxt = None
-            for y in adj[cur]:
-                if y != prev and edge_key(cur, y) not in done:
-                    nxt = y
-                    break
-            if nxt is None:
-                return run
-            done.add(edge_key(cur, nxt))
-            run.append((cur, nxt))
-            prev, cur = cur, nxt
-
-    starts = sorted(v for v, nbrs in adj.items() if len(nbrs) == 1)
-    comps = [walk(v) for v in starts]
-    for v in sorted(adj):  # leftovers are cycles
-        run = walk(v)
-        if run:
-            # Odd cycle: the last picked edge would touch the first.
-            if len(run) % 2 == 1:
-                run = run[:-1]
-            comps.append(run)
-    for run in comps:
-        for k in range(0, len(run), 2):
-            out.add(*run[k])
-    return out
-
-
-# -- parameters -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DynParams:
-    """Knobs of the sampled pipeline.
-
-    The paper's exponents are delta = eps^107, iteration counts
-    1/(2*lam*delta) + 1, and an exact-matcher fallback on graphs of at
-    most eps^-300 vertices, which takes every input small enough to
-    run.  ``desk`` picks values that saturate progress on graphs small
-    enough to test, with early exits doing the actual termination work.
-    """
-
-    delta: float
-    i_caa: int
-    i_eap: int
-    t_const: float = 0.25
-
-    @staticmethod
-    def desk(epsilon: float) -> "DynParams":
-        return DynParams(delta=epsilon**7, i_caa=48, i_eap=48)
-
-
 # -- initial matching -------------------------------------------------------------
 
 
-def dyn_initial_matching(
-    g: Graph, weak, epsilon: float, d_const: float = 0.25
-) -> Matching:
+def dyn_initial_matching(g: Graph, weak, epsilon: float) -> Matching:
     """Thirds-approximate seed: query the unmatched set until bottom.
 
     Sound when the graph's maximum matching is at least
-    ``d_const * epsilon * n``; each non-bottom answer adds at least one
-    edge, so the loop always terminates.
+    ``DENSITY_COEFF * epsilon * n``; each non-bottom answer adds at least
+    one edge, so the loop always terminates.
     """
-    delta = d_const * epsilon / 3
+    delta = DENSITY_COEFF * epsilon / 3
     m = Matching(g.n)
     for _ in range(g.n + 2):
         res = weak.query(free_vertices(g, m), delta)
@@ -313,17 +245,17 @@ def sampled_extend_active_path(
     weak_b,
     delta: float,
     rng: random.Random,
-    unvisited: list[int],
 ) -> list[tuple[int, int, int]]:
     """One extension batch of a stage, through a double-cover query.
 
     Samples one vertex per structure and builds the cover-side query
     set: outer copies of eligible working-vertex samples, inner copies
-    of label-eligible inner samples, plus inner copies of the
-    ``unvisited`` matched vertices when ``stage < ell_max``.  Those
-    vertices are in no structure and not removed, so their matched arc
-    still has its initial label ``ell_max + 1`` (``checks.check_state``
-    audits this), which exceeds ``stage + 1`` exactly then.  Each
+    of label-eligible inner samples, plus inner copies of the unvisited
+    matched vertices when ``stage < ell_max``.  Those are the endpoints
+    of the phase's matching that are in no structure and not removed,
+    so their matched arc still has its initial label ``ell_max + 1``
+    (``checks.check_state`` audits this), which exceeds ``stage + 1``
+    exactly then.  Each
     answer edge runs from an outer copy to an inner copy and is
     projected back to an ``(owner, x, y)`` extension.  Empty when the
     query answers bottom or nothing.
@@ -339,7 +271,13 @@ def sampled_extend_active_path(
         elif state.head_label(v) > stage + 1:
             query_set.append(v + n)
     if stage < state.params.ell_max:
-        query_set += [v + n for v in unvisited]
+        removed, structure_of = state.removed, state.structure_of
+        query_set += [
+            v + n
+            for e in state.m.edges
+            for v in e
+            if not removed[v] and v not in structure_of
+        ]
     res = weak_b.query(sorted(query_set), delta) or ()
     return [(state.structure_of.get(p, -1), p, q - n) for p, q in sorted(res)]
 
@@ -347,8 +285,9 @@ def sampled_extend_active_path(
 class SampledFinder:
     """Finds batches by sampling one vertex per structure for weak queries.
 
-    ``weak_g`` answers on the graph, ``weak_b`` on its double cover;
-    ``calls`` reads both counters, so ``run_scales`` needs them counted.
+    ``weak_g`` answers on the graph, ``weak_b`` on its double cover, both
+    asked at the threshold ``delta``; ``calls`` reads both counters, so
+    ``run_scales`` needs them counted.
     Each batch comes from one sample and one weak query, which may miss
     work that exists, so ``SAMPLE_PATIENCE`` empty batches in a row end
     a loop, and the in-structure sweep consumes what a member scan finds
@@ -359,49 +298,33 @@ class SampledFinder:
     another; the run still ends after a settled phase without a path,
     which certifies the matching whatever the finder (see
     ``engine.run_scales``).
-
-    ``unvisited`` lists, ascending, the phase's matched vertices that
-    are in no structure and not removed.  It is the matched vertices at
-    phase start and only shrinks, since a vertex that joins a structure
-    leaves it only by being removed; each extension batch first drops
-    the vertices that left.
     """
 
     patience = 2
     fruitless_limit = SAMPLE_PATIENCE
 
-    def __init__(self, weak_g, weak_b, dynp: DynParams, rng: random.Random):
+    def __init__(self, weak_g, weak_b, delta: float, rng: random.Random):
         self.weak_g = weak_g
         self.weak_b = weak_b
-        self.dynp = dynp
+        self.delta = delta
         self.rng = rng
-        self.unvisited: list[int] = []
 
     @property
     def calls(self) -> int:
         """Weak queries made so far, on the graph and on its cover."""
         return self.weak_g.stats.weak_calls + self.weak_b.stats.weak_calls
 
-    def start_phase(self, state: PhaseState) -> None:
-        self.unvisited = sorted(v for e in state.m.edges for v in e)
-
     def iterations(self, params: PhaseParams) -> tuple[int, int]:
-        return self.dynp.i_eap, self.dynp.i_caa
+        return SAMPLE_ITERATIONS, SAMPLE_ITERATIONS
 
     def sweep(self, state: PhaseState, stage: int) -> bool:
         return _in_structure_sweep(state, stage)
 
     def extension_batch(self, state: PhaseState, stage: int, pairs, hooks=None):
-        removed, structure_of = state.removed, state.structure_of
-        self.unvisited = [
-            v for v in self.unvisited if not removed[v] and v not in structure_of
-        ]
-        return sampled_extend_active_path(
-            state, stage, self.weak_b, self.dynp.delta, self.rng, self.unvisited
-        )
+        return sampled_extend_active_path(state, stage, self.weak_b, self.delta, self.rng)
 
     def augment_batch(self, state: PhaseState, pairs, hooks=None) -> list[Arc]:
-        return sampled_contract_and_augment(state, self.weak_g, self.dynp.delta, self.rng)
+        return sampled_contract_and_augment(state, self.weak_g, self.delta, self.rng)
 
 
 # -- full pipeline -----------------------------------------------------------------
@@ -427,7 +350,6 @@ def static_from_weak(
     epsilon: float,
     backend: str = "weak-exact",
     *,
-    dyn_params: DynParams | None = None,
     seed: int = 0,
     constants: Constants | None = None,
     hooks: TraceHooks | None = None,
@@ -446,7 +368,6 @@ def static_from_weak(
         if weak is not None:
             require_shape(weak, "weak", role)
     consts = constants or Constants()
-    dynp = dyn_params or DynParams.desk(eps)
     if g.n <= SMALL_N_CUTOFF or g.m == 0:
         return DynRunResult(exact_mcm(g), eps, OracleStats(), OracleStats(), True)
     rng = random.Random(seed)
@@ -455,9 +376,9 @@ def static_from_weak(
     if weak_b is None:
         weak_b = make_weak_backend(backend)(DoubleCover(g))
     weak_g, weak_b = counted(weak_g), counted(weak_b)
-    m = dyn_initial_matching(g, weak_g, eps, dynp.t_const)
+    m = dyn_initial_matching(g, weak_g, eps)
     result = DynRunResult(m, eps, weak_g.stats, weak_b.stats)
-    if 3 * len(m) < dynp.t_const * eps * g.n:
+    if 3 * len(m) < DENSITY_COEFF * eps * g.n:
         warnings.warn(
             "matching density below the promised bound; no approximation "
             "guarantee for this run",
@@ -465,7 +386,7 @@ def static_from_weak(
             stacklevel=2,
         )
         result.warned = True
-    finder = SampledFinder(weak_g, weak_b, dynp, rng)
+    finder = SampledFinder(weak_g, weak_b, eps**7, rng)
     result.matching, result.per_scale = run_scales(
         g, m, eps, consts, finder, weak_g.stats, hooks
     )

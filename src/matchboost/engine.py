@@ -283,36 +283,50 @@ def extend_active_path(state: PhaseState, finder, hooks: TraceHooks | None = Non
     limit, may leave an extension behind and sets ``state.gave_up``.
 
     A stage with no ready structure has no left side, so its sweep,
-    layer graph and batch would all be empty; it is skipped, and only
-    ``hooks.on_stage_end`` fires for it.
+    layer graph and batch would all be empty.  The loop visits only the
+    others: after each stage it steps to the smallest label above it, up
+    to ``ell_max``, that has a ready structure, and
+    ``hooks.on_stage_end`` fires for the stages visited.  A structure
+    that an operation makes ready below the current stage waits for the
+    next bundle.
     """
     changed = False
     iterations = finder.iterations(state.params)[0]
-    for stage in range(0, state.params.ell_max + 1):
-        if state.ready.get(stage):
-            changed |= finder.sweep(state, stage)
-            fruitless = 0
-            for _ in range(iterations):
-                pairs, _ = build_h_prime_s(state, stage)
-                if not pairs:
-                    break
-                if fruitless >= finder.fruitless_limit:
-                    state.gave_up = True
-                    break
-                batch = finder.extension_batch(state, stage, pairs, hooks)
-                if batch:
-                    apply_overtakes(state, stage, batch)
-                    changed = True
-                    fruitless = 0
-                else:
-                    fruitless += 1
-                changed |= finder.sweep(state, stage)
-            else:
+    stage = _next_ready_stage(state, -1)
+    while stage is not None:
+        changed |= finder.sweep(state, stage)
+        fruitless = 0
+        for _ in range(iterations):
+            pairs, _ = build_h_prime_s(state, stage)
+            if not pairs:
+                break
+            if fruitless >= finder.fruitless_limit:
                 state.gave_up = True
+                break
+            batch = finder.extension_batch(state, stage, pairs, hooks)
+            if batch:
+                apply_overtakes(state, stage, batch)
+                changed = True
+                fruitless = 0
+            else:
+                fruitless += 1
+            changed |= finder.sweep(state, stage)
+        else:
+            state.gave_up = True
         if hooks:
             hooks.on_stage_end(state, stage)
+        stage = _next_ready_stage(state, stage)
     changed |= contract_and_augment(state, finder, hooks)
     return changed
+
+
+def _next_ready_stage(state: PhaseState, stage: int) -> int | None:
+    """The smallest label in ``stage + 1 .. ell_max`` with a ready structure, if any."""
+    ell_max = state.params.ell_max
+    return min(
+        (k for k, owners in state.ready.items() if owners and stage < k <= ell_max),
+        default=None,
+    )
 
 
 def contract_and_augment(state: PhaseState, finder, hooks: TraceHooks | None = None) -> bool:
@@ -388,8 +402,6 @@ class OracleFinder:
         """Oracle calls made so far."""
         return self.oracle.stats.calls
 
-    def start_phase(self, state: PhaseState) -> None: ...
-
     def iterations(self, params: PhaseParams) -> tuple[int, int]:
         """The iteration caps of an extension stage and of an augment round."""
         k = params.sim_iterations(self.oracle.c)
@@ -453,7 +465,6 @@ def run_phase(
     work, and ``run_scales`` ends the run on it when it found no path.
     """
     state = PhaseState(g, m, params)
-    finder.start_phase(state)
     for tau in range(1, params.tau_max + 1):
         state.mark_for_pass_bundle()
         if hooks:

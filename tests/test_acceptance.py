@@ -29,14 +29,14 @@ from matchboost.corpus import (
     standard_corpus,
 )
 from matchboost.dynamic import (
+    DENSITY_COEFF,
+    SAMPLE_ITERATIONS,
     DoubleCover,
-    DynParams,
-    lift_bipartite_matching,
     problem1_harness,
     static_from_weak,
 )
 from matchboost.engine import boost, initial_matching
-from matchboost.graph import is_matching
+from matchboost.graph import Graph, edge_key, is_matching
 from matchboost.oracles import CountedOracle, exact_mcm, make_oracle
 from matchboost.params import PhaseParams, scale_sequence
 
@@ -193,13 +193,13 @@ def test_criterion_06_short_path_coverage_audit(capsys):
 def test_criterion_07_weak_oracle_pipeline(capsys):
     t0 = time.perf_counter()
     eps = 0.25
-    dynp = DynParams.desk(eps)
     lam = 1.0  # the exact-backed weak oracle answers at full strength
     # n-free call budget from the configured caps: the seed loop grows
     # by lam*delta'*n edges per answer, the simulations are cut off at
-    # i_eap/i_caa queries per stage per bundle
-    seed_budget = math.ceil(3 / (2 * lam * dynp.t_const * eps)) + 1
-    per_bundle = (PhaseParams.for_scale(eps, 0.5).ell_max + 1) * dynp.i_eap + dynp.i_caa
+    # SAMPLE_ITERATIONS queries per stage and per augment round per bundle
+    seed_budget = math.ceil(3 / (2 * lam * DENSITY_COEFF * eps)) + 1
+    stages = PhaseParams.for_scale(eps, 0.5).ell_max + 1
+    per_bundle = stages * SAMPLE_ITERATIONS + SAMPLE_ITERATIONS
     budget = seed_budget + sum(
         PhaseParams.for_scale(eps, h).phases
         * PhaseParams.for_scale(eps, h).tau_max
@@ -213,7 +213,7 @@ def test_criterion_07_weak_oracle_pipeline(capsys):
         g = gen_planted(n, 0.85, 0.5, 1000 + i)
         mu = len(exact_mcm(g.copy()))
         assert mu >= eps * n / 4  # planted instances are dense enough
-        res = static_from_weak(g, eps, "weak-exact", dyn_params=dynp, seed=i)
+        res = static_from_weak(g, eps, "weak-exact", seed=i)
         if len(res.matching) < math.ceil(mu / (1 + eps)):
             misses += 1
         if res.weak_calls > budget:
@@ -242,8 +242,16 @@ def test_criterion_08_cover_lifting_and_optimum_inequality(capsys):
             if u not in used and v not in used:
                 mb.append((u, v))
                 used.update((u, v))
-        lifted = lift_bipartite_matching(mb, g.n)
-        if not is_matching(g, lifted) or len(lifted) < math.ceil(len(mb) / 6):
+        # The projection to base edges keeps at least half the edges, and
+        # each base vertex has two copies, so it has degree at most 2 and
+        # a maximum matching of at least a third of its edges.
+        base = Graph(g.n, sorted({edge_key(u, v - g.n) for u, v in mb}))
+        lifted = exact_mcm(base)
+        if (
+            base.max_degree() > 2
+            or not is_matching(g, lifted)
+            or len(lifted) < math.ceil(len(mb) / 6)
+        ):
             bad_lifts += 1
     rng = random.Random(4242)
     bad_mu = 0

@@ -115,6 +115,7 @@ class TestBadInput:
             (["--n", "-4"], "--n must be at least 1, got -4"),
             (["--n", "0", "--stream", "unread.txt"], "--n must be at least 1, got 0"),
             (["--updates", "-1"], "--updates must be non-negative, got -1"),
+            (["--q-budget", "-1"], "--q-budget must be non-negative, got -1"),
         ],
     )
     def test_bad_problem1_sizes(self, argv, message, capsys):
@@ -270,6 +271,16 @@ class TestBoostVerb:
         )
         assert rc == 0
         assert "epsilon=0.125:" in capsys.readouterr().out
+
+    def test_normalized_epsilon_is_summarized(self, tmp_path, capsys):
+        # 0.2 runs at 0.125, and the summary groups the rows by what they ran at
+        base = tmp_path / "run"
+        argv = ["boost", "--kind", "path", "--trials", "2", "--n", "12", "--epsilon", "0.2"]
+        with pytest.warns(UserWarning, match="epsilon 0.2 rounded to 0.125"):
+            assert main(argv + ["--out", str(base)]) == 0
+        assert "epsilon=0.125: 2 trials, 0 failures" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert [(a["epsilon"], a["trials"]) for a in doc["aggregates"]] == [(0.125, 2)]
 
     def test_constants_override_accepted(self, capsys):
         rc = main(BOOST_ARGS + ["--constants", "limit_coeff=2"])

@@ -1,6 +1,5 @@
 """Weak-oracle pipeline: cover, lifting, sampling, and the stream harness."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -22,16 +21,16 @@ from matchboost.corpus import (
     standard_corpus,
 )
 from matchboost.dynamic import (
+    DENSITY_COEFF,
+    SAMPLE_ITERATIONS,
     SAMPLE_PATIENCE,
     DoubleCover,
     SampledFinder,
-    DynParams,
     ValidatingWeakProvider,
     _in_structure_sweep,
     _sample_one,
     _unit_draws,
     dyn_initial_matching,
-    lift_bipartite_matching,
     parse_update_stream,
     problem1_harness,
     sampled_contract_and_augment,
@@ -39,7 +38,7 @@ from matchboost.dynamic import (
 )
 from matchboost.engine import TraceHooks, contract_and_augment, extend_active_path, run_phase
 from matchboost.errors import InternalConsistencyError, PreconditionError, UnknownVertexError
-from matchboost.graph import AltPath, Arc, Graph, Matching, is_matching
+from matchboost.graph import AltPath, Arc, Graph, Matching, edge_key, is_matching
 from matchboost.oracles import (
     CountedWeakOracle,
     ExactOracle,
@@ -79,6 +78,16 @@ def interleaved_state() -> PhaseState:
     state.op_overtake(Arc(1, 2), Arc(2, 3), 1)
     state.mark_for_pass_bundle()
     return state
+
+
+def capped_finder(weak_g, weak_b, rng: random.Random, iterations: tuple[int, int]):
+    """A ``SampledFinder`` whose extension and augment loops stop at ``iterations``."""
+
+    class Capped(SampledFinder):
+        def iterations(self, params):
+            return iterations
+
+    return Capped(weak_g, weak_b, 0.25**7, rng)
 
 
 def one_draw_per_free_vertex(seed: int, pool_sizes: list[int]) -> random.Random:
@@ -124,40 +133,18 @@ class TestDoubleCover:
 
 
 class TestLift:
-    def test_duplicate_copies_merge(self):
-        out = lift_bipartite_matching([(0, 4), (1, 3)], 3)
-        assert sorted(out.edges) == [(0, 1)]
-
-    def test_path_takes_every_other_edge(self):
-        out = lift_bipartite_matching([(0, 4), (2, 4)], 3)
-        assert sorted(out.edges) == [(0, 1)]
-
-    def test_even_cycle_perfect(self):
-        out = lift_bipartite_matching([(0, 5), (1, 6), (2, 7), (3, 4)], 4)
-        assert sorted(out.edges) == [(0, 1), (2, 3)]
-
-    def test_odd_cycle_drops_one(self):
-        out = lift_bipartite_matching([(0, 4), (1, 5), (2, 3)], 3)
-        assert sorted(out.edges) == [(0, 1)]
-
-    def test_rejects_non_cover_edges(self):
-        with pytest.raises(InternalConsistencyError, match="cover edge"):
-            lift_bipartite_matching([(0, 1)], 3)
-        with pytest.raises(InternalConsistencyError, match="cover edge"):
-            lift_bipartite_matching([(0, 3)], 3)
-
-    def test_rejects_projection_degree_three(self):
-        with pytest.raises(InternalConsistencyError, match="degree"):
-            lift_bipartite_matching([(0, 5), (2, 5), (1, 7)], 4)
-
     def test_sixth_guarantee_on_random_covers(self):
+        # a cover matching projects to base edges of degree at most 2,
+        # whose maximum matching keeps a sixth of it
         for seed in range(25):
             g = gen_er(12, 0.3, seed=seed)
             if g.m == 0:
                 continue
             b, _ = DoubleCover(g).induced(range(2 * g.n))
             mb = GreedyOracle(seed=seed).find(b)
-            out = lift_bipartite_matching(sorted(mb.edges), g.n)
+            base = Graph(g.n, sorted({edge_key(u, v - g.n) for u, v in mb.edges}))
+            assert base.max_degree() <= 2
+            out = exact_mcm(base)
             assert is_matching(g, out)
             assert len(out) >= math.ceil(len(mb) / 6)
 
@@ -231,11 +218,20 @@ class TestImplicitCover:
             make_weak_backend("weak-psychic")(DoubleCover(Graph(2)))
 
 
-class TestDynParams:
-    def test_desk_profile(self):
-        p = DynParams.desk(0.25)
-        assert p.delta == 0.25**7
-        assert p.i_caa == p.i_eap == 48
+class TestDeskConstants:
+    def test_desk_profile(self, monkeypatch):
+        deltas = []
+
+        class Spy(SampledFinder):
+            def __init__(self, weak_g, weak_b, delta, rng):
+                deltas.append(delta)
+                super().__init__(weak_g, weak_b, delta, rng)
+
+        monkeypatch.setattr("matchboost.dynamic.SampledFinder", Spy)
+        static_from_weak(gen_planted(32, 0.85, 0.5, seed=11), 0.25, seed=1)
+        assert deltas == [0.25**7]
+        assert (SAMPLE_ITERATIONS, DENSITY_COEFF) == (48, 0.25)
+        assert SampledFinder(None, None, 0.25**7, None).iterations(None) == (48, 48)
         assert (SampledFinder.patience, SAMPLE_PATIENCE) == (2, 12)
 
 
@@ -301,10 +297,9 @@ class TestSampling:
         g = Graph(4, [(0, 1), (2, 3)])
         state = PhaseState(g, Matching(4), quarter_params())
         weak = CountedWeakOracle(weak_from_exact(g))
-        dynp = DynParams.desk(0.25)
-        batch = sampled_contract_and_augment(state, weak, dynp.delta, random.Random(0))
+        batch = sampled_contract_and_augment(state, weak, 0.25**7, random.Random(0))
         assert batch == [Arc(0, 1), Arc(2, 3)] and state.found_paths == []
-        finder = SampledFinder(weak, None, dynp, random.Random(0))
+        finder = SampledFinder(weak, None, 0.25**7, random.Random(0))
         assert contract_and_augment(state, finder)
         assert sorted(p.vertices for p in state.found_paths) == [[0, 1], [2, 3]]
 
@@ -312,14 +307,11 @@ class TestSampling:
     def test_both_samplers_draw_once_per_free_vertex(self):
         # one sampling iteration each; the edgeless 0, 4 and 8 draw from a
         # pool of one, in their place between 1's and 5's draws
-        dynp = DynParams.desk(0.25)
         for seed in range(20):
             state = interleaved_state()
             g = state.g
             rng = random.Random(seed)
-            finder = SampledFinder(
-                weak_from_exact(g), None, dataclasses.replace(dynp, i_caa=1), rng
-            )
+            finder = capped_finder(weak_from_exact(g), None, rng, (48, 1))
             contract_and_augment(state, finder)
             want = one_draw_per_free_vertex(seed, [1])
             picked = [1, 3][want.randrange(2)]
@@ -332,10 +324,7 @@ class TestSampling:
             state = interleaved_state()
             rng = random.Random(seed)
             weak_b = CountedWeakOracle(weak_from_exact(DoubleCover(g)))
-            finder = SampledFinder(
-                weak_from_exact(g), weak_b, dataclasses.replace(dynp, i_eap=1, i_caa=0), rng
-            )
-            finder.start_phase(state)
+            finder = capped_finder(weak_from_exact(g), weak_b, rng, (1, 0))
             extend_active_path(state, finder)
             # stage 0 samples once and 5 takes (6, 7); no later stage has work
             assert weak_b.stats.weak_calls == 1 and state.labels[(6, 7)] == 1
@@ -351,17 +340,17 @@ class TestRunPhaseSampled:
         m.add(3, 4)
         weak_g = CountedWeakOracle(weak_from_exact(g))
         weak_b = CountedWeakOracle(make_weak_backend("weak-exact")(DoubleCover(g)))
-        finder = SampledFinder(weak_g, weak_b, DynParams.desk(0.25), random.Random(3))
+        finder = SampledFinder(weak_g, weak_b, 0.25**7, random.Random(3))
         paths, _ = run_phase(g, m, quarter_params(), finder)
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert weak_b.stats.weak_calls > 0
 
     def test_second_contract_and_augment_does_work(self):
-        # With i_caa = 1 the extension round's own contract-and-augment
-        # samples once.  0 and 5 grow over (1, 2) and (3, 4), and only
-        # the outer 2 and 3 share an edge, so a sample can miss it; with
-        # seed 4 the first round misses and the bundle's second one finds
-        # the path.
+        # With an augment cap of 1 the extension round's own
+        # contract-and-augment samples once.  0 and 5 grow over (1, 2) and
+        # (3, 4), and only the outer 2 and 3 share an edge, so a sample
+        # can miss it; with seed 4 the first round misses and the bundle's
+        # second one finds the path.
         record = []
 
         class Spy(TraceHooks):
@@ -370,9 +359,8 @@ class TestRunPhaseSampled:
 
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         m = Matching(6, [(1, 2), (3, 4)])
-        dynp = dataclasses.replace(DynParams.desk(0.25), i_caa=1)
         weak_b = weak_from_exact(DoubleCover(g))
-        finder = SampledFinder(weak_from_exact(g), weak_b, dynp, random.Random(4))
+        finder = capped_finder(weak_from_exact(g), weak_b, random.Random(4), (48, 1))
         paths, _ = run_phase(g, m, quarter_params(), finder, Spy())
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert record[:2] == [0, 1]
@@ -392,7 +380,7 @@ class TestStaticFromWeak:
     def test_per_scale_calls_and_seed_queries_make_up_the_weak_calls(self):
         g = gen_planted(32, 0.85, 0.5, seed=11)
         seed_weak = CountedWeakOracle(weak_from_exact(g))
-        dyn_initial_matching(g, seed_weak, 0.25, DynParams.desk(0.25).t_const)
+        dyn_initial_matching(g, seed_weak, 0.25)
         res = static_from_weak(g, 0.25, seed=1)
         scale_calls = [sc.oracle_calls for sc in res.per_scale]
         assert res.weak_calls == 10 and scale_calls[0] > 0

@@ -1,4 +1,8 @@
-"""The benchmark's tracer wraps package names; every one must still exist."""
+"""The benchmark's tracer wraps package names; every one must still exist.
+
+The benchmark also keeps its own copy of the weak pipeline's density
+promise, which must match the package's.
+"""
 
 import importlib
 from pathlib import Path
@@ -45,3 +49,10 @@ def test_every_traced_span_records_a_call(monkeypatch):
     names = {name for _, _, name in tracing._targets(mods)} | {"oracles.weak_query"}
     silent = sorted(name for name in names if tracer.spans.calls[name] == 0)
     assert silent == ["dynamic.materialize"]
+
+
+def test_benchmark_density_promise_matches_the_package(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    dynamic = importlib.import_module("matchboost.dynamic")
+    assert workloads.T_CONST == dynamic.DENSITY_COEFF
