@@ -26,8 +26,14 @@ from .params import Constants, normalize_epsilon
 
 
 def component_cap(epsilon: float) -> float:
-    """The largest component a processing step may touch: ``1 / epsilon**3``."""
-    return 1.0 / epsilon**3
+    """The largest component a processing step may touch: ``1 / epsilon**3``.
+
+    Taken as a product of reciprocals, so an epsilon whose cube
+    underflows (at or below ``2**-359``) gives an infinite cap, which no
+    step exceeds, rather than a division by zero.
+    """
+    inv = 1.0 / epsilon
+    return inv * inv * inv
 
 
 def round_accounting_report(

@@ -11,7 +11,7 @@ assigned ids starting at ``n``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InternalConsistencyError, PreconditionError, UnknownVertexError
 from .graph import Arc
@@ -43,6 +43,15 @@ class LaminarBlossomSet:
         self.blossoms: dict[int, Blossom] = {}
         self.root_of: list[int] = list(range(n))
         self._next_id = n
+
+    def copy(self) -> "LaminarBlossomSet":
+        """An independent copy; a blossom changes only its ``parent`` once made."""
+        new = LaminarBlossomSet.__new__(LaminarBlossomSet)
+        new.n = self.n
+        new.blossoms = {bid: replace(b) for bid, b in self.blossoms.items()}
+        new.root_of = list(self.root_of)
+        new._next_id = self._next_id
+        return new
 
     def is_trivial(self, bid: int) -> bool:
         return bid < self.n
@@ -172,6 +181,15 @@ class TreeView:
     parent_arc: dict[int, Arc] = field(default_factory=dict)
     children: dict[int, list[int]] = field(default_factory=dict)
     depth: dict[int, int] = field(default_factory=dict)
+
+    def copy(self) -> "TreeView":
+        return TreeView(
+            self.root,
+            dict(self.parent),
+            dict(self.parent_arc),
+            {b: list(kids) for b, kids in self.children.items()},
+            dict(self.depth),
+        )
 
     def contains(self, bid: int) -> bool:
         return bid in self.depth

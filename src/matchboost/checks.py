@@ -179,8 +179,7 @@ def check_state(
                 f"cap is {state.params.delta_h}"
             )
         if at_bundle_start:
-            want_hold = len(s.vertices) >= state.params.limit_h
-            if s.on_hold != want_hold:
+            if s.on_hold != state.holds(s):
                 problems.append(f"structure {s.owner}: stale hold mark")
             if s.modified or s.extended:
                 problems.append(f"structure {s.owner}: stale progress mark")
@@ -327,9 +326,11 @@ class InvariantHooks(TraceHooks):
     Keeps the contamination ledger of the phase whose state it last saw:
     the candidate arcs each extension stage leaves, and every type-2
     edge after each contract-and-augment round.  A new ``PhaseState``
-    starts an empty ledger.  ``audit_paths`` additionally runs the
-    short-path coverage audit at every bundle boundary, which is only
-    affordable on small graphs.
+    starts an empty ledger, unless it is the held start of the last
+    phase (``engine.run_phase``): then it starts from a copy of the
+    ledger as it stood when that copy was made.
+    ``audit_paths`` additionally runs the short-path coverage audit at
+    every bundle boundary, which is only affordable on small graphs.
     """
 
     def __init__(self, g: Graph, epsilon: float, audit_paths: bool = False):
@@ -343,6 +344,8 @@ class InvariantHooks(TraceHooks):
         self._label_snapshot: dict[tuple[int, int], int] | None = None
         self.ledger: set[tuple[int, int]] = set()
         self._ledger_state: PhaseState | None = None
+        self._held_start: PhaseState | None = None
+        self._held_ledger: set[tuple[int, int]] = set()
 
     def _ctx(self, tau: int | None = None) -> str:
         where = f"scale {self.scale:g} phase {self.phase}"
@@ -363,9 +366,10 @@ class InvariantHooks(TraceHooks):
         self._label_snapshot = dict(state.labels)
 
     def ledger_of(self, state: PhaseState) -> set[tuple[int, int]]:
-        """The ledger of ``state``'s phase, emptied when the state is new."""
+        """The ledger of ``state``'s phase, reset when the state is new."""
         if self._ledger_state is not state:
-            self._ledger_state, self.ledger = state, set()
+            self._ledger_state = state
+            self.ledger = set(self._held_ledger) if state is self._held_start else set()
         return self.ledger
 
     def on_phase_start(self, params: PhaseParams, scale: float, phase: int) -> None:
@@ -376,6 +380,8 @@ class InvariantHooks(TraceHooks):
     def on_bundle_start(self, state: PhaseState, tau: int) -> None:
         ctx = self._ctx(tau)
         ledger = self.ledger_of(state)
+        if state.held_start is not None and state.held_start is not self._held_start:
+            self._held_start, self._held_ledger = state.held_start, set(ledger)
         problems = check_state(state, at_bundle_start=True, context=ctx)
         if tau >= 2:
             problems += check_outer_outer_covered(state, ledger, ctx)

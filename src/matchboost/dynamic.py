@@ -103,23 +103,22 @@ class DoubleCover:
         fwd = {x: i for i, x in enumerate(back)}
         n = self.g.n
         adj = self.g.sorted_adj
-        sub = Graph(len(back))
+        pairs = []
         for i, x in enumerate(back):
             if x >= n:
                 break
             for w in adj[x]:
                 j = fwd.get(w + n)
                 if j is not None:
-                    sub.add_edge(i, j)
-        return sub, back
+                    pairs.append((i, j))
+        return Graph(len(back), pairs), back
 
     def materialize(self) -> Graph:
         n = self.g.n
-        b = Graph(2 * n)
+        pairs = []
         for u, v in sorted(self.g.edges):
-            b.add_edge(u, v + n)
-            b.add_edge(v, u + n)
-        return b
+            pairs += [(u, v + n), (v, u + n)]
+        return Graph(2 * n, pairs)
 
 
 # -- initial matching -------------------------------------------------------------
@@ -295,13 +294,15 @@ class SampledFinder:
     work, so its phase is not settled, and a sampled phase without a
     path may have missed one: a scale stops after two such phases in a
     row.  The generator advances between phases, so no phase repeats
-    another; the run still ends after a settled phase without a path,
-    which certifies the matching whatever the finder (see
+    another, ``replays`` is false and no held phase is resumed.
+    The run still ends after a settled phase without a path, which
+    certifies the matching whatever the finder (see
     ``engine.run_scales``).
     """
 
     patience = 2
     fruitless_limit = SAMPLE_PATIENCE
+    replays = False
 
     def __init__(self, weak_g, weak_b, delta: float, rng: random.Random):
         self.weak_g = weak_g

@@ -170,10 +170,7 @@ def _aux_graph_pairs(pairs) -> tuple[Graph, list[int]]:
     """The pair graph on the owners that carry an edge, numbered in ascending order."""
     owners = sorted({o for key in pairs for o in key})
     idx = {o: i for i, o in enumerate(owners)}
-    aux = Graph(len(owners))
-    for a, b in sorted(pairs):
-        aux.add_edge(idx[a], idx[b])
-    return aux, owners
+    return Graph(len(owners), [(idx[a], idx[b]) for a, b in sorted(pairs)]), owners
 
 
 def _aux_graph_bipartite(pairs) -> tuple[Graph, list[tuple[str, int]]]:
@@ -186,10 +183,8 @@ def _aux_graph_bipartite(pairs) -> tuple[Graph, list[tuple[str, int]]]:
     nodes = [("L", o) for o in sorted({o for o, _ in pairs})]
     nodes += [("R", y) for y in sorted({y for _, y in pairs})]
     idx = {node: i for i, node in enumerate(nodes)}
-    aux = Graph(len(nodes))
-    for o, y in sorted(pairs):
-        aux.add_edge(idx[("L", o)], idx[("R", y)])
-    return aux, nodes
+    edges = [(idx[("L", o)], idx[("R", y)]) for o, y in sorted(pairs)]
+    return Graph(len(nodes), edges), nodes
 
 
 # -- simulations ----------------------------------------------------------------
@@ -386,13 +381,17 @@ class OracleFinder:
     The oracle sees only the auxiliary graphs, and a batch is never
     empty: ``CountedOracle`` rejects an empty answer on a graph with an
     edge.  A deterministic oracle on unchanged input repeats a phase
-    verbatim, so a scale stops after its first phase without a path.
-    For the same reason the scales skipped after a settled phase without
-    a path (see ``run_scales``) would only have replayed that phase.
+    verbatim, so a scale stops after its first phase without a path, and
+    the finder ``replays``.  For the same reason the scales skipped after
+    a settled phase without a path would only have replayed that phase,
+    and a phase held without a path is resumed at the next scale from the
+    start of its first held bundle instead of replayed up to it (see
+    ``run_scales``).
     """
 
     patience = 1
     fruitless_limit = 1
+    replays = True
 
     def __init__(self, oracle: CountedOracle):
         self.oracle = oracle
@@ -438,14 +437,16 @@ class OracleFinder:
 
 
 def run_phase(
-    g: Graph, m: Matching, params: PhaseParams, finder, hooks: TraceHooks | None = None
+    state: PhaseState, finder, hooks: TraceHooks | None = None
 ) -> tuple[list[AltPath], PhaseState]:
-    """One phase: returns vertex-disjoint augmenting paths for ``m``, and its state.
+    """One phase from ``state``: vertex-disjoint augmenting paths for ``state.m``, and ``state``.
 
-    ``finder`` supplies the batches of each pass bundle (an
-    ``OracleFinder`` or ``dynamic.SampledFinder``).  ``g`` and ``m`` are
-    left untouched: what the phase changes, its removal flags and its
-    processing steps among it, is in the returned ``PhaseState``.
+    ``state`` is a new ``PhaseState(g, m, params)``, or a held start
+    that a later phase resumes (see below).  ``finder`` supplies the
+    batches of each pass bundle (an ``OracleFinder`` or
+    ``dynamic.SampledFinder``).  ``g`` and ``m`` are left untouched:
+    what the phase changes, its removal flags and its processing steps
+    among it, is in ``state``.
 
     A pass bundle is a fixpoint, and the bundle loop stops there with
     the outcome of all ``tau_max`` bundles, when it changed nothing,
@@ -463,9 +464,28 @@ def run_phase(
     hold in any bundle and no simulation loop that gave up with work
     possibly left (``state.gave_up``): such a phase looked at all its
     work, and ``run_scales`` ends the run on it when it found no path.
+
+    With a finder that ``replays``, a phase that has found no path yet
+    keeps a copy of its state in ``state.held_start`` when it is about
+    to put its first structure on hold: at the start of that bundle,
+    before the marks are set.  The copy's ``resumed_calls`` are the
+    calls its phase made before that bundle, its own resumed ones
+    included.  A later phase on the same ``g`` and ``m`` may pass that
+    copy here, with its own ``params`` set on it, and goes on from that
+    bundle; hooks see no event of the bundles before it.
     """
-    state = PhaseState(g, m, params)
-    for tau in range(1, params.tau_max + 1):
+    replays = finder.replays
+    calls_at_entry = finder.calls if replays else 0
+    while state.bundles < state.params.tau_max:
+        if (
+            replays
+            and not (state.held or state.found_paths)
+            and any(map(state.holds, state.structures.values()))
+        ):
+            state.held_start = state.copy()
+            state.held_start.resumed_calls += finder.calls - calls_at_entry
+        state.bundles += 1
+        tau = state.bundles
         state.mark_for_pass_bundle()
         if hooks:
             hooks.on_bundle_start(state, tau)
@@ -509,11 +529,18 @@ def initial_matching(g: Graph, oracle: CountedOracle) -> Matching:
 
 @dataclass
 class ScaleStats:
+    """One scale of ``run_scales``.
+
+    ``oracle_calls`` counts the calls made at this scale, and
+    ``resumed_calls`` those that a resumed phase did not repeat.
+    """
+
     h: float
     phases_run: int = 0
     paths_found: int = 0
     oracle_calls: int = 0
     skipped: bool = False
+    resumed_calls: int = 0
 
 
 def run_scales(
@@ -550,10 +577,28 @@ def run_scales(
     checks.  Each scale left out is recorded as ``skipped``, with no
     phase, path or call; hooks see no phase of it.
 
+    The same argument resumes a phase that finds no path but is not
+    settled because it put a structure on hold.  Up to the first bundle
+    that held a structure, the next scale's first phase would replay it:
+    at every mark before that bundle each structure had fewer than the
+    old ``limit_h`` vertices, so fewer than the new one too, and the
+    bundles ran exactly alike.  With a finder that ``replays``, that
+    phase therefore starts from the copy the held phase kept at the start
+    of that bundle (``PhaseState.held_start``), with the new scale's
+    params, and continues from that bundle.  Its steps before the bundle
+    are not added again, and its scale records the calls it did not
+    repeat as ``resumed_calls``; hooks see no event of those bundles.
+    Skipping the scales after a settled phase is the case of a phase
+    never held, which the next scale would replay whole.
+    ``dynamic.SampledFinder`` does not replay, since its random stream
+    advances, and never resumes.  The finished phase's state is dropped
+    before the next phase runs; only its held start lives on.
+
     Returns the final matching and one record per scale.
     """
     per_scale = []
     settled = False
+    resume = None
     for h in scale_sequence(eps, consts):
         if settled:
             per_scale.append(ScaleStats(h, skipped=True))
@@ -565,14 +610,23 @@ def run_scales(
         for phase in range(1, params.phases + 1):
             if hooks:
                 hooks.on_phase_start(params, h, phase)
-            paths, state = run_phase(g, m, params, finder, hooks)
-            stats.processing_steps += state.steps
+            if resume is None:
+                state = PhaseState(g, m, params)
+            else:
+                state = resume
+                state.params = params
+                sc.resumed_calls += state.resumed_calls
+            steps_before = len(state.steps)
+            paths, state = run_phase(state, finder, hooks)
+            stats.processing_steps += state.steps[steps_before:]
             if paths:
                 m = augment_all(m, paths)
             sc.phases_run += 1
             sc.paths_found += len(paths)
             empty_streak = 0 if paths else empty_streak + 1
             settled = state.settled and not paths
+            resume = None if paths or settled else state.held_start
+            del state
             if settled or empty_streak >= finder.patience:
                 break
         sc.oracle_calls = finder.calls - calls_before
@@ -605,7 +659,10 @@ def boost(
     epsilon-dependent floor; each scale runs phases until one finds no
     augmenting path.  Once such a phase is settled, the smaller scales
     would only replay it, so they are skipped and listed in
-    ``per_scale`` as ``skipped`` (see ``run_scales``).
+    ``per_scale`` as ``skipped``.  A phase held without a path is resumed
+    by the next scale's first phase from the start of its first held
+    bundle, and the calls that saved are listed as ``resumed_calls``
+    (see ``run_scales``).
     """
     eps = normalize_epsilon(epsilon)
     require_shape(oracle, "matching", "boost's oracle")

@@ -46,7 +46,8 @@ class Graph:
         Number of vertices.
     edges : iterable of (int, int)
         Edge list.  Endpoints must lie in ``[0, n)``, be distinct, and
-        no edge may appear twice (in either orientation).
+        no edge may appear twice (in either orientation).  Each edge is
+        appended to both adjacency lists in the order given.
     """
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
@@ -56,21 +57,30 @@ class Graph:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.edges: set[Edge] = set()
         self._sorted_adj: list[list[int]] | None = None
-        for u, v in edges:
-            self.add_edge(u, v)
+        self._add_edges(edges)
 
     def add_edge(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise UnknownVertexError(f"edge ({u}, {v}) outside vertex range [0, {self.n})")
-        if u == v:
-            raise SelfLoopError(f"self loop at vertex {u}")
-        k = edge_key(u, v)
-        if k in self.edges:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-        self.edges.add(k)
-        self.adj[u].append(v)
-        self.adj[v].append(u)
+        self._add_edges(((u, v),))
+
+    def _add_edges(self, edges: Iterable[Edge]) -> None:
+        """Add each edge in turn, checked for range, self loop and duplicate.
+
+        The one path by which edges enter a graph.  The checks run
+        inline, since a graph of many edges is built in one call.
+        """
+        n, adj, seen = self.n, self.adj, self.edges
         self._sorted_adj = None
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise UnknownVertexError(f"edge ({u}, {v}) outside vertex range [0, {n})")
+            if u == v:
+                raise SelfLoopError(f"self loop at vertex {u}")
+            k = (u, v) if u < v else (v, u)
+            if k in seen:
+                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+            seen.add(k)
+            adj[u].append(v)
+            adj[v].append(u)
 
     def remove_edge(self, u: int, v: int) -> None:
         k = edge_key(u, v)
@@ -119,12 +129,8 @@ class Graph:
         """
         back = sorted(set(vertices))
         fwd = {v: i for i, v in enumerate(back)}
-        sub = Graph(len(back))
-        for v in back:
-            for w in self.adj[v]:
-                if v < w and w in fwd:
-                    sub.add_edge(fwd[v], fwd[w])
-        return sub, back
+        pairs = ((fwd[v], fwd[w]) for v in back for w in self.adj[v] if v < w and w in fwd)
+        return Graph(len(back), pairs), back
 
     def copy(self) -> "Graph":
         return Graph(self.n, self.edges)

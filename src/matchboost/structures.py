@@ -15,7 +15,8 @@ are recorded as paths and applied by the driver at phase end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 from .blossoms import LaminarBlossomSet, TreeView, find_cycle_blossom, lift_full_path
 from .errors import InternalConsistencyError, InvalidPathError, PreconditionError
@@ -45,6 +46,12 @@ class Structure:
     extended: bool = False
     # The entry label under which the structure sits in ``PhaseState.ready``.
     ready_label: int | None = None
+
+    def copy(self) -> "Structure":
+        """An independent copy: its own tree and its own vertex and arc sets."""
+        return replace(
+            self, view=self.view.copy(), vertices=set(self.vertices), arcs=set(self.arcs)
+        )
 
 
 class PhaseState:
@@ -115,6 +122,13 @@ class PhaseState:
     iteration cap; and ``settled``, set by ``engine.run_phase``, whether
     the bundle loop stopped at its fixpoint with ``held`` and
     ``gave_up`` still false.
+
+    ``engine.run_phase`` also keeps ``bundles``, the pass bundles begun,
+    and ``held_start``, a :meth:`copy` of the state made at the start of
+    the first bundle that puts a structure on hold.  ``resumed_calls``
+    are the oracle calls a phase run from this state does not repeat:
+    on such a copy, those its phase made before that bundle; on a fresh
+    state, 0.
     """
 
     def __init__(self, g: Graph, m: Matching, params: PhaseParams):
@@ -138,6 +152,9 @@ class PhaseState:
         self.pairs_left = False
         self.gave_up = False
         self.settled = False
+        self.bundles = 0
+        self.resumed_calls = 0
+        self.held_start: PhaseState | None = None
         for a in free_vertices(g, m):
             if self.adj_sorted[a]:
                 self.init_structure(a)
@@ -153,6 +170,29 @@ class PhaseState:
         self._edgeless_working = bool(self.edgeless)
 
     # -- bookkeeping ----------------------------------------------------------
+
+    def copy(self) -> "PhaseState":
+        """An independent copy, made by hand rather than by ``copy.deepcopy``.
+
+        Shared with the copy: the graph, the matching, the sorted
+        adjacency, the params and ``edgeless``, which no phase changes.
+        Everything a phase changes is copied down to its sets, lists and
+        dicts; a blossom changes only its ``parent`` once made.  The copy
+        has no ``held_start`` of its own.
+        """
+        new = copy.copy(self)
+        new.omega = self.omega.copy()
+        new.structures = {o: s.copy() for o, s in self.structures.items()}
+        new.structure_of = dict(self.structure_of)
+        new.labels = dict(self.labels)
+        new.removed = list(self.removed)
+        new.found_paths = list(self.found_paths)
+        new.steps = list(self.steps)
+        new.ready = {k: set(owners) for k, owners in self.ready.items()}
+        new.dirty = set(self.dirty)
+        new.fresh = set(self.fresh)
+        new.held_start = None
+        return new
 
     def init_structure(self, alpha: int) -> Structure:
         """The singleton structure of the free vertex ``alpha``.
@@ -225,14 +265,18 @@ class PhaseState:
         """Log one processing step by the largest structure it touched, at least 1."""
         self.steps.append(max(1, max_component))
 
+    def holds(self, s: Structure) -> bool:
+        """The hold rule: ``s`` has reached ``limit_h`` vertices."""
+        return len(s.vertices) >= self.params.limit_h
+
     def mark_for_pass_bundle(self) -> None:
-        """Reset marks; large structures go on hold for the bundle.
+        """Reset marks; the structures that :meth:`holds` go on hold for the bundle.
 
         Rebuilds ``ready`` from the reset marks in the same pass.
         """
         self.ready = {}
         for s in self.live_structures():
-            s.on_hold = len(s.vertices) >= self.params.limit_h
+            s.on_hold = self.holds(s)
             self.held |= s.on_hold
             s.modified = False
             s.extended = False

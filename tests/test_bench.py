@@ -138,6 +138,15 @@ class TestRunExperiment:
             assert sum(sc["oracle_calls"] for sc in scales) + seed_calls == row["oracle_calls"]
         assert skipped > 0
 
+    def test_boost_rows_report_resumed_calls(self):
+        # a 37-cycle holds a structure at h = 1/2 and 1/4 without a path;
+        # the next scale resumes each such phase instead of replaying it
+        corpus = CorpusSpec(kind="cycle", trials=2, n=37, seed=7)
+        doc = json.loads(run_experiment(small_config(corpus=corpus)).to_json())
+        for entry in doc["per_scale"]:
+            resumed = [sc["resumed_calls"] for sc in entry["scales"]]
+            assert resumed[0] == 0 and sum(resumed) > 0
+
     def test_verify_off_leaves_optimum_blank(self):
         rep = run_experiment(small_config(verify=False))
         assert rep.failures == 0

@@ -279,6 +279,20 @@ class TestInvariantHooks:
         with pytest.raises(InternalConsistencyError, match="not in the ledger"):
             hooks.on_bundle_start(other, 2)
 
+    def test_a_resumed_held_start_keeps_the_ledger(self):
+        # the held start a later phase resumes goes on with the ledger as it
+        # stood when the copy was made, as it would in a fresh phase
+        st = grown_path6()
+        st.mark_for_pass_bundle()
+        hooks = InvariantHooks(st.g, 0.25)
+        hooks.on_augment_round_end(st)
+        st.held_start = st.copy()
+        hooks.on_bundle_start(st, 2)
+        hooks.on_bundle_start(st.held_start, 2)
+        assert hooks.ledger == {(2, 3)}
+        with pytest.raises(InternalConsistencyError, match="not in the ledger"):
+            hooks.on_bundle_start(st.copy(), 2)
+
     def test_raises_on_corruption(self):
         st = path6()
         st.labels[(1, 2)] = 99

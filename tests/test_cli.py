@@ -282,6 +282,16 @@ class TestBoostVerb:
         doc = json.loads((tmp_path / "run.json").read_text())
         assert [(a["epsilon"], a["trials"]) for a in doc["aggregates"]] == [(0.125, 2)]
 
+    def test_an_epsilon_whose_cube_underflows_reports(self, tmp_path, capsys):
+        # 2**-360 cubed is 0.0 in floating point; the component cap is infinite
+        base = tmp_path / "run"
+        argv = ["boost", "--kind", "path", "--trials", "1", "--n", "8"]
+        assert main(argv + ["--epsilon", repr(2.0**-360), "--out", str(base)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and f"epsilon={2.0**-360:g}: 1 trials, 0 failures" in out
+        (row,) = json.loads((tmp_path / "run.json").read_text())["rows"]
+        assert row["ok"] and row["cap_violations"] == 0
+
     def test_constants_override_accepted(self, capsys):
         rc = main(BOOST_ARGS + ["--constants", "limit_coeff=2"])
         assert rc == 0

@@ -341,7 +341,7 @@ class TestRunPhaseSampled:
         weak_g = CountedWeakOracle(weak_from_exact(g))
         weak_b = CountedWeakOracle(make_weak_backend("weak-exact")(DoubleCover(g)))
         finder = SampledFinder(weak_g, weak_b, 0.25**7, random.Random(3))
-        paths, _ = run_phase(g, m, quarter_params(), finder)
+        paths, _ = run_phase(PhaseState(g, m, quarter_params()), finder)
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert weak_b.stats.weak_calls > 0
 
@@ -361,7 +361,7 @@ class TestRunPhaseSampled:
         m = Matching(6, [(1, 2), (3, 4)])
         weak_b = weak_from_exact(DoubleCover(g))
         finder = capped_finder(weak_from_exact(g), weak_b, random.Random(4), (48, 1))
-        paths, _ = run_phase(g, m, quarter_params(), finder, Spy())
+        paths, _ = run_phase(PhaseState(g, m, quarter_params()), finder, Spy())
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert record[:2] == [0, 1]
 

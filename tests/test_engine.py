@@ -173,7 +173,7 @@ class TestRunPhase:
     def test_path6_single_path(self):
         g, m = path6()
         oracle = CountedOracle(ExactOracle())
-        paths, state = run_phase(g, m, quarter_params(), OracleFinder(oracle))
+        paths, state = run_phase(PhaseState(g, m, quarter_params()), OracleFinder(oracle))
         assert paths == [AltPath([0, 1, 2, 3, 4, 5])]
         assert state.structures == {}
         m2 = augment_all(m, paths)
@@ -184,7 +184,7 @@ class TestRunPhase:
         # in the same batch, then the triangle contracts and augments
         g, m = triangle_tail()
         oracle = CountedOracle(ExactOracle())
-        paths, state = run_phase(g, m, quarter_params(), OracleFinder(oracle))
+        paths, state = run_phase(PhaseState(g, m, quarter_params()), OracleFinder(oracle))
         assert paths == [AltPath([0, 1, 2, 3])]
         # the isolated 4 owns no structure
         assert state.structures == {} and state.edgeless == [4]
@@ -193,7 +193,7 @@ class TestRunPhase:
     def test_empty_matching_pairs_up_free_ends(self):
         g = Graph(4, [(0, 1), (2, 3)])
         oracle = CountedOracle(ExactOracle())
-        paths, _ = run_phase(g, Matching(4), quarter_params(), OracleFinder(oracle))
+        paths, _ = run_phase(PhaseState(g, Matching(4), quarter_params()), OracleFinder(oracle))
         assert [p.vertices for p in paths] == [[0, 1], [2, 3]]
 
     def test_a_phase_leaves_the_graph_and_matching_as_it_found_them(self):
@@ -202,7 +202,9 @@ class TestRunPhase:
         for g, m in (path6(), triangle_tail(), (gen_er(16, 0.3, seed=4), Matching(16))):
             g0, m0 = g.copy(), m.copy()
             runs = [
-                run_phase(g, m, quarter_params(), OracleFinder(CountedOracle(ExactOracle())))
+                run_phase(
+                    PhaseState(g, m, quarter_params()), OracleFinder(CountedOracle(ExactOracle()))
+                )
                 for _ in range(2)
             ]
             (first, s1), (second, s2) = runs
@@ -214,7 +216,7 @@ class TestRunPhase:
         g, m = path6()
         oracle = CountedOracle(ExactOracle())
         stats = oracle.stats
-        run_phase(g, m, quarter_params(), OracleFinder(oracle))
+        run_phase(PhaseState(g, m, quarter_params()), OracleFinder(oracle))
         assert stats.calls > 0
         assert len(stats.per_call_sizes) == stats.calls
 
@@ -466,7 +468,8 @@ class TestStopRule:
                     again = PhaseRecorder(oracle.stats)
                     again.on_phase_start(None, h, 1)
                     params = PhaseParams.for_scale(0.25, h)
-                    paths, state = run_phase(g, res.matching, params, OracleFinder(oracle), again)
+                    state = PhaseState(g, res.matching, params)
+                    paths, state = run_phase(state, OracleFinder(oracle), again)
                     (phase,) = again.phases
                     assert paths == [] and state.settled
                     assert (phase.calls, phase.steps, phase.bundles) == (
@@ -509,6 +512,125 @@ class TestStopRule:
         # each phase stops at its fixpoint, not at tau_max, and still is not settled
         assert all(p.bundles < p.tau_max and not p.held and not p.settled for p in rec.phases)
         assert res.oracle_calls == 6
+
+
+def _state_digest(state: PhaseState) -> str:
+    """Everything a phase changes in ``state``, as one string."""
+    structures = {
+        o: (
+            sorted(s.vertices), sorted(s.arcs), s.working, s.on_hold, s.modified,
+            s.extended, s.ready_label, s.view.root, sorted(s.view.parent.items()),
+            sorted(s.view.parent_arc.items()), sorted(s.view.depth.items()),
+            sorted((b, sorted(k)) for b, k in s.view.children.items()),
+        )
+        for o, s in sorted(state.structures.items())
+    }
+    omega = state.omega
+    blossoms = [(b.id, b.parent, sorted(b.members)) for b in omega.blossoms.values()]
+    return repr((
+        structures, sorted(state.structure_of.items()), sorted(state.labels.items()),
+        state.removed, [p.vertices for p in state.found_paths], state.steps,
+        sorted((k, sorted(v)) for k, v in state.ready.items()), sorted(state.dirty),
+        sorted(state.fresh), omega.root_of, blossoms, omega._next_id, state.bundles,
+        state.held, state.pairs_left, state.gave_up, state.settled,
+    ))
+
+
+class ResumeRecorder(TraceHooks):
+    """Keeps every ended phase's state, and the calls it made itself."""
+
+    def __init__(self, stats: OracleStats | None = None):
+        self.stats = stats
+        self.ended: list[tuple[PhaseState, int]] = []
+
+    def on_phase_start(self, params, scale, phase):
+        self._calls = self.stats.calls if self.stats else 0
+
+    def on_phase_end(self, state):
+        self.ended.append((state, (self.stats.calls if self.stats else 0) - self._calls))
+
+
+class TestResume:
+    """A phase held without a path is resumed by the next scale, not replayed."""
+
+    def test_the_finders_say_whether_they_replay(self):
+        assert OracleFinder.replays and not SampledFinder.replays
+
+    @pytest.mark.parametrize("spec", ["greedy", "adversarial:2"])
+    def test_a_resumed_phase_ends_as_a_fresh_one(self, spec):
+        resumed = 0
+        for name, g in standard_corpus(6, 24, 64, seed=11):
+            oracle = CountedOracle(make_oracle(spec))
+            rec = ResumeRecorder(oracle.stats)
+            res = boost(g, 0.25, oracle, hooks=rec)
+            assert sum(sc.resumed_calls for sc in res.per_scale) == sum(
+                state.resumed_calls for state, _ in rec.ended
+            )
+            for state, calls in rec.ended:
+                if not state.resumed_calls:
+                    continue
+                resumed += 1
+                fresh_oracle = CountedOracle(make_oracle(spec))
+                fresh = PhaseState(g, state.m, state.params)
+                paths, fresh = run_phase(fresh, OracleFinder(fresh_oracle))
+                assert paths == state.found_paths, name
+                assert fresh.steps == state.steps, name
+                assert (fresh.held, fresh.settled, fresh.gave_up) == (
+                    state.held, state.settled, state.gave_up
+                ), name
+                assert fresh.bundles == state.bundles, name
+                assert fresh_oracle.stats.calls == calls + state.resumed_calls, name
+        assert resumed >= 1
+
+    def test_the_held_start_is_taken_before_the_marks(self):
+        # at the start of its first held bundle no structure of the copy is
+        # on hold yet, and one has reached limit_h
+        class StartAudit(TraceHooks):
+            starts = 0
+
+            def on_phase_end(self, state):
+                # read before the next phase resumes, and so changes, the copy
+                start = state.held_start
+                if start is not None:
+                    self.starts += 1
+                    assert not (start.held or start.found_paths) and start.bundles >= 1
+                    assert any(map(start.holds, start.structures.values()))
+                    assert not any(s.on_hold for s in start.structures.values())
+
+        audit = StartAudit()
+        for _, g in standard_corpus(6, 24, 64, seed=11):
+            boost(g, 0.25, make_oracle("greedy"), hooks=audit)
+        assert audit.starts >= 1
+
+    def test_a_copy_keeps_its_state_while_the_phase_goes_on(self):
+        # copy the state at every bundle start; once the phase is over,
+        # every copy must still read as it did when it was made
+        class Copier(TraceHooks):
+            def __init__(self):
+                self.copies = []
+
+            def on_bundle_start(self, state, tau):
+                copy = state.copy()
+                self.copies.append((copy, _state_digest(copy)))
+
+        g = gen_blossom_gadget(3)
+        hooks = Copier()
+        m = initial_matching(g, CountedOracle(GreedyOracle()))
+        finder = OracleFinder(CountedOracle(GreedyOracle()))
+        run_phase(PhaseState(g, m, quarter_params()), finder, hooks)
+        assert len(hooks.copies) > 2
+        for copy, digest in hooks.copies:
+            assert _state_digest(copy) == digest
+
+    def test_the_weak_pipeline_never_resumes(self):
+        held = 0
+        for _, g in standard_corpus(6, 24, 64, seed=11):
+            rec = ResumeRecorder()
+            res = static_from_weak(g, 0.25, seed=5, hooks=rec)
+            assert all(sc.resumed_calls == 0 for sc in res.per_scale)
+            assert all(s.held_start is None and s.resumed_calls == 0 for s, _ in rec.ended)
+            held += sum(s.held for s, _ in rec.ended)
+        assert held > 0
 
 
 @st.composite
@@ -567,7 +689,8 @@ class TestFixpoint:
         # the free edge (0, 1) joins two structures in every bundle
         params, audit = quarter_params(), LeftoverAudit()
         finder = idle(OracleFinder, iterations=(1, 1))
-        paths, state = run_phase(Graph(2, [(0, 1)]), Matching(2), params, finder, hooks=audit)
+        state = PhaseState(Graph(2, [(0, 1)]), Matching(2), params)
+        paths, state = run_phase(state, finder, hooks=audit)
         assert paths == [] and state.pairs_left and not state.settled
         assert audit.bundles == params.tau_max and audit.early == 0
 
@@ -582,7 +705,7 @@ class TestFixpoint:
         params, rec = quarter_params(), FlightRecorder()
         finder = idle(OracleFinder, iterations=(cap, 3))
         assert finder.fruitless_limit == 1
-        paths, state = run_phase(g, m, params, finder, hooks=rec)
+        paths, state = run_phase(PhaseState(g, m, params), finder, hooks=rec)
         assert paths == [] and not state.held and not state.pairs_left
         assert rec.bundles < params.tau_max
         assert state.gave_up and not state.settled
@@ -593,7 +716,8 @@ class TestFixpoint:
         # with the augmenting path (0, 1) left, so the phase is not settled
         params, rec = quarter_params(), FlightRecorder()
         g, m = Graph(2, [(0, 1)]), Matching(2)
-        paths, state = run_phase(g, m, params, idle(OracleFinder, iterations=(1, 0)), hooks=rec)
+        finder = idle(OracleFinder, iterations=(1, 0))
+        paths, state = run_phase(PhaseState(g, m, params), finder, hooks=rec)
         assert paths == [] and not state.held and not state.pairs_left
         assert rec.bundles < params.tau_max
         assert list(enumerate_short_augmenting_paths(g, m.mate, params.ell_max)) == [[0, 1]]
@@ -702,7 +826,7 @@ def _phases_then_boost(g: Graph, seed: int, audit) -> None:
     m = _sparse_matching(g, seed)
     for h in (0.5, 0.125):
         params = PhaseParams.for_scale(0.25, h)
-        run_phase(g, m, params, OracleFinder(CountedOracle(audit)), hooks=audit)
+        run_phase(PhaseState(g, m, params), OracleFinder(CountedOracle(audit)), hooks=audit)
     boost(g, 0.25, audit, hooks=audit)
 
 
@@ -784,7 +908,8 @@ class TestBuildersAgainstClassify:
     def test_reference_sees_both_graphs_nonempty(self):
         g, m = path6()
         audit = BuilderAudit(ExactOracle())
-        run_phase(g, m, quarter_params(), OracleFinder(CountedOracle(audit)), hooks=audit)
+        finder = OracleFinder(CountedOracle(audit))
+        run_phase(PhaseState(g, m, quarter_params()), finder, hooks=audit)
         assert audit.nonempty[2] > 0 and audit.nonempty[3] > 0
 
 
@@ -878,7 +1003,7 @@ def _sampled_phases_then_static(g: Graph, seed: int, audit: IndexAudit) -> None:
     for h in (0.5, 0.125):
         params = PhaseParams.for_scale(0.25, h)
         finder = SampledFinder(weak_g, weak_b, 0.25**7, random.Random(seed))
-        run_phase(g, m, params, finder, audit)
+        run_phase(PhaseState(g, m, params), finder, audit)
     static_from_weak(g, 0.25, seed=seed, hooks=audit, weak_g=weak_g, weak_b=weak_b)
 
 

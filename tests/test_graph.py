@@ -55,6 +55,26 @@ class TestGraph:
         with pytest.raises(GraphFormatError):
             Graph(-1)
 
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ([(0, 3)], UnknownVertexError),
+            ([(-1, 0)], UnknownVertexError),
+            ([(0, 1), (2, 2)], SelfLoopError),
+            ([(0, 1), (1, 2), (1, 0)], DuplicateEdgeError),
+        ],
+    )
+    def test_constructor_rejects_bad_edges(self, edges, error):
+        with pytest.raises(error):
+            Graph(3, edges)
+
+    def test_adjacency_keeps_the_given_order(self):
+        # the exact matcher walks adj as stored, so the order is part of the result
+        g = Graph(4, [(2, 1), (0, 1), (1, 3)])
+        assert g.adj[1] == [2, 0, 3] and g.adj[0] == [1]
+        g.add_edge(0, 2)
+        assert g.adj[0] == [1, 2] and g.sorted_adj[2] == [0, 1]
+
     def test_remove_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])
         g.remove_edge(1, 0)
