@@ -214,16 +214,17 @@ def _in_structure_sweep(state: PhaseState, stage: int) -> bool:
     """Overtake every in-structure arc that is still feasible at this stage.
 
     Keeps the invariant that sampled iterations never need to look for
-    same-structure work: anything findable by a member scan has been
-    consumed before the oracle is asked.
+    same-structure work: every such arc that leaves a working vertex,
+    read from ``state.boundary_arcs``, has been consumed before the
+    oracle is asked.
     """
     changed = False
     # An in-structure overtake changes only its own structure, so the
     # structures ready at the start stay ready until they are visited.
     for s in state.ready_at(stage):
         hit = None
-        for x in sorted(state.omega.members_of(s.working)):
-            for y in state.adj_sorted[x]:
+        for x, ys in state.boundary_arcs(s.working):
+            for y in ys:
                 if state.structure_of.get(y) != s.owner or state.mate[x] == y:
                     continue
                 if _head_eligible(state, y, stage):
@@ -289,11 +290,11 @@ class SampledFinder:
     ``run_scales`` needs them counted.
     Each batch comes from one sample and one weak query, which may miss
     work that exists, so ``SAMPLE_PATIENCE`` empty batches in a row end
-    a loop, and the in-structure sweep consumes what a member scan finds
-    before every sample.  A loop that stops that way may have missed
-    work, so its phase is not settled, and a sampled phase without a
-    path may have missed one: a scale stops after two such phases in a
-    row.  The generator advances between phases, so no phase repeats
+    a loop, and the in-structure sweep consumes the in-structure arcs
+    that leave a working vertex before every sample.  A loop that stops
+    that way may have missed work, so its phase is not settled, and a
+    sampled phase without a path may have missed one: a scale stops
+    after two such phases in a row.  The generator advances between phases, so no phase repeats
     another, ``replays`` is false and no held phase is resumed.
     The run still ends after a settled phase without a path, which
     certifies the matching whatever the finder (see

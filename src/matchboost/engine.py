@@ -57,19 +57,23 @@ class TraceHooks:
 
 
 def find_type1_arc(state: PhaseState, s: Structure) -> Arc | None:
-    """A same-structure outer-outer arc out of the working vertex, if any."""
+    """A same-structure outer-outer arc out of the working vertex, if any.
+
+    The smallest one: the arcs come from ``state.boundary_arcs``, since
+    an arc inside the working vertex joins no two blossoms.
+    """
     if s.working is None:
         return None
     root_of, depth = state.omega.root_of, s.view.depth
     mate, structure_of = state.mate, state.structure_of
-    for x in sorted(state.omega.members_of(s.working)):
-        for y in state.adj_sorted[x]:
+    for x, ys in state.boundary_arcs(s.working):
+        for y in ys:
             # a removed vertex is in no structure
             if mate[x] == y or structure_of.get(y) != s.owner:
                 continue
-            # y is in s, so its blossom is a node of the tree
-            by = root_of[y]
-            if by != s.working and depth[by] % 2 == 0:
+            # y is in s outside the working vertex, so its blossom is
+            # another node of the tree
+            if depth[root_of[y]] % 2 == 0:
                 return Arc(x, y)
     return None
 
@@ -141,8 +145,10 @@ def build_h_prime_s(state: PhaseState, stage: int):
     vertices whose downward label exceeds ``stage + 1`` and that have at
     least one candidate arc from the left.  Returns ``(pairs, arcs)``:
     one witness arc per (owner, head) pair, and the full candidate arc
-    list, which the contamination ledger reads.  Heads are found by
-    walking out of the left side, each tested once per call.
+    list, which the contamination ledger reads.  Heads are found among
+    the arcs that leave each working vertex, read from
+    ``state.boundary_arcs`` (an arc inside it never reaches a head),
+    and each head is tested once per call.
     """
     left = state.ready_at(stage)
     mate = state.mate
@@ -150,8 +156,8 @@ def build_h_prime_s(state: PhaseState, stage: int):
     pairs: dict[tuple[int, int], Arc] = {}
     arcs: list[Arc] = []
     for s in left:
-        for x in sorted(state.omega.members_of(s.working)):
-            for y in state.adj_sorted[x]:
+        for x, ys in state.boundary_arcs(s.working):
+            for y in ys:
                 if mate[x] == y:
                     continue
                 ok = head_ok.get(y)

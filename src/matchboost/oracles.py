@@ -48,7 +48,11 @@ class GreedyOracle:
 
 
 def _blossom_mcm(n: int, adj: list[list[int]]) -> list[int]:
-    """Array-based blossom algorithm; returns the mate array (-1 = free)."""
+    """Array-based blossom algorithm; returns the mate array (-1 = free).
+
+    A search costs what its forest touches: it lists the vertices it
+    puts in the forest, and the next search resets only those.
+    """
     match = [-1] * n
     # Cheap maximal matching first; the search then only runs from the
     # leftover free vertices.
@@ -62,36 +66,43 @@ def _blossom_mcm(n: int, adj: list[list[int]]) -> list[int]:
 
     p = [-1] * n  # parent in the alternating forest
     base = list(range(n))
+    used = [False] * n  # in the queue: an outer vertex
+    touched: list[int] = []  # the forest of the last search, each vertex once
+    seen = [0] * n  # seen[x] == stamp: x is on the first path of this lca
+    stamp = 0
 
     def lca(a: int, b: int) -> int:
-        used_path = [False] * n
+        nonlocal stamp
+        stamp += 1
         x = a
         while True:
             x = base[x]
-            used_path[x] = True
+            seen[x] = stamp
             if match[x] == -1:
                 break
             x = p[match[x]]
         y = b
         while True:
             y = base[y]
-            if used_path[y]:
+            if seen[y] == stamp:
                 return y
             y = p[match[y]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
     def find_path(root: int) -> int:
-        for i in range(n):
+        for i in touched:
             p[i] = -1
             base[i] = i
-        used = [False] * n
+            used[i] = False
+        touched.clear()
+        touched.append(root)
         used[root] = True
         queue = [root]
         qi = 0
@@ -102,28 +113,32 @@ def _blossom_mcm(n: int, adj: list[list[int]]) -> list[int]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # Odd cycle found: contract the blossom.
+                    # Odd cycle found: contract the blossom.  Its members
+                    # are all in the forest, visited in ascending order.
                     curbase = lca(v, to)
-                    blossom = [False] * n
+                    blossom: set[int] = set()
                     mark_path(v, curbase, to, blossom)
                     mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                    for i in sorted(touched):
+                        if base[i] in blossom:
                             base[i] = curbase
                             if not used[i]:
                                 used[i] = True
                                 queue.append(i)
                 elif p[to] == -1:
+                    # Neither ``to`` nor its mate is in the forest yet.
                     p[to] = v
+                    touched.append(to)
                     if match[to] == -1:
                         return to
                     used[match[to]] = True
+                    touched.append(match[to])
                     queue.append(match[to])
         return -1
 
     for v in range(n):
-        # A free vertex with no edges has nothing to find, and a search
-        # from it would still cost O(n) to reset the forest.
+        # A free vertex with no edges has nothing to find; skipping it
+        # also spares resetting the last search's forest.
         if match[v] == -1 and adj[v]:
             u = find_path(v)
             if u == -1:

@@ -16,6 +16,7 @@ are recorded as paths and applied by the driver at phase end.
 from __future__ import annotations
 
 import copy
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .blossoms import LaminarBlossomSet, TreeView, find_cycle_blossom, lift_full_path
@@ -113,6 +114,13 @@ class PhaseState:
     augmentation drops both structures, trees and all; their blossoms
     stay, since every reader skips a removed vertex before its blossom.
 
+    ``boundary`` caches, per non-trivial root blossom, what
+    :meth:`boundary_arcs` returns for it: the arcs that leave it, read
+    once per phase.  A blossom's members never change, and neither do
+    the matching and the sorted adjacency within a phase, so an entry
+    stays valid until ``op_contract`` puts its blossom into a new one
+    and drops it.
+
     Four flags describe the phase as a whole: ``held`` says whether
     ``mark_for_pass_bundle`` has put any structure on hold;
     ``pairs_left``, set by ``engine.contract_and_augment``, whether its
@@ -148,6 +156,7 @@ class PhaseState:
         self.steps: list[int] = []
         self.ready: dict[int, set[int]] = {}
         self.dirty: set[int] = set()
+        self.boundary: dict[int, list[tuple[int, list[int]]]] = {}
         self.held = False
         self.pairs_left = False
         self.gave_up = False
@@ -175,10 +184,13 @@ class PhaseState:
         """An independent copy, made by hand rather than by ``copy.deepcopy``.
 
         Shared with the copy: the graph, the matching, the sorted
-        adjacency, the params and ``edgeless``, which no phase changes.
+        adjacency, the params and ``edgeless``, which no phase changes,
+        and the lists in ``boundary``, which never change once built.
         Everything a phase changes is copied down to its sets, lists and
-        dicts; a blossom changes only its ``parent`` once made.  The copy
-        has no ``held_start`` of its own.
+        dicts, ``boundary`` itself included, since the copy hands out
+        blossom ids that the original may have given to other blossoms;
+        a blossom changes only its ``parent`` once made.  The copy has
+        no ``held_start`` of its own.
         """
         new = copy.copy(self)
         new.omega = self.omega.copy()
@@ -191,6 +203,7 @@ class PhaseState:
         new.ready = {k: set(owners) for k, owners in self.ready.items()}
         new.dirty = set(self.dirty)
         new.fresh = set(self.fresh)
+        new.boundary = dict(self.boundary)
         new.held_start = None
         return new
 
@@ -283,6 +296,29 @@ class PhaseState:
             s.ready_label = None
             if not s.on_hold:
                 self._file(s)
+
+    def boundary_arcs(self, bid: int) -> Sequence[tuple[int, list[int]]]:
+        """The arcs out of the root blossom ``bid``, by tail: ``(x, ys)`` pairs.
+
+        ``x`` runs over the members with a neighbour outside the blossom,
+        ascending, and ``ys`` lists those neighbours in ``adj_sorted``
+        order, so the arcs come in the order of a scan of every member's
+        sorted adjacency that skips the arcs inside the blossom.  A
+        trivial blossom reads ``adj_sorted`` directly; a non-trivial one
+        is scanned once per phase, into ``boundary``.
+        """
+        if bid < self.omega.n:
+            return ((bid, self.adj_sorted[bid]),)
+        arcs = self.boundary.get(bid)
+        if arcs is None:
+            members = self.omega.blossoms[bid].members
+            arcs = []
+            for x in sorted(members):
+                ys = [y for y in self.adj_sorted[x] if y not in members]
+                if ys:
+                    arcs.append((x, ys))
+            self.boundary[bid] = arcs
+        return arcs
 
     # -- label helpers ----------------------------------------------------------
 
@@ -415,6 +451,8 @@ class PhaseState:
             )
         children, cycle = find_cycle_blossom(s.view, self.omega, g_arc)
         b = self.omega.contract(children, cycle)
+        for cid in children:
+            self.boundary.pop(cid, None)
         s.view.contract(children, b.id)
         s.arcs.add(g_arc)
         for arc in b.cycle_arcs:

@@ -4,6 +4,11 @@ Deliberately knows nothing about the package: plain (n, edges) in, a
 number or an edge set out, by exhaustive recursion over the lowest
 uncovered vertex with memoization on the available-vertex bitmask.
 Exponential, fine for n up to the low twenties.
+
+``full_reset_blossom_mcm`` is a frozen copy of the package's blossom
+matcher from before its searches reset only the forest they touched:
+the same searches in the same order, each resetting every vertex.  The
+current matcher must return exactly its mate arrays.
 """
 
 from __future__ import annotations
@@ -75,3 +80,93 @@ def exhaustive_mcm_edges(n: int, edges) -> list[tuple[int, int]]:
                 break
     rec.cache_clear()
     return out
+
+
+def full_reset_blossom_mcm(n: int, adj: list[list[int]]) -> list[int]:
+    """Array-based blossom algorithm; returns the mate array (-1 = free)."""
+    match = [-1] * n
+    # Cheap maximal matching first; the search then only runs from the
+    # leftover free vertices.
+    for u in range(n):
+        if match[u] == -1:
+            for v in adj[u]:
+                if match[v] == -1:
+                    match[u] = v
+                    match[v] = u
+                    break
+
+    p = [-1] * n  # parent in the alternating forest
+    base = list(range(n))
+
+    def lca(a: int, b: int) -> int:
+        used_path = [False] * n
+        x = a
+        while True:
+            x = base[x]
+            used_path[x] = True
+            if match[x] == -1:
+                break
+            x = p[match[x]]
+        y = b
+        while True:
+            y = base[y]
+            if used_path[y]:
+                return y
+            y = p[match[y]]
+
+    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def find_path(root: int) -> int:
+        for i in range(n):
+            p[i] = -1
+            base[i] = i
+        used = [False] * n
+        used[root] = True
+        queue = [root]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    # Odd cycle found: contract the blossom.
+                    curbase = lca(v, to)
+                    blossom = [False] * n
+                    mark_path(v, curbase, to, blossom)
+                    mark_path(to, curbase, v, blossom)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        return to
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return -1
+
+    for v in range(n):
+        # A free vertex with no edges has nothing to find, and a search
+        # from it would still cost O(n) to reset the forest.
+        if match[v] == -1 and adj[v]:
+            u = find_path(v)
+            if u == -1:
+                continue
+            while u != -1:
+                pv = p[u]
+                ppv = match[pv]
+                match[u] = pv
+                match[pv] = u
+                u = ppv
+    return match

@@ -533,6 +533,7 @@ def _state_digest(state: PhaseState) -> str:
         sorted((k, sorted(v)) for k, v in state.ready.items()), sorted(state.dirty),
         sorted(state.fresh), omega.root_of, blossoms, omega._next_id, state.bundles,
         state.held, state.pairs_left, state.gave_up, state.settled,
+        sorted(state.boundary.items()),
     ))
 
 
@@ -621,6 +622,21 @@ class TestResume:
         assert len(hooks.copies) > 2
         for copy, digest in hooks.copies:
             assert _state_digest(copy) == digest
+
+    def test_a_copy_keeps_its_own_boundaries(self):
+        # two triangles rooted at the free vertices 0 and 3; each side
+        # contracts a different one into the same new blossom id and
+        # caches its boundary before either is checked
+        g = Graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 6), (4, 7)])
+        m = Matching(8, [(1, 2), (4, 5)])
+        state = PhaseState(g, m, quarter_params())
+        copy = state.copy()
+        for side, (r, u, w) in ((state, (0, 1, 2)), (copy, (3, 4, 5))):
+            side.op_overtake(Arc(r, u), Arc(u, w), 1)
+            assert side.op_contract(Arc(w, r)) == 8
+            side.boundary_arcs(8)
+        assert state.boundary_arcs(8) == [(1, [6])]
+        assert copy.boundary_arcs(8) == [(4, [7])]
 
     def test_the_weak_pipeline_never_resumes(self):
         held = 0
@@ -921,7 +937,9 @@ class IndexAudit(TraceHooks):
     arcs; for every stage, ``ready_at`` lists exactly the eligible
     owners in ascending order; no live structure outside ``dirty`` has
     a type-1 arc; and every type-2 arc has an endpoint in ``fresh``,
-    found with ``classify`` and no builder.  Given an oracle, it also
+    found with ``classify`` and no builder; every live structure's
+    ``boundary_arcs`` equal a scan of its working vertex's members, and
+    every cached boundary belongs to a root blossom.  Given an oracle, it also
     wraps it and checks before each call, in the middle of the
     simulations; ``AuditedWeak`` does the same for weak queries.
     """
@@ -935,6 +953,7 @@ class IndexAudit(TraceHooks):
         self.type1_in_dirty = 0
         self.type2_seen = 0
         self.blossom_trees_seen = 0
+        self.boundaries_seen = 0
 
     def find(self, g):
         self.audit(self.state)
@@ -975,7 +994,23 @@ class IndexAudit(TraceHooks):
         type2 = [a for a in state.g.arcs() if state.classify(*a) == 2]
         assert all(x in state.fresh or y in state.fresh for x, y in type2)
         self.type2_seen += bool(type2)
+        for s in state.live_structures():
+            if s.working is not None:
+                want = _boundary_scan(state.g, state.omega.members_of(s.working))
+                assert list(state.boundary_arcs(s.working)) == want, s.owner
+                self.boundaries_seen += not state.omega.is_trivial(s.working)
+        assert all(state.omega.blossoms[b].parent is None for b in state.boundary)
         self.checks += 1
+
+
+def _boundary_scan(g: Graph, members: set[int]) -> list[tuple[int, list[int]]]:
+    """The arcs out of ``members`` by tail, each member's heads ascending."""
+    out = []
+    for x in sorted(members):
+        ys = sorted(y for y in g.adj[x] if y not in members)
+        if ys:
+            out.append((x, ys))
+    return out
 
 
 class AuditedWeak:
@@ -1036,6 +1071,14 @@ class TestIndexesAgainstRescan:
         weak = IndexAudit()
         _sampled_phases_then_static(gen_er(24, 0.1, seed=2), 2, weak)
         assert weak.ready_seen > 0 and weak.type2_seen > 0
+        # some checks see a working vertex that is a blossom, on both finders
+        for spec in ("greedy", "adversarial:2"):
+            oracle = IndexAudit(make_oracle(spec))
+            _phases_then_boost(gen_blossom_gadget(3), 3, oracle)
+            assert oracle.boundaries_seen > 0, spec
+        weak = IndexAudit()
+        _sampled_phases_then_static(gen_blossom_gadget(3), 3, weak)
+        assert weak.boundaries_seen > 0
 
 
 def _boost_digest(res, rec) -> str:

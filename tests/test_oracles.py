@@ -1,10 +1,12 @@
 import math
+import random
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import exhaustive_mcm_edges, exhaustive_mcm_size
+from _brute import exhaustive_mcm_edges, exhaustive_mcm_size, full_reset_blossom_mcm
 from matchboost.corpus import gen_bipartite, gen_blossom_gadget, gen_er, gen_planted
 from matchboost.engine import boost
 from matchboost.errors import InternalConsistencyError, OracleContractError
@@ -15,6 +17,7 @@ from matchboost.oracles import (
     CountedWeakOracle,
     ExactOracle,
     GreedyOracle,
+    _blossom_mcm,
     check_answer,
     counted,
     exact_mcm,
@@ -90,6 +93,43 @@ def test_exact_matches_exhaustive_property(g):
     m = exact_mcm(g)
     assert is_matching(g, m)
     assert len(m) == exhaustive_mcm_size(g.n, g.edges)
+
+
+@st.composite
+def shuffled_adjacency(draw):
+    """``(n, adj)``: a random general or bipartite graph, each list in random order."""
+    n = draw(st.integers(min_value=0, max_value=64))
+    # sparse graphs leave the most free vertices to search from
+    p = draw(st.sampled_from([1.5, 2.5, 4, 8])) / max(n, 1)
+    bipartite = draw(st.booleans())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    # a bipartite graph joins only u < n // 2 to v >= n // 2
+    for u in range(n // 2 if bipartite else n):
+        for v in range(n // 2 if bipartite else u + 1, n):
+            if rng.random() < p:
+                adj[u].append(v)
+                adj[v].append(u)
+    for nbrs in adj:
+        rng.shuffle(nbrs)
+    return n, adj
+
+
+class TestBlossomSearch:
+    @settings(max_examples=300)
+    @given(shuffled_adjacency())
+    def test_same_mates_as_the_full_reset_search(self, case):
+        n, adj = case
+        assert _blossom_mcm(n, adj) == full_reset_blossom_mcm(n, adj)
+
+    def test_a_large_star_is_fast(self):
+        # each leaf's search touches three vertices; resetting all
+        # 20,001 for every search took about 21 s
+        star = Graph(20_001, [(0, v) for v in range(1, 20_001)])
+        start = time.perf_counter()
+        m = exact_mcm(star)
+        assert time.perf_counter() - start < 1.0
+        assert len(m) == 1 and m.mate[0] is not None
 
 
 @st.composite
