@@ -187,9 +187,6 @@ def check_state(
     for v, owner in state.structure_of.items():
         if owner not in state.structures or v not in state.structures[owner].vertices:
             problems.append(f"vertex {v} registered to missing structure {owner}")
-    for v in state.edgeless:
-        if state.mate[v] is not None or state.g.adj[v] or v in state.structure_of:
-            problems.append(f"edgeless vertex {v} is matched, has an edge or a structure")
     for arc, lab in state.labels.items():
         if not 0 <= lab <= state.params.ell_max + 1:
             problems.append(f"label of {arc} out of range: {lab}")

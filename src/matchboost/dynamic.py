@@ -16,7 +16,6 @@ fixed-size chunks and validates every answer the oracle gives.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 import time
@@ -156,44 +155,6 @@ def _sample_one(rng: random.Random, state: PhaseState, s: Structure, outer_only:
     return pool[rng.randrange(len(pool))]
 
 
-# Maps a byte to 0 when its top bit is clear, to 1 when it is set.
-_TOP_BIT = bytes(b >> 7 for b in range(256))
-
-
-def _unit_draws(rng: random.Random, k: int) -> None:
-    """Advance ``rng`` exactly as ``k`` calls of ``rng.randrange(1)`` would.
-
-    CPython's ``randrange(1)`` reads 32-bit words until one has a clear
-    top bit.  Each round draws one word per call still missing, as one
-    little-endian ``getrandbits``, and counts the calls it completed by
-    the words whose top byte has a clear top bit.  Every missing call
-    reads at least one more word, so no round reads past the last call.
-    """
-    while k > 0:
-        words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
-        k -= words[3::4].translate(_TOP_BIT).count(0)
-
-
-def _sampled_structures(rng: random.Random, state: PhaseState):
-    """The live structures in ascending owner order, for one draw each.
-
-    Each edgeless free vertex still takes its draw, ``randrange(1)``,
-    at its place in that order, as its singleton structure would, so
-    the random stream stays that of one structure per free vertex.  The
-    edgeless vertices between two owners, found by bisection, take
-    their draws in one ``_unit_draws``.  The caller must draw for each
-    structure before taking the next.
-    """
-    edgeless = state.edgeless
-    i = 0
-    for owner in sorted(state.structures):
-        j = bisect.bisect_left(edgeless, owner, i)
-        _unit_draws(rng, j - i)
-        i = j
-        yield state.structures[owner]
-    _unit_draws(rng, len(edgeless) - i)
-
-
 def sampled_contract_and_augment(
     state: PhaseState, weak_g, delta: float, rng: random.Random
 ) -> list[Arc]:
@@ -204,8 +165,7 @@ def sampled_contract_and_augment(
     query answers bottom or nothing.
     """
     sample = [
-        _sample_one(rng, state, s, outer_only=True)
-        for s in _sampled_structures(rng, state)
+        _sample_one(rng, state, s, outer_only=True) for s in state.live_structures()
     ]
     return [Arc(u, v) for u, v in sorted(weak_g.query(sorted(sample), delta) or ())]
 
@@ -262,7 +222,7 @@ def sampled_extend_active_path(
     """
     n = state.g.n
     query_set: list[int] = []
-    for s in _sampled_structures(rng, state):
+    for s in state.live_structures():
         v = _sample_one(rng, state, s, outer_only=False)
         bv = state.omega.root_of[v]
         if s.view.is_outer(bv):
@@ -516,8 +476,11 @@ def problem1_harness(
         provider_b = ValidatingWeakProvider(b, make(b), "B")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = static_from_weak(
-                g, eps, seed=seed + ci, weak_g=provider_g, weak_b=provider_b
+            # Only the size is kept, so no chunk's result outlives its chunk.
+            matched = len(
+                static_from_weak(
+                    g, eps, seed=seed + ci, weak_g=provider_g, weak_b=provider_b
+                ).matching
             )
         queries = provider_g.queries + provider_b.queries
         violations = provider_g.violations + provider_b.violations
@@ -528,7 +491,7 @@ def problem1_harness(
                 "updates": len(chunk),
                 "empty_updates": empties,
                 "graph_edges": g.m,
-                "matching_size": len(res.matching),
+                "matching_size": matched,
                 "queries": queries,
                 "over_budget": bool(q_budget is not None and queries > q_budget),
                 "violations": violations,

@@ -520,9 +520,9 @@ def run_phase(
 def initial_matching(g: Graph, oracle: CountedOracle) -> Matching:
     """Seed matching: 2c rounds of the oracle on the unmatched-induced subgraph.
 
-    Always performs exactly ``2c`` oracle calls (even on edgeless
-    leftovers); the result is at least a quarter of the maximum
-    matching.
+    Always performs exactly ``2c`` oracle calls (even when the
+    unmatched vertices span no edge); the result is at least a quarter
+    of the maximum matching.
     """
     m = Matching(g.n)
     for _ in range(2 * math.ceil(oracle.c)):

@@ -235,6 +235,8 @@ class WeakFromMatchingOracle:
     def query(self, s: set[int], delta: float) -> list[Edge] | None:
         sub, back = self.host.induced(s)
         found = self.inner.find(sub)
+        # The answer's edges take the place of the subgraph's, not their sum.
+        del sub
         threshold = self.lam * delta * self.host.n
         if len(found) < threshold:
             return None
@@ -272,22 +274,11 @@ class OracleStats:
     largest component (structure) size the step touched, copied from
     each phase's ``PhaseState.steps`` by ``engine.run_scales``.  The
     reporting layer derives the simulated round models from them.
-
-    ``queried_vertices`` sums the vertex counts of the graphs given to a
-    matching oracle and the query-set sizes of a weak oracle.  The
-    engine's auxiliary graphs hold only vertices that carry an edge, so
-    for them it counts those.  The weak pipeline's sampled queries leave
-    out the free vertices with no edge, which own no structure; the
-    seed matching's queries on the free vertices count isolated ones
-    too.
     """
 
     calls: int = 0
     weak_calls: int = 0
     weak_bottoms: int = 0
-    queried_vertices: int = 0
-    queried_edges: int = 0
-    per_call_sizes: list[int] = field(default_factory=list)
     processing_steps: list[int] = field(default_factory=list)
 
 
@@ -334,9 +325,6 @@ class CountedOracle:
         m = self.inner.find(g)
         check_answer(g, m, self.stats.calls + 1)
         self.stats.calls += 1
-        self.stats.queried_vertices += g.n
-        self.stats.queried_edges += g.m
-        self.stats.per_call_sizes.append(len(m))
         return m
 
 
@@ -351,11 +339,8 @@ class CountedWeakOracle:
     def query(self, s: set[int], delta: float) -> list[Edge] | None:
         out = self.inner.query(s, delta)
         self.stats.weak_calls += 1
-        self.stats.queried_vertices += len(s)
         if out is None:
             self.stats.weak_bottoms += 1
-        else:
-            self.stats.per_call_sizes.append(len(out))
         return out
 
 

@@ -3,11 +3,11 @@
 A structure is a vertex- and arc-set owned by one free vertex with an
 edge; its contraction by the blossom family is a rooted alternating
 tree.  A free vertex with no edge can never augment, contract or
-overtake, so it owns no structure and is only listed in
-``PhaseState.edgeless``.  All structures of a phase share one
-:class:`PhaseState`: the blossom family, the matched-arc labels, the
-removal flags, the augmenting paths and processing steps so far, and
-three indexes of the structures by what they can do next.
+overtake, so it owns no structure and takes no part in a phase.  All
+structures of a phase share one :class:`PhaseState`: the blossom
+family, the matched-arc labels, the removal flags, the augmenting paths
+and processing steps so far, and three indexes of the structures by
+what they can do next.
 
 Neither the graph nor the matching changes inside a phase.  Augmentations
 are recorded as paths and applied by the driver at phase end.
@@ -61,13 +61,9 @@ class PhaseState:
     ``labels`` stores only the matched-arc labels an operation lowered;
     :meth:`label` reads any other as ``ell_max + 1``.
 
-    There is one structure per free vertex with an edge.  The free
-    vertices with no edge are kept apart, ascending, in ``edgeless``;
-    they are in no structure and no index.  Two things still behave as
-    if each owned a singleton structure: the samplers of the weak
-    pipeline draw once for each of them, in owner order, and the first
-    :meth:`backtrack_stuck` of the phase reports their move from the
-    root to no working vertex.
+    There is one structure per free vertex with an edge.  A free vertex
+    with no edge is in no structure and no index, and nothing in the
+    phase reads it.
 
     Besides the structures themselves it keeps three indexes of them,
     by what they can do next:
@@ -149,7 +145,6 @@ class PhaseState:
         self.omega = LaminarBlossomSet(g.n)
         self.structures: dict[int, Structure] = {}
         self.structure_of: dict[int, int] = {}
-        self.edgeless: list[int] = []
         self.labels: dict[tuple[int, int], int] = {}
         self.removed: list[bool] = [False] * g.n
         self.found_paths: list[AltPath] = []
@@ -167,16 +162,11 @@ class PhaseState:
         for a in free_vertices(g, m):
             if self.adj_sorted[a]:
                 self.init_structure(a)
-            else:
-                self.edgeless.append(a)
         self.fresh: set[int] = {
             a
             for a in self.structures
             if any(y in self.structures for y in self.adj_sorted[a])
         }
-        # Whether the edgeless vertices still hold the working vertex
-        # their singleton structures would have had.
-        self._edgeless_working = bool(self.edgeless)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -184,8 +174,8 @@ class PhaseState:
         """An independent copy, made by hand rather than by ``copy.deepcopy``.
 
         Shared with the copy: the graph, the matching, the sorted
-        adjacency, the params and ``edgeless``, which no phase changes,
-        and the lists in ``boundary``, which never change once built.
+        adjacency and the params, which no phase changes, and the lists
+        in ``boundary``, which never change once built.
         Everything a phase changes is copied down to its sets, lists and
         dicts, ``boundary`` itself included, since the copy hands out
         blossom ids that the original may have given to other blossoms;
@@ -605,14 +595,9 @@ class PhaseState:
 
         A structure is stuck when it is neither on hold nor modified.
         At the root the working vertex becomes empty.  Returns whether
-        anything moved, counting the edgeless vertices' move off the
-        root, which their singleton structures would make in the first
-        call unless on hold.
+        anything moved.
         """
         changed = False
-        if self._edgeless_working and self.params.limit_h > 1:
-            self._edgeless_working = False
-            changed = True
         for s in self.live_structures():
             if s.on_hold or s.modified or s.working is None:
                 continue

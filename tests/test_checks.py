@@ -65,15 +65,6 @@ class TestCheckState:
         problems = check_state(st)
         assert any("in structures 0 and 5" in p for p in problems)
 
-    def test_edgeless_list_holds_only_edgeless_free_vertices(self):
-        st = PhaseState(Graph(7, [(0, 1)]), Matching(7), params())
-        assert st.edgeless == [2, 3, 4, 5, 6] and check_state(st) == []
-        st = path6()
-        st.edgeless += [0, 1]
-        problems = check_state(st)
-        assert any("edgeless vertex 0 " in p for p in problems)
-        assert any("edgeless vertex 1 " in p for p in problems)
-
     def test_label_out_of_range(self):
         st = path6()
         st.labels[(1, 2)] = 99

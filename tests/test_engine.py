@@ -122,7 +122,9 @@ class TestAuxBuilders:
         m.add(3, 4)
         state = PhaseState(g, m, quarter_params())
         assert _head_eligible(state, 2, 0) and _head_eligible(state, 3, 0)
-        assert state.edgeless == [6] and 6 not in state.structure_of
+        assert 6 not in state.structures and 6 not in state.structure_of
+        assert all(6 not in owners for owners in state.ready.values())
+        assert 6 not in state.dirty and 6 not in state.fresh
         pairs, _ = build_h_prime_s(state, 0)
         aux, nodes = _aux_graph_bipartite(pairs)
         assert nodes == [("L", 0), ("L", 5), ("R", 1), ("R", 4)]
@@ -187,8 +189,9 @@ class TestRunPhase:
         paths, state = run_phase(PhaseState(g, m, quarter_params()), OracleFinder(oracle))
         assert paths == [AltPath([0, 1, 2, 3])]
         # the isolated 4 owns no structure
-        assert state.structures == {} and state.edgeless == [4]
-        assert 4 not in state.structure_of and 4 not in state.fresh
+        assert state.structures == {} and 4 not in state.structure_of
+        assert all(4 not in owners for owners in state.ready.values())
+        assert 4 not in state.dirty and 4 not in state.fresh
 
     def test_empty_matching_pairs_up_free_ends(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -217,8 +220,18 @@ class TestRunPhase:
         oracle = CountedOracle(ExactOracle())
         stats = oracle.stats
         run_phase(PhaseState(g, m, quarter_params()), OracleFinder(oracle))
-        assert stats.calls > 0
-        assert len(stats.per_call_sizes) == stats.calls
+        assert oracle.stats is stats and stats.calls > 0
+
+    @pytest.mark.parametrize("spec", ["greedy", "adversarial:2"])
+    def test_isolated_vertices_change_no_output(self, spec):
+        # a free vertex with no edge owns no structure and takes no part
+        # in a phase, even one that ends with no structure left
+        for name, g in standard_corpus(6, 24, 64, seed=11):
+            base = boost(g.copy(), 0.25, make_oracle(spec))
+            padded = boost(Graph(g.n + 5, g.edges), 0.25, make_oracle(spec))
+            assert sorted(padded.matching.edges) == sorted(base.matching.edges), name
+            assert padded.per_scale == base.per_scale, name
+            assert padded.stats.processing_steps == base.stats.processing_steps, name
 
 
 class StageRecorder(TraceHooks):

@@ -36,44 +36,47 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# Recorded at eps = 1/4.  The weak digests were recorded once the run
-# ended after its first settled phase without a path.  The boost digests
-# were recorded while every free vertex still owned a structure and
-# every scale still ran, and hash the result with its skipped scales run
-# out as replays (see _replay.py).
+# Recorded at eps = 1/4, once a free vertex with no edge took no part in
+# a phase: it takes no random draw, and a phase with no structure to
+# backtrack logs no processing step.  The weak digests of (2, 40),
+# (3, 16) and (3, 40), which that left alone, were recorded once the run
+# ended after its first settled phase without a path.  The boost
+# digests hash the result with its skipped scales run out as replays
+# (see _replay.py); those of (2, 40) and of seed 3 date from when every
+# free vertex still owned a structure and every scale still ran.
 GOLDEN_SPARSE_WEAK = {
-    (1, 16, "weak-exact"): "f896c9f91716cd97",
-    (1, 16, "weak-greedy"): "f896c9f91716cd97",
-    (1, 40, "weak-exact"): "ca5c8b073d5a1147",
-    (1, 40, "weak-greedy"): "4aed49e61fcf2ec7",
-    (1, 96, "weak-exact"): "4a80e6b6a8f120ce",
-    (1, 96, "weak-greedy"): "ca5f303dbdaf0c0f",
-    (2, 16, "weak-exact"): "40a50e1c12de3df8",
-    (2, 16, "weak-greedy"): "40a50e1c12de3df8",
+    (1, 16, "weak-exact"): "f989c7ea652a6fa1",
+    (1, 16, "weak-greedy"): "f989c7ea652a6fa1",
+    (1, 40, "weak-exact"): "be9ae70a973c2d8c",
+    (1, 40, "weak-greedy"): "38c78e0c45c44e30",
+    (1, 96, "weak-exact"): "33b908547accc274",
+    (1, 96, "weak-greedy"): "a2bcf145fc8e3ca9",
+    (2, 16, "weak-exact"): "19335a0035faa194",
+    (2, 16, "weak-greedy"): "19335a0035faa194",
     (2, 40, "weak-exact"): "51f22cc383368c20",
     (2, 40, "weak-greedy"): "127be528450e7acb",
-    (2, 96, "weak-exact"): "410bb00a203db910",
-    (2, 96, "weak-greedy"): "62b64e69b4e53b69",
+    (2, 96, "weak-exact"): "e5f243edc8004f0a",
+    (2, 96, "weak-greedy"): "474717d8f3300a71",
     (3, 16, "weak-exact"): "38862964b4fabb7c",
     (3, 16, "weak-greedy"): "38862964b4fabb7c",
     (3, 40, "weak-exact"): "c8873d63211c40f2",
     (3, 40, "weak-greedy"): "c8873d63211c40f2",
-    (3, 96, "weak-exact"): "4a0571ec6ff505a1",
-    (3, 96, "weak-greedy"): "b11e31a6b234fa5c",
+    (3, 96, "weak-exact"): "b888ab15e64d3022",
+    (3, 96, "weak-greedy"): "c271522a6b9ec856",
 }
 GOLDEN_SPARSE_BOOST = {
-    (1, 16, "greedy"): "90e64f5b796cd93d",
-    (1, 16, "adversarial:2"): "bd38e9ef9d65417a",
-    (1, 40, "greedy"): "7ea6dde5ab423947",
-    (1, 40, "adversarial:2"): "9db794323ae775f3",
-    (1, 96, "greedy"): "5923d87d430a31e6",
-    (1, 96, "adversarial:2"): "1083707b9692d6f7",
-    (2, 16, "greedy"): "56ab56e603acc14c",
-    (2, 16, "adversarial:2"): "d34f02caa2a33106",
+    (1, 16, "greedy"): "498eba978e4d0c49",
+    (1, 16, "adversarial:2"): "41dbb2c185a8f4ab",
+    (1, 40, "greedy"): "524e1cd85b2fb405",
+    (1, 40, "adversarial:2"): "5d43df03a00a0de3",
+    (1, 96, "greedy"): "9399aacf1f8015e5",
+    (1, 96, "adversarial:2"): "d4df85ba88fb1480",
+    (2, 16, "greedy"): "15d51edc49459287",
+    (2, 16, "adversarial:2"): "d4ccec4e8013089d",
     (2, 40, "greedy"): "3913ad8d4c621894",
     (2, 40, "adversarial:2"): "2377b2fbbf8796ba",
-    (2, 96, "greedy"): "f47b46305438437e",
-    (2, 96, "adversarial:2"): "5dcd19b2a50b4f64",
+    (2, 96, "greedy"): "2f14221cc0dbd8f7",
+    (2, 96, "adversarial:2"): "273fef9970cf5b98",
     (3, 16, "greedy"): "0ee741905afa1f8d",
     (3, 16, "adversarial:2"): "60119174a744b73a",
     (3, 40, "greedy"): "83521c5f0bb68d36",

@@ -5,13 +5,14 @@ import sys
 import pytest
 
 from matchboost.checks import check_state, view_mismatches
-from matchboost.engine import build_h_prime
+from matchboost.engine import OracleFinder, build_h_prime, run_phase
 from matchboost.errors import (
     InternalConsistencyError,
     InvalidEpsilonError,
     PreconditionError,
 )
 from matchboost.graph import AltPath, Arc, Graph, Matching
+from matchboost.oracles import CountedOracle, ExactOracle
 from matchboost.params import (
     Constants,
     PhaseParams,
@@ -26,9 +27,8 @@ def params(epsilon: float = 0.25, h: float = 0.5, **overrides) -> PhaseParams:
     return PhaseParams.for_scale(epsilon, h, Constants().with_overrides(overrides))
 
 
-def assert_edgeless(st: PhaseState, v: int) -> None:
-    """``v`` is listed as an edgeless free vertex and sits in no index."""
-    assert v in st.edgeless
+def assert_outside_phase(st: PhaseState, v: int) -> None:
+    """``v`` is in no structure and no index."""
     assert v not in st.structures and v not in st.structure_of
     assert all(v not in owners for owners in st.ready.values())
     assert v not in st.dirty and v not in st.fresh
@@ -302,8 +302,8 @@ class TestOvertake:
         assert [s.owner for s in st.ready_at(1)] == [5]
         assert st.ready_at(2) == []
         assert st.ready_at(0) == []
-        assert_edgeless(st, 6)
-        assert_edgeless(st, 7)
+        assert_outside_phase(st, 6)
+        assert_outside_phase(st, 7)
         assert s0.ready_label is None
         assert st.dirty == {0, 5}
 
@@ -518,7 +518,7 @@ class TestAugment:
         path = st.op_augment(Arc(2, 3))
         assert path == AltPath([0, 1, 2, 3])
         assert st.structures == {}
-        assert_edgeless(st, 4)
+        assert_outside_phase(st, 4)
         assert st.removed == [True] * 4 + [False]
         # The blossom outlives its structure and still passes the checks.
         assert st.omega.root(0) == 5 and check_state(st) == []
@@ -591,19 +591,25 @@ class TestBundleBookkeeping:
         assert st.structure_at(0).working == 2
         assert st.structure_at(5).working is None
 
-    def test_first_backtrack_moves_the_edgeless_vertices(self):
-        # the only free vertices, 2 and 3, have no edge: their singleton
-        # structures would have left the root in the first backtrack,
-        # unless on hold, as all are when limit_h == 1
+    def test_free_vertices_with_no_edge_take_no_part(self):
+        # the only free vertices, 2 and 3, have no edge: nothing moves in
+        # the first backtrack, and the phase settles after one bundle
+        # without a processing step, whatever limit_h
         g = Graph(4, [(0, 1)])
         m = Matching(4)
         m.add(0, 1)
-        for limit_coeff, moves in [(6, [True, False]), (0, [False, False])]:
+        for limit_coeff in (6, 0):
             st = PhaseState(g, m, params(limit_coeff=limit_coeff))
-            assert st.edgeless == [2, 3] and st.structures == {}
-            for want in moves:
-                st.mark_for_pass_bundle()
-                assert st.backtrack_stuck() == want
+            assert st.structures == {}
+            assert_outside_phase(st, 2)
+            assert_outside_phase(st, 3)
+            st.mark_for_pass_bundle()
+            assert not st.backtrack_stuck()
+            oracle = CountedOracle(ExactOracle())
+            st = PhaseState(g, m, params(limit_coeff=limit_coeff))
+            paths, st = run_phase(st, OracleFinder(oracle))
+            assert paths == [] and st.settled and st.bundles == 1
+            assert st.steps == [] and oracle.stats.calls == 0
 
 
 def _ready(st: PhaseState) -> dict[int, list[int]]:
@@ -619,7 +625,7 @@ class TestIndexes:
         assert [s.owner for s in st.ready_at(0)] == [0, 3]
         assert st.ready_at(1) == []
         assert st.dirty == set()
-        assert_edgeless(st, 4)
+        assert_outside_phase(st, 4)
 
     def test_overtake_and_contract_refile(self):
         g, m = triangle_tail()
@@ -635,7 +641,7 @@ class TestIndexes:
         st.mark_for_pass_bundle()
         # the blossom holds the root, so its entry label is 0
         assert _ready(st) == {0: [0, 3]} and s.ready_label == 0
-        assert_edgeless(st, 4)
+        assert_outside_phase(st, 4)
 
     def test_augment_drops_both_structures(self):
         g, m = path6()
@@ -673,7 +679,7 @@ class TestIndexes:
         st = PhaseState(g, m, params())
         assert sorted(st.structures) == [0, 3, 4]
         assert st.fresh == {3, 4}
-        assert_edgeless(st, 5)
+        assert_outside_phase(st, 5)
 
     def test_unvisited_overtake_adds_the_outer_mate(self):
         g, m = path6()
