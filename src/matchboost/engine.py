@@ -18,7 +18,8 @@ structure-pair graph or one bipartite layer graph per stage, and
 caps the iterations, says how many empty batches in a row end a loop,
 may ``sweep`` a stage, and tells ``run_scales`` its ``patience`` and
 ``calls``.  When a phase is done is the engine's own test (see
-``run_phase``).
+``run_phase``): a pass bundle that is a fixpoint, or fewer than two
+live structures, which can no longer meet in an augmenting path.
 """
 
 from __future__ import annotations
@@ -466,10 +467,24 @@ def run_phase(
     pair-graph build.  An oracle batch on a graph with an edge is never
     empty, so with an oracle no pair is left once nothing changed.
 
-    ``state.settled`` records a stop there with no structure put on
-    hold in any bundle and no simulation loop that gave up with work
-    possibly left (``state.gave_up``): such a phase looked at all its
-    work, and ``run_scales`` ends the run on it when it found no path.
+    The bundle loop also stops, before its next bundle, once fewer than
+    two structures are live.  An augmenting path ends in two free
+    vertices that have an edge (Berge, PNAS 1957), and the phase began
+    with one structure for each such vertex; only ``op_augment`` drops a
+    structure, and nothing in a phase makes one.  So no further path
+    can be found, and what the lone structure could still do changes no
+    output.  A phase that stops there with paths keeps them.  One that
+    stops there without a path never augmented, so it began with at
+    most one free vertex that has an edge, and ``m`` is maximum.  It
+    stops before its first bundle: a held start is copied only after
+    this test passed, with no augmentation since.
+
+    ``state.settled`` records a stop at the fixpoint or on fewer than
+    two live structures, with no structure put on hold in any bundle and
+    no simulation loop that gave up with work possibly left
+    (``state.gave_up``): such a phase looked at all its work, or had
+    none that could lead to a path, and ``run_scales`` ends the run on
+    it when it found no path.
 
     With a finder that ``replays``, a phase that has found no path yet
     keeps a copy of its state in ``state.held_start`` when it is about
@@ -483,6 +498,9 @@ def run_phase(
     replays = finder.replays
     calls_at_entry = finder.calls if replays else 0
     while state.bundles < state.params.tau_max:
+        if len(state.structures) < 2:
+            state.settled = not state.held and not state.gave_up
+            break
         if (
             replays
             and not (state.held or state.found_paths)
@@ -574,7 +592,13 @@ def run_scales(
     was removed, since no path was found.  By Hopcroft and Karp (1973),
     ``|m| >= k / (k + 1) * mu`` with ``k = (ell_max + 1) // 2``, and
     ``ell_max = ceil(ell_coeff / eps)`` makes that at least
-    ``mu / (1 + eps)`` for any ``ell_coeff >= 2`` (3 by default).  With an
+    ``mu / (1 + eps)`` for any ``ell_coeff >= 2`` (3 by default).  A phase
+    settled on fewer than two live structures certifies more: ``m`` has
+    at most one free vertex with an edge, and an augmenting path needs
+    two (Berge, 1957), so ``m`` is maximum and every later phase would
+    stop the same way at once.  A phase that finds paths and then stops
+    on fewer than two structures leaves the next phase at most one, so
+    that phase settles and ends the run.  With an
     ``OracleFinder`` the skipped scales also give up nothing: each
     smaller scale's first phase would replay the stopping one, since
     the matching is unchanged, ``ell_max`` and the simulation

@@ -133,7 +133,11 @@ class Graph:
         return Graph(len(back), pairs), back
 
     def copy(self) -> "Graph":
-        return Graph(self.n, self.edges)
+        """An independent copy whose adjacency lists keep their order."""
+        new = Graph(self.n)
+        new.adj = [list(a) for a in self.adj]
+        new.edges = set(self.edges)
+        return new
 
     # -- serialization ---------------------------------------------------------
 

@@ -83,10 +83,11 @@ class PhaseState:
         endpoint in ``fresh``.  It starts with the free vertices that
         have a free neighbour, since at phase start the roots are the
         only outer vertices.  The outer mate of an unvisited overtake,
-        the members of a new blossom and the vertices moved by a cross
-        overtake are added; nothing else makes a vertex outer or moves
-        it, since a same-structure overtake keeps the parity of the
-        subtree it re-hangs.  ``build_h_prime`` drops
+        the inner vertices of a contracted cycle and the vertices moved
+        by a cross overtake are added; nothing else makes a vertex outer
+        or moves it, since a same-structure overtake keeps the parity of
+        the subtree it re-hangs, and a cycle's outer members stay outer
+        in the same structure.  ``build_h_prime`` drops
         the vertices that are no longer outer and clears it when it
         finds no pair.
 
@@ -110,12 +111,15 @@ class PhaseState:
     augmentation drops both structures, trees and all; their blossoms
     stay, since every reader skips a removed vertex before its blossom.
 
-    ``boundary`` caches, per non-trivial root blossom, what
-    :meth:`boundary_arcs` returns for it: the arcs that leave it, read
-    once per phase.  A blossom's members never change, and neither do
-    the matching and the sorted adjacency within a phase, so an entry
-    stays valid until ``op_contract`` puts its blossom into a new one
-    and drops it.
+    ``boundary`` holds, per non-trivial root blossom, what
+    :meth:`boundary_arcs` returns for it: the arcs that leave it.
+    ``op_contract`` builds the new blossom's entry from its children's,
+    merged by tail, with the heads inside the new blossom dropped, so a
+    member's full adjacency is read only when it first goes into a
+    blossom; it drops the children's entries.  A blossom's members
+    never change, and neither do the matching and the sorted adjacency
+    within a phase, so an entry stays valid until its blossom goes into
+    a new one.
 
     Four flags describe the phase as a whole: ``held`` says whether
     ``mark_for_pass_bundle`` has put any structure on hold;
@@ -124,8 +128,8 @@ class PhaseState:
     set by the engine's simulation loops and never reset, whether any
     loop stopped with its graph still holding an edge, or at an
     iteration cap; and ``settled``, set by ``engine.run_phase``, whether
-    the bundle loop stopped at its fixpoint with ``held`` and
-    ``gave_up`` still false.
+    the bundle loop stopped, at its fixpoint or on fewer than two live
+    structures, with ``held`` and ``gave_up`` still false.
 
     ``engine.run_phase`` also keeps ``bundles``, the pass bundles begun,
     and ``held_start``, a :meth:`copy` of the state made at the start of
@@ -295,20 +299,11 @@ class PhaseState:
         order, so the arcs come in the order of a scan of every member's
         sorted adjacency that skips the arcs inside the blossom.  A
         trivial blossom reads ``adj_sorted`` directly; a non-trivial one
-        is scanned once per phase, into ``boundary``.
+        reads ``boundary``, which ``op_contract`` fills.
         """
         if bid < self.omega.n:
             return ((bid, self.adj_sorted[bid]),)
-        arcs = self.boundary.get(bid)
-        if arcs is None:
-            members = self.omega.blossoms[bid].members
-            arcs = []
-            for x in sorted(members):
-                ys = [y for y in self.adj_sorted[x] if y not in members]
-                if ys:
-                    arcs.append((x, ys))
-            self.boundary[bid] = arcs
-        return arcs
+        return self.boundary[bid]
 
     # -- label helpers ----------------------------------------------------------
 
@@ -440,9 +435,22 @@ class PhaseState:
                 f"head of ({u}, {v}) is not in the same structure", code="contract-structure"
             )
         children, cycle = find_cycle_blossom(s.view, self.omega, g_arc)
+        depth = s.view.depth
+        # Inner nodes are trivial blossoms.  Only they turn outer: the
+        # outer children were outer already, in this structure.
+        inner = [c for c in children if depth[c] % 2]
         b = self.omega.contract(children, cycle)
+        members = b.members
+        arcs = []
         for cid in children:
+            for x, ys in self.boundary_arcs(cid):
+                ys = [y for y in ys if y not in members]
+                if ys:
+                    arcs.append((x, ys))
             self.boundary.pop(cid, None)
+        # the children's members are disjoint, so this sorts by tail alone
+        arcs.sort()
+        self.boundary[b.id] = arcs
         s.view.contract(children, b.id)
         s.arcs.add(g_arc)
         for arc in b.cycle_arcs:
@@ -452,8 +460,7 @@ class PhaseState:
         s.working = b.id
         s.modified = True
         s.extended = True
-        # the cycle's inner vertices turn outer
-        self.fresh |= b.members
+        self.fresh.update(inner)
         self.touch(s)
         return b.id
 

@@ -38,7 +38,8 @@ class PhaseRecorder(TraceHooks):
     A resumed phase is recorded whole, as the phase it continues would
     have run afresh: its calls, steps and bundles count those before the
     bundle it resumed at.  ``resumed_steps`` is how many of its steps
-    came before that bundle, read at its first bundle start.
+    came before that bundle, read at its first bundle start; a phase
+    that runs no bundle has only those.
     """
 
     def __init__(self, stats: OracleStats):
@@ -61,7 +62,9 @@ class PhaseRecorder(TraceHooks):
                 calls=self.stats.calls - calls + state.resumed_calls,
                 steps=list(state.steps),
                 bundles=state.bundles,
-                resumed_steps=self._resumed_steps,
+                resumed_steps=(
+                    len(state.steps) if self._resumed_steps is None else self._resumed_steps
+                ),
                 paths=len(state.found_paths),
                 held=state.held,
                 settled=state.settled,

@@ -139,9 +139,10 @@ class TestRunExperiment:
         assert skipped > 0
 
     def test_boost_rows_report_resumed_calls(self):
-        # a 37-cycle holds a structure at h = 1/2 and 1/4 without a path;
+        # each of these sparse graphs holds a structure without a path at
+        # some scale, with several free vertices that have an edge left;
         # the next scale resumes each such phase instead of replaying it
-        corpus = CorpusSpec(kind="cycle", trials=2, n=37, seed=7)
+        corpus = CorpusSpec(kind="er", trials=2, n=50, p=0.06, seed=7)
         doc = json.loads(run_experiment(small_config(corpus=corpus)).to_json())
         for entry in doc["per_scale"]:
             resumed = [sc["resumed_calls"] for sc in entry["scales"]]

@@ -15,6 +15,8 @@ from matchboost.errors import InternalConsistencyError, PreconditionError
 from matchboost.graph import Arc
 from matchboost.oracles import make_oracle
 
+from _inputs import disjoint_union
+
 
 def triangle_set():
     """Blossom over {0,1,2}: cycle 0-1-2-0, matched edge (1,2), base 0."""
@@ -217,7 +219,8 @@ class LiftAudit(TraceHooks):
 @pytest.mark.parametrize("oracle", ["greedy", "adversarial:2"])
 def test_every_blossom_member_lifts_to_an_even_path(oracle):
     graphs = [g for _, g in standard_corpus(40, 8, 40, seed=7)]
-    graphs += [gen_blossom_gadget(petals) for petals in range(1, 5)]
+    # two copies, so that each keeps a free vertex with an edge at mu
+    graphs += [disjoint_union(*[gen_blossom_gadget(petals)] * 2) for petals in range(1, 5)]
     audit = LiftAudit()
     for g in graphs:
         boost(g, 0.25, make_oracle(oracle), hooks=audit)

@@ -50,6 +50,8 @@ from matchboost.oracles import (
 from matchboost.params import PhaseParams, scale_sequence
 from matchboost.structures import PhaseState
 
+from _inputs import with_two_gadgets
+
 
 def quarter_params() -> PhaseParams:
     return PhaseParams.for_scale(0.25, 0.5)
@@ -427,7 +429,7 @@ class TestStaticFromWeak:
         assert a.weak_calls == b.weak_calls
 
     def test_invariants_hold_under_sampling(self):
-        g = gen_planted(24, 0.9, 0.4, seed=17)
+        g = with_two_gadgets(gen_planted(24, 0.9, 0.4, seed=17))
         hooks = InvariantHooks(g, 0.25)
         res = static_from_weak(g, 0.25, seed=5, hooks=hooks)
         assert hooks.bundles_checked > 0
@@ -641,26 +643,28 @@ def _digest(obj) -> str:
 # Digests of problem1_harness chunk records without wall_ms, and of
 # static_from_weak's matching, weak calls per oracle and per-scale stats
 # on standard_corpus(6, 24, 64, seed=11), all at eps = 1/4.  Recorded
-# once the run ended after its first settled phase without a path; the
-# cycle, bipartite and weak-exact gadget runs never settle such a phase
-# and keep the digests recorded before the phase state kept its ready
-# and dirty indexes.  The harness and planted digests were recorded
-# again once a free vertex with no edge stopped taking a random draw.
+# once the run ended after its first settled phase without a path.  The
+# planted digests were recorded again once a free vertex with no edge
+# stopped taking a random draw.  The harness, cycle, bipartite and
+# gadget digests were recorded again once a phase stopped on fewer than
+# two live structures, which settles those runs at mu, and the
+# weak-exact er, cycle, bipartite and gadget ones once ``Graph.copy``
+# kept each adjacency list's order.
 GOLDEN_HARNESS = {
-    (40, 48, 3): "6a761f864b3815cf",
-    (64, 64, 8): "6d9a06b429c03175",
+    (40, 48, 3): "8f1da82318b343b7",
+    (64, 64, 8): "82f3183da388d634",
 }
 GOLDEN_WEAK = {
     ("path-0000-n64", "weak-exact"): "9f32800710937629",
     ("path-0000-n64", "weak-greedy"): "9f32800710937629",
-    ("cycle-0001-n37", "weak-exact"): "afa202c90eb545bf",
-    ("cycle-0001-n37", "weak-greedy"): "578651bce6b3d6ce",
-    ("er-0002-n44", "weak-exact"): "d65edbfaf7492d89",
+    ("cycle-0001-n37", "weak-exact"): "e9438932be2de945",
+    ("cycle-0001-n37", "weak-greedy"): "e9438932be2de945",
+    ("er-0002-n44", "weak-exact"): "caac4954d331f64c",
     ("er-0002-n44", "weak-greedy"): "d4ce447d424fc2b1",
-    ("bipartite-0003-n27", "weak-exact"): "3f310c8657cdfa3d",
-    ("bipartite-0003-n27", "weak-greedy"): "54c9e1961501b2ae",
-    ("blossom-gadget-0004-n19", "weak-exact"): "fbcefa76239ca29d",
-    ("blossom-gadget-0004-n19", "weak-greedy"): "821951443a1bda6e",
+    ("bipartite-0003-n27", "weak-exact"): "c5b9ee0b903eb7e2",
+    ("bipartite-0003-n27", "weak-greedy"): "6c67f340c1908cc6",
+    ("blossom-gadget-0004-n19", "weak-exact"): "f744bc60a85ec4b2",
+    ("blossom-gadget-0004-n19", "weak-greedy"): "f744bc60a85ec4b2",
     ("planted-0005-n54", "weak-exact"): "10f1ee3772563988",
     ("planted-0005-n54", "weak-greedy"): "5736110cd6f8c5d6",
 }

@@ -52,6 +52,7 @@ from matchboost.oracles import (
 from matchboost.params import Constants, PhaseParams, scale_sequence
 from matchboost.structures import PhaseState
 
+from _inputs import disjoint_union, two_gadgets, with_two_gadgets
 from _replay import PhaseRecorder, expand_replayed, recorded_boost
 
 
@@ -228,10 +229,18 @@ class TestRunPhase:
         # in a phase, even one that ends with no structure left
         for name, g in standard_corpus(6, 24, 64, seed=11):
             base = boost(g.copy(), 0.25, make_oracle(spec))
-            padded = boost(Graph(g.n + 5, g.edges), 0.25, make_oracle(spec))
+            padded = boost(_padded(g, 5), 0.25, make_oracle(spec))
             assert sorted(padded.matching.edges) == sorted(base.matching.edges), name
             assert padded.per_scale == base.per_scale, name
             assert padded.stats.processing_steps == base.stats.processing_steps, name
+
+
+def _padded(g: Graph, extra: int) -> Graph:
+    """``g`` with ``extra`` isolated vertices appended; each adjacency list keeps its order."""
+    h = g.copy()
+    h.n += extra
+    h.adj += [[] for _ in range(extra)]
+    return h
 
 
 class StageRecorder(TraceHooks):
@@ -265,7 +274,7 @@ class TestStageEnds:
             return build_h_prime_s(state, stage)
 
         monkeypatch.setattr("matchboost.engine.build_h_prime_s", counted)
-        g = gen_er(40, 0.08, seed=3)
+        g = with_two_gadgets(gen_er(40, 0.08, seed=3))
         if pipeline == "boost":
             boost(g, 0.25, GreedyOracle(seed=1), hooks=rec)
         else:
@@ -502,9 +511,12 @@ class TestStopRule:
 
     def test_a_phase_that_runs_out_of_bundles_keeps_the_scales_running(self):
         # tau_max == 8 at h = 1/2 and the first phase uses all 8 bundles;
-        # the next scale's first phase, allowed 16, stops at its fixpoint
+        # the next scale's first phase, allowed 16, stops at its fixpoint.
+        # Each path keeps one free vertex with an edge at mu, so two
+        # structures stay live.
         consts = Constants().with_overrides({"bundle_coeff": 1})
-        res, rec = recorded_boost(gen_path(9), 0.25, GreedyOracle(), constants=consts)
+        g = disjoint_union(gen_path(9), gen_path(9))
+        res, rec = recorded_boost(g, 0.25, GreedyOracle(), constants=consts)
         first, second = rec.phases[:2]
         assert first.bundles == first.tau_max == 8 and not first.held
         assert not first.settled and first.paths == 0
@@ -627,7 +639,7 @@ class TestResume:
                 copy = state.copy()
                 self.copies.append((copy, _state_digest(copy)))
 
-        g = gen_blossom_gadget(3)
+        g = two_gadgets()
         hooks = Copier()
         m = initial_matching(g, CountedOracle(GreedyOracle()))
         finder = OracleFinder(CountedOracle(GreedyOracle()))
@@ -681,11 +693,21 @@ class TestBoostProperties:
 
 
 class LeftoverAudit(TraceHooks):
-    """A phase whose bundle loop stops before ``tau_max`` leaves no operation behind."""
+    """Checks what each phase leaves behind at its end.
+
+    A phase left with fewer than two live structures (``lone``) may
+    still have an operation for its lone structure, but none that leads
+    to an augmenting path: only an augmentation drops a structure, and
+    the phase began with one per free vertex that has an edge, so once
+    its paths apply the matching is maximum.  Any other phase whose
+    bundle loop stops before ``tau_max`` (``early``) leaves no operation
+    behind.
+    """
 
     def __init__(self):
         self.bundles = 0
         self.early = 0
+        self.lone = 0
 
     def on_phase_start(self, params, scale, phase):
         self.bundles = 0
@@ -694,10 +716,12 @@ class LeftoverAudit(TraceHooks):
         self.bundles += 1
 
     def on_phase_end(self, state):
-        if self.bundles == state.params.tau_max:
-            return
-        assert [arc for arc in sorted(state.g.arcs()) if state.classify(*arc)] == []
-        self.early += 1
+        if len(state.structures) < 2:
+            assert len(exact_mcm(state.g)) == len(state.m) + len(state.found_paths)
+            self.lone += 1
+        elif self.bundles < state.params.tau_max:
+            assert [arc for arc in sorted(state.g.arcs()) if state.classify(*arc)] == []
+            self.early += 1
 
 
 PIPELINES = ["greedy", "exact", "adversarial:2", "weak-exact", "weak-greedy"]
@@ -762,6 +786,8 @@ class TestFixpoint:
         audit = LeftoverAudit()
         for _, g in standard_corpus(10, 8, 40, seed=2026):
             _run_pipeline(g, 0.25, spec, audit)
+        assert audit.lone > 0
+        _run_pipeline(two_gadgets(), 0.25, spec, audit)
         assert audit.early > 0
 
 
@@ -799,6 +825,23 @@ class TestCertificate:
         assert audit.certified == first.phases_run == 1 and first.paths_found == 0
         assert rest and all(sc.skipped and sc.phases_run == 0 for sc in rest)
         assert len(res.matching) == len(exact_mcm(g))
+
+    @pytest.mark.parametrize("backend", ["weak-exact", "weak-greedy"])
+    def test_sampled_runs_with_one_free_vertex_at_mu_settle(self, backend):
+        # each keeps one free vertex with an edge at mu, whose lone
+        # structure's samples can miss at every scale; its phase stops on
+        # it, settled
+        names = {"cycle-0001-n37", "bipartite-0003-n27", "blossom-gadget-0004-n19"}
+        runs = 0
+        for name, g in standard_corpus(6, 24, 64, seed=11):
+            if name not in names:
+                continue
+            audit = CertificateAudit()
+            res = static_from_weak(g, 0.25, backend, seed=5, hooks=audit)
+            assert len(res.matching) == len(exact_mcm(g)), name
+            assert audit.certified == 1 and res.per_scale[-1].skipped, name
+            runs += 1
+        assert runs == 3
 
 
 class TestDepthCap:
@@ -931,7 +974,7 @@ class TestBuildersAgainstClassify:
         # (H' is rarely nonempty after the seed matching); a whole boost
         # then runs many bundles of layer graphs.
         audit = BuilderAudit(make_oracle(spec))
-        _phases_then_boost(gen_er(n, p, seed=seed), seed, audit)
+        _phases_then_boost(with_two_gadgets(gen_er(n, p, seed=seed)), seed, audit)
         assert audit.checks > 0
 
     def test_reference_sees_both_graphs_nonempty(self):
@@ -1065,7 +1108,7 @@ class TestIndexesAgainstRescan:
     )
     def test_boost(self, n, p, seed, spec):
         audit = IndexAudit(make_oracle(spec, seed=1))
-        _phases_then_boost(gen_er(n, p, seed=seed), seed, audit)
+        _phases_then_boost(with_two_gadgets(gen_er(n, p, seed=seed)), seed, audit)
         assert audit.checks > 0
 
     @settings(max_examples=15, deadline=None)
@@ -1087,10 +1130,10 @@ class TestIndexesAgainstRescan:
         # some checks see a working vertex that is a blossom, on both finders
         for spec in ("greedy", "adversarial:2"):
             oracle = IndexAudit(make_oracle(spec))
-            _phases_then_boost(gen_blossom_gadget(3), 3, oracle)
+            _phases_then_boost(two_gadgets(), 3, oracle)
             assert oracle.boundaries_seen > 0, spec
         weak = IndexAudit()
-        _sampled_phases_then_static(gen_blossom_gadget(3), 3, weak)
+        _sampled_phases_then_static(two_gadgets(), 3, weak)
         assert weak.boundaries_seen > 0
 
 
@@ -1110,18 +1153,21 @@ def _boost_digest(res, rec) -> str:
 
 # Digests of boost at eps = 1/4 on standard_corpus(6, 24, 64, seed=11),
 # recorded before the auxiliary graphs dropped their isolated vertices
-# and while every scale still ran.
+# and while every scale still ran.  The cycle, bipartite and gadget
+# digests were recorded again once a phase stopped on fewer than two
+# live structures, and the adversarial:2 cycle, er, bipartite and
+# gadget ones once ``Graph.copy`` kept each adjacency list's order.
 GOLDEN_BOOST = {
     ("path-0000-n64", "greedy"): "f7f43c93b3a532dc",
     ("path-0000-n64", "adversarial:2"): "8b18823f70458fa7",
-    ("cycle-0001-n37", "greedy"): "7b288350efe593ae",
-    ("cycle-0001-n37", "adversarial:2"): "424d794886cac8c6",
+    ("cycle-0001-n37", "greedy"): "59b1016e545d35d8",
+    ("cycle-0001-n37", "adversarial:2"): "a67042babc5eb3f9",
     ("er-0002-n44", "greedy"): "f3947ffe42e21ef4",
-    ("er-0002-n44", "adversarial:2"): "9736386b5f14d070",
-    ("bipartite-0003-n27", "greedy"): "637f4184c2a396d6",
-    ("bipartite-0003-n27", "adversarial:2"): "bd24da7785f5483e",
-    ("blossom-gadget-0004-n19", "greedy"): "f78d4e14b60c5a8b",
-    ("blossom-gadget-0004-n19", "adversarial:2"): "6391f6baffdccd27",
+    ("er-0002-n44", "adversarial:2"): "97413553a9ec14b1",
+    ("bipartite-0003-n27", "greedy"): "21e5b72580d549d7",
+    ("bipartite-0003-n27", "adversarial:2"): "e78d85e871a3a9c0",
+    ("blossom-gadget-0004-n19", "greedy"): "a9f77a46e68d977f",
+    ("blossom-gadget-0004-n19", "adversarial:2"): "a9f77a46e68d977f",
     ("planted-0005-n54", "greedy"): "cbcaf02ce082d45c",
     ("planted-0005-n54", "adversarial:2"): "f6a91c491e93735e",
 }

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from matchboost.corpus import standard_corpus
+from matchboost.engine import boost
 from matchboost.errors import (
     DuplicateEdgeError,
     GraphFormatError,
@@ -22,6 +24,7 @@ from matchboost.graph import (
     load_graph,
     load_matching,
 )
+from matchboost.oracles import make_oracle
 
 
 def test_edge_key_orders():
@@ -96,6 +99,25 @@ class TestGraph:
         h.add_edge(1, 2)
         assert g.m == 1 and h.m == 2
         assert g == Graph(3, [(0, 1)])
+
+    def test_copy_keeps_each_adjacency_order(self):
+        # the edges' insertion order is not the order of the edge set
+        g = Graph(4, [(0, 3), (2, 0), (1, 0), (3, 2)])
+        h = g.copy()
+        assert h.adj == g.adj == [[3, 2, 1], [0], [0, 3], [0, 2]]
+        h.add_edge(1, 2)
+        assert g.adj[1] == [0] and h.adj[1] == [0, 2]
+
+    def test_boost_runs_on_a_copy_as_on_the_original(self):
+        # an order-sensitive oracle sees the same graph in both
+        for name, g in standard_corpus(6, 24, 64, seed=11):
+            h = g.copy()
+            assert h.adj == g.adj, name
+            want = boost(g, 0.25, make_oracle("adversarial:2"))
+            got = boost(h, 0.25, make_oracle("adversarial:2"))
+            assert got.matching == want.matching, name
+            assert got.per_scale == want.per_scale, name
+            assert got.stats.processing_steps == want.stats.processing_steps, name
 
     def test_sorted_adj_follows_edits(self):
         g = Graph(4, [(0, 3), (0, 1)])

@@ -8,6 +8,8 @@ import importlib
 from pathlib import Path
 from types import SimpleNamespace
 
+from _inputs import two_gadgets
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -42,7 +44,8 @@ def test_every_traced_span_records_a_call(monkeypatch):
     corpus = importlib.import_module("matchboost.corpus")
     tracer = tracing.Tracer(mods)
     with tracer:
-        g = corpus.gen_blossom_gadget(2)
+        # two gadgets keep two structures live at mu, so op_contract runs
+        g = two_gadgets()
         mods.engine.boost(g, 0.25, mods.oracles.GreedyOracle(seed=1), hooks=tracer.hooks)
         updates = corpus.gen_update_stream(64, 128, seed=1)
         mods.dynamic.problem1_harness(64, updates, 0.25, seed=1)

@@ -593,8 +593,8 @@ class TestBundleBookkeeping:
 
     def test_free_vertices_with_no_edge_take_no_part(self):
         # the only free vertices, 2 and 3, have no edge: nothing moves in
-        # the first backtrack, and the phase settles after one bundle
-        # without a processing step, whatever limit_h
+        # a backtrack, and with no structure live the phase settles before
+        # its first bundle, without a processing step, whatever limit_h
         g = Graph(4, [(0, 1)])
         m = Matching(4)
         m.add(0, 1)
@@ -608,7 +608,7 @@ class TestBundleBookkeeping:
             oracle = CountedOracle(ExactOracle())
             st = PhaseState(g, m, params(limit_coeff=limit_coeff))
             paths, st = run_phase(st, OracleFinder(oracle))
-            assert paths == [] and st.settled and st.bundles == 1
+            assert paths == [] and st.settled and st.bundles == 0
             assert st.steps == [] and oracle.stats.calls == 0
 
 
@@ -698,8 +698,9 @@ class TestIndexes:
         # (1, 3) leaves an inner vertex, so no pair yet
         assert build_h_prime(st) == {} and st.fresh == set()
         st.op_contract(Arc(2, 0))
-        # the inner vertex 1 turns outer, and (1, 3) joins two structures
-        assert st.fresh == {0, 1, 2}
+        # the inner vertex 1 turns outer, and (1, 3) joins two structures;
+        # the outer 0 and 2 were outer already
+        assert st.fresh == {1}
         assert build_h_prime(st) == {(0, 3): Arc(1, 3)}
 
     def test_cross_overtake_adds_the_moved_vertices(self):
