@@ -18,8 +18,9 @@ structure-pair graph or one bipartite layer graph per stage, and
 caps the iterations, says how many empty batches in a row end a loop,
 may ``sweep`` a stage, and tells ``run_scales`` its ``patience`` and
 ``calls``.  When a phase is done is the engine's own test (see
-``run_phase``): a pass bundle that is a fixpoint, or fewer than two
-live structures, which can no longer meet in an augmenting path.
+``run_phase``): a pass bundle that is a fixpoint, or live structures
+no two of which can meet in an augmenting path
+(``PhaseState.could_meet``).
 """
 
 from __future__ import annotations
@@ -467,21 +468,27 @@ def run_phase(
     pair-graph build.  An oracle batch on a graph with an edge is never
     empty, so with an oracle no pair is left once nothing changed.
 
-    The bundle loop also stops, before its next bundle, once fewer than
-    two structures are live.  An augmenting path ends in two free
-    vertices that have an edge (Berge, PNAS 1957), and the phase began
-    with one structure for each such vertex; only ``op_augment`` drops a
-    structure, and nothing in a phase makes one.  So no further path
-    can be found, and what the lone structure could still do changes no
-    output.  A phase that stops there with paths keeps them.  One that
-    stops there without a path never augmented, so it began with at
-    most one free vertex that has an edge, and ``m`` is maximum.  It
-    stops before its first bundle: a held start is copied only after
-    this test passed, with no augmentation since.
+    The bundle loop also stops, before its next bundle, once no two
+    live structures can meet in an augmenting path
+    (``state.could_meet``): no two owners share a component with an odd
+    cycle, and no bipartite component has an owner on each side.  An
+    augmenting path joins two free vertices that have an edge, in one
+    component, and in a bipartite component it has odd length, so its
+    ends lie on opposite sides (Berge, PNAS 1957).  Every path the phase
+    finds augments ``m`` in ``g`` and ends in two live owners, and the
+    phase began with one structure for each free vertex that has an
+    edge; only ``op_augment`` drops a structure, and nothing in a phase
+    makes one.  So no further path can be found, and what the live
+    structures could still do changes no output.  A phase that stops
+    there with paths keeps them.  One that stops there without a path
+    never augmented, so no two free vertices of ``m`` can meet in an
+    augmenting path, and ``m`` is maximum.  It stops before its first
+    bundle: a held start is copied only after this test passed, with
+    no augmentation since.
 
-    ``state.settled`` records a stop at the fixpoint or on fewer than
-    two live structures, with no structure put on hold in any bundle and
-    no simulation loop that gave up with work possibly left
+    ``state.settled`` records a stop at the fixpoint or on live
+    structures that cannot meet, with no structure put on hold in any
+    bundle and no simulation loop that gave up with work possibly left
     (``state.gave_up``): such a phase looked at all its work, or had
     none that could lead to a path, and ``run_scales`` ends the run on
     it when it found no path.
@@ -498,7 +505,7 @@ def run_phase(
     replays = finder.replays
     calls_at_entry = finder.calls if replays else 0
     while state.bundles < state.params.tau_max:
-        if len(state.structures) < 2:
+        if not state.could_meet():
             state.settled = not state.held and not state.gave_up
             break
         if (
@@ -593,12 +600,14 @@ def run_scales(
     ``|m| >= k / (k + 1) * mu`` with ``k = (ell_max + 1) // 2``, and
     ``ell_max = ceil(ell_coeff / eps)`` makes that at least
     ``mu / (1 + eps)`` for any ``ell_coeff >= 2`` (3 by default).  A phase
-    settled on fewer than two live structures certifies more: ``m`` has
-    at most one free vertex with an edge, and an augmenting path needs
-    two (Berge, 1957), so ``m`` is maximum and every later phase would
-    stop the same way at once.  A phase that finds paths and then stops
-    on fewer than two structures leaves the next phase at most one, so
-    that phase settles and ends the run.  With an
+    settled on live structures that cannot meet certifies more: no two
+    free vertices of ``m`` lie in one component with an odd cycle or on
+    the two sides of a bipartite one, while an augmenting path needs
+    such a pair (Berge, 1957), so ``m`` is maximum and every later phase
+    would stop the same way at once.  A phase that finds paths and then
+    stops on such structures leaves the next phase the same free
+    vertices with an edge, its live owners, so that phase settles at
+    once and ends the run.  With an
     ``OracleFinder`` the skipped scales also give up nothing: each
     smaller scale's first phase would replay the stopping one, since
     the matching is unchanged, ``ell_max`` and the simulation

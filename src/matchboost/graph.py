@@ -57,6 +57,7 @@ class Graph:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.edges: set[Edge] = set()
         self._sorted_adj: list[list[int]] | None = None
+        self._sides: list[tuple[int, int | None]] | None = None
         self._add_edges(edges)
 
     def add_edge(self, u: int, v: int) -> None:
@@ -69,7 +70,7 @@ class Graph:
         inline, since a graph of many edges is built in one call.
         """
         n, adj, seen = self.n, self.adj, self.edges
-        self._sorted_adj = None
+        self._sorted_adj = self._sides = None
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UnknownVertexError(f"edge ({u}, {v}) outside vertex range [0, {n})")
@@ -89,7 +90,7 @@ class Graph:
         self.edges.remove(k)
         self.adj[u].remove(v)
         self.adj[v].remove(u)
-        self._sorted_adj = None
+        self._sorted_adj = self._sides = None
 
     @property
     def sorted_adj(self) -> list[list[int]]:
@@ -102,6 +103,36 @@ class Graph:
         if self._sorted_adj is None:
             self._sorted_adj = [sorted(a) for a in self.adj]
         return self._sorted_adj
+
+    @property
+    def sides(self) -> list[tuple[int, int | None]]:
+        """Per vertex, ``(component, side)``; read-only.
+
+        ``component`` is the smallest vertex of the vertex's connected
+        component.  ``side`` is 0 or 1 by the parity of the distance
+        from that vertex when the component is bipartite, and ``None``
+        when it has an odd cycle.  Built by one breadth-first search on
+        first use and kept as ``sorted_adj`` is.
+        """
+        if self._sides is None:
+            adj, comp, side = self.adj, [-1] * self.n, [0] * self.n
+            out: list[tuple[int, int | None]] = [(0, None)] * self.n
+            for r in range(self.n):
+                if comp[r] >= 0:
+                    continue
+                comp[r] = r
+                members, bipartite = [r], True
+                for v in members:
+                    for w in adj[v]:
+                        if comp[w] < 0:
+                            comp[w], side[w] = r, side[v] ^ 1
+                            members.append(w)
+                        elif side[w] == side[v]:
+                            bipartite = False
+                for v in members:
+                    out[v] = (r, side[v] if bipartite else None)
+            self._sides = out
+        return self._sides
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges

@@ -128,8 +128,9 @@ class PhaseState:
     set by the engine's simulation loops and never reset, whether any
     loop stopped with its graph still holding an edge, or at an
     iteration cap; and ``settled``, set by ``engine.run_phase``, whether
-    the bundle loop stopped, at its fixpoint or on fewer than two live
-    structures, with ``held`` and ``gave_up`` still false.
+    the bundle loop stopped, at its fixpoint or on live structures no
+    two of which can meet (:meth:`could_meet`), with ``held`` and
+    ``gave_up`` still false.
 
     ``engine.run_phase`` also keeps ``bundles``, the pass bundles begun,
     and ``held_start``, a :meth:`copy` of the state made at the start of
@@ -260,6 +261,26 @@ class PhaseState:
         if s.ready_label is not None:
             self.ready[s.ready_label].discard(s.owner)
             s.ready_label = None
+
+    def could_meet(self) -> bool:
+        """Could two live structures still meet in an augmenting path?
+
+        True when two live owners share a component with an odd cycle,
+        or lie on the two sides of a bipartite component.  An augmenting
+        path joins two free vertices of one component, and in a
+        bipartite one it has odd length, so its ends lie on opposite
+        sides (Berge, PNAS 1957).  Reads ``Graph.sides``, so it costs
+        one pass over the live owners once the graph has it.
+        """
+        sides = self.g.sides
+        seen: dict[int, int | None] = {}
+        for o in self.structures:
+            comp, side = sides[o]
+            if comp not in seen:
+                seen[comp] = side
+            elif side is None or side != seen[comp]:
+                return True
+        return False
 
     def live_structures(self) -> list[Structure]:
         return [self.structures[k] for k in sorted(self.structures)]

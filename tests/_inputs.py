@@ -1,13 +1,15 @@
-"""Inputs that keep two free vertices with an edge once the matching is maximum.
+"""Inputs that keep two free vertices with an edge, able to meet, once the matching is maximum.
 
-A phase stops before its next bundle once fewer than two structures
-are live, since an augmenting path ends in two free vertices that have
-an edge.  So on a graph whose maximum matchings leave at most one such
-vertex, a phase at the maximum runs no bundle at all.  A test that
-needs bundles after the last path runs on a disjoint union with two
-copies of ``gen_blossom_gadget(2)``: each copy has 13 vertices and a
-maximum matching of 6, so each leaves one free vertex with an edge.
-The two never meet in a path, and their structures stay live.
+A phase stops before its next bundle once no two live structures can
+meet in an augmenting path: no two owners share a component with an
+odd cycle, and no bipartite component has an owner on each side.  So
+on a graph whose maximum matchings leave no such pair, a phase at the
+maximum runs no bundle at all.  A test that needs bundles after the
+last path runs on :func:`joined_gadgets`: three copies of
+``gen_blossom_gadget`` whose hubs are joined to one new vertex.  It is
+connected and has odd cycles, and each copy less its hub has a perfect
+matching, so a maximum matching leaves two free vertices with an edge
+in the one component, and their structures stay live.
 """
 
 from __future__ import annotations
@@ -28,12 +30,19 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(offset, edges)
 
 
-def two_gadgets() -> Graph:
-    """Two disjoint copies of ``gen_blossom_gadget(2)``: two free vertices with an edge at mu."""
-    gadget = gen_blossom_gadget(2)
-    return disjoint_union(gadget, gadget)
+def joined_gadgets(petals: int = 2) -> Graph:
+    """Three copies of ``gen_blossom_gadget(petals)``, each hub joined to a new last vertex.
+
+    With two petals: 40 vertices and mu = 19, so two free vertices with
+    an edge at mu, in one non-bipartite component.
+    """
+    gadget = gen_blossom_gadget(petals)
+    g = disjoint_union(gadget, gadget, gadget, Graph(1))
+    for copy in range(3):
+        g.add_edge(copy * gadget.n, g.n - 1)
+    return g
 
 
-def with_two_gadgets(g: Graph) -> Graph:
-    """``g`` followed by :func:`two_gadgets`."""
-    return disjoint_union(g, two_gadgets())
+def with_joined_gadgets(g: Graph) -> Graph:
+    """``g`` followed by :func:`joined_gadgets`."""
+    return disjoint_union(g, joined_gadgets())

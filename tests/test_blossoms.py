@@ -9,13 +9,13 @@ from matchboost.blossoms import (
     lift_full_path,
     validate_blossom,
 )
-from matchboost.corpus import gen_blossom_gadget, standard_corpus
+from matchboost.corpus import standard_corpus
 from matchboost.engine import TraceHooks, boost
 from matchboost.errors import InternalConsistencyError, PreconditionError
 from matchboost.graph import Arc
 from matchboost.oracles import make_oracle
 
-from _inputs import disjoint_union
+from _inputs import joined_gadgets
 
 
 def triangle_set():
@@ -219,8 +219,8 @@ class LiftAudit(TraceHooks):
 @pytest.mark.parametrize("oracle", ["greedy", "adversarial:2"])
 def test_every_blossom_member_lifts_to_an_even_path(oracle):
     graphs = [g for _, g in standard_corpus(40, 8, 40, seed=7)]
-    # two copies, so that each keeps a free vertex with an edge at mu
-    graphs += [disjoint_union(*[gen_blossom_gadget(petals)] * 2) for petals in range(1, 5)]
+    # joined copies, so that two free vertices that can meet stay at mu
+    graphs += [joined_gadgets(petals) for petals in range(1, 5)]
     audit = LiftAudit()
     for g in graphs:
         boost(g, 0.25, make_oracle(oracle), hooks=audit)

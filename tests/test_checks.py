@@ -28,7 +28,7 @@ from matchboost.oracles import GreedyOracle, exact_mcm, make_oracle
 from matchboost.params import Constants, PhaseParams
 from matchboost.structures import PhaseState
 
-from _inputs import two_gadgets, with_two_gadgets
+from _inputs import joined_gadgets, with_joined_gadgets
 
 
 def params() -> PhaseParams:
@@ -231,13 +231,13 @@ class TestInvariantHooks:
 
             monkeypatch.setattr(checks, name, spy)
         if run == "boost":
-            g = with_two_gadgets(Graph(256, [(2 * i, 2 * i + 1) for i in range(128)]))
+            g = with_joined_gadgets(Graph(256, [(2 * i, 2 * i + 1) for i in range(128)]))
             hooks = InvariantHooks(g, 0.25, audit_paths=True)
             boost(
                 g, 0.25, make_oracle("adversarial:2"), Constants(iter_coeff=1), hooks=hooks
             )
         else:
-            g = two_gadgets()
+            g = joined_gadgets()
             hooks = InvariantHooks(g, 0.25, audit_paths=True)
             static_from_weak(g, 0.25, hooks=hooks)
         assert sorted(seen) == [

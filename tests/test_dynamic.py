@@ -50,7 +50,7 @@ from matchboost.oracles import (
 from matchboost.params import PhaseParams, scale_sequence
 from matchboost.structures import PhaseState
 
-from _inputs import with_two_gadgets
+from _inputs import with_joined_gadgets
 
 
 def quarter_params() -> PhaseParams:
@@ -373,12 +373,14 @@ class TestStaticFromWeak:
         assert len(res.per_scale) == len(scale_sequence(0.25))
 
     def test_per_scale_calls_and_seed_queries_make_up_the_weak_calls(self):
-        g = gen_planted(32, 0.85, 0.5, seed=11)
+        # the first planted seed whose phase at mu has structures that can
+        # meet, so that its first scale asks the weak oracle
+        g = gen_planted(32, 0.85, 0.5, seed=4)
         seed_weak = CountedWeakOracle(weak_from_exact(g))
         dyn_initial_matching(g, seed_weak, 0.25)
         res = static_from_weak(g, 0.25, seed=1)
         scale_calls = [sc.oracle_calls for sc in res.per_scale]
-        assert res.weak_calls == 10 and scale_calls[0] > 0
+        assert res.weak_calls == 4 and scale_calls[0] > 0
         assert sum(scale_calls) + seed_weak.stats.weak_calls == res.weak_calls
         # the first scale's phase settles without a path; the rest are skipped
         first, *rest = res.per_scale
@@ -429,7 +431,7 @@ class TestStaticFromWeak:
         assert a.weak_calls == b.weak_calls
 
     def test_invariants_hold_under_sampling(self):
-        g = with_two_gadgets(gen_planted(24, 0.9, 0.4, seed=17))
+        g = with_joined_gadgets(gen_planted(24, 0.9, 0.4, seed=17))
         hooks = InvariantHooks(g, 0.25)
         res = static_from_weak(g, 0.25, seed=5, hooks=hooks)
         assert hooks.bundles_checked > 0
@@ -649,10 +651,12 @@ def _digest(obj) -> str:
 # gadget digests were recorded again once a phase stopped on fewer than
 # two live structures, which settles those runs at mu, and the
 # weak-exact er, cycle, bipartite and gadget ones once ``Graph.copy``
-# kept each adjacency list's order.
+# kept each adjacency list's order.  The harness digests were recorded
+# again once a phase stopped when no two live structures could meet in
+# an augmenting path: their matchings stand, their query counts fall.
 GOLDEN_HARNESS = {
-    (40, 48, 3): "8f1da82318b343b7",
-    (64, 64, 8): "82f3183da388d634",
+    (40, 48, 3): "92793f33b26e8026",
+    (64, 64, 8): "43b29dcc908eb880",
 }
 GOLDEN_WEAK = {
     ("path-0000-n64", "weak-exact"): "9f32800710937629",

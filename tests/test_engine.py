@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from matchboost.checks import enumerate_short_augmenting_paths, view_mismatches
 from matchboost.corpus import (
+    gen_bipartite,
     gen_blossom_gadget,
     gen_er,
     gen_long_paths,
@@ -52,7 +53,7 @@ from matchboost.oracles import (
 from matchboost.params import Constants, PhaseParams, scale_sequence
 from matchboost.structures import PhaseState
 
-from _inputs import disjoint_union, two_gadgets, with_two_gadgets
+from _inputs import disjoint_union, joined_gadgets, with_joined_gadgets
 from _replay import PhaseRecorder, expand_replayed, recorded_boost
 
 
@@ -274,7 +275,7 @@ class TestStageEnds:
             return build_h_prime_s(state, stage)
 
         monkeypatch.setattr("matchboost.engine.build_h_prime_s", counted)
-        g = with_two_gadgets(gen_er(40, 0.08, seed=3))
+        g = with_joined_gadgets(gen_er(40, 0.08, seed=3))
         if pipeline == "boost":
             boost(g, 0.25, GreedyOracle(seed=1), hooks=rec)
         else:
@@ -512,16 +513,49 @@ class TestStopRule:
     def test_a_phase_that_runs_out_of_bundles_keeps_the_scales_running(self):
         # tau_max == 8 at h = 1/2 and the first phase uses all 8 bundles;
         # the next scale's first phase, allowed 16, stops at its fixpoint.
-        # Each path keeps one free vertex with an edge at mu, so two
-        # structures stay live.
+        # Two paths of 9, joined by (0, 10) and with a triangle closed by
+        # (0, 2), keep two free vertices at mu in one non-bipartite
+        # component, so the phases run bundles there.
         consts = Constants().with_overrides({"bundle_coeff": 1})
-        g = disjoint_union(gen_path(9), gen_path(9))
+        paths = disjoint_union(gen_path(9), gen_path(9))
+        g = Graph(paths.n, sorted(paths.edges) + [(0, 2), (0, 10)])
         res, rec = recorded_boost(g, 0.25, GreedyOracle(), constants=consts)
         first, second = rec.phases[:2]
         assert first.bundles == first.tau_max == 8 and not first.held
         assert not first.settled and first.paths == 0
         assert not res.per_scale[1].skipped and second.h == 0.25
         assert first.bundles < second.bundles < second.tau_max
+
+    def test_the_rule_waits_while_an_augmenting_path_exists(self):
+        # the path 0-1-2-3 with (1, 2) matched: its free ends sit on the
+        # two sides of one bipartite component, and the path joins them
+        g, m = Graph(4, [(0, 1), (1, 2), (2, 3)]), Matching(4, [(1, 2)])
+        state = PhaseState(g, m, quarter_params())
+        assert state.could_meet()
+        paths, state = run_phase(state, OracleFinder(CountedOracle(ExactOracle())))
+        assert [sorted(p.edges()) for p in paths] == [[(0, 1), (1, 2), (2, 3)]]
+        assert state.bundles == 1 and not state.could_meet()
+
+    def test_free_vertices_on_one_side_stop_the_phase_before_its_first_bundle(self):
+        # the star on 0 with (0, 1) matched: the free leaves 2 and 3 own
+        # two structures, but sit on one side of a bipartite component
+        g, m = Graph(4, [(0, 1), (0, 2), (0, 3)]), Matching(4, [(0, 1)])
+        oracle = CountedOracle(ExactOracle())
+        state = PhaseState(g, m, quarter_params())
+        assert sorted(state.structures) == [2, 3] and not state.could_meet()
+        paths, state = run_phase(state, OracleFinder(oracle))
+        assert paths == [] and state.bundles == 0 and state.settled
+        assert oracle.stats.calls == 0
+
+    def test_two_free_vertices_with_an_odd_cycle_keep_the_phase_running(self):
+        # at mu the joined gadgets leave two free vertices in one
+        # component with odd cycles, so the phase runs bundles
+        g = joined_gadgets()
+        m = Matching(g.n, exact_mcm(g).edges)
+        state = PhaseState(g, m, quarter_params())
+        assert len(state.structures) == 2 and state.could_meet()
+        paths, state = run_phase(state, OracleFinder(CountedOracle(ExactOracle())))
+        assert paths == [] and state.bundles > 0 and state.could_meet()
 
     def test_no_iterations_certify_nothing(self):
         # with no simulation iteration every phase reaches its fixpoint, but
@@ -639,7 +673,7 @@ class TestResume:
                 copy = state.copy()
                 self.copies.append((copy, _state_digest(copy)))
 
-        g = two_gadgets()
+        g = joined_gadgets()
         hooks = Copier()
         m = initial_matching(g, CountedOracle(GreedyOracle()))
         finder = OracleFinder(CountedOracle(GreedyOracle()))
@@ -682,6 +716,15 @@ def er_graphs(draw):
     return gen_er(n, p, seed=seed)
 
 
+@st.composite
+def bipartite_graphs(draw):
+    n_left = draw(st.integers(min_value=1, max_value=12))
+    n_right = draw(st.integers(min_value=1, max_value=12))
+    p = draw(st.sampled_from([0.1, 0.2, 0.35]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    return gen_bipartite(n_left, n_right, p, seed=seed)
+
+
 class TestBoostProperties:
     @settings(max_examples=25, deadline=None)
     @given(er_graphs(), st.sampled_from(["exact", "greedy", "adversarial:2"]))
@@ -695,19 +738,22 @@ class TestBoostProperties:
 class LeftoverAudit(TraceHooks):
     """Checks what each phase leaves behind at its end.
 
-    A phase left with fewer than two live structures (``lone``) may
-    still have an operation for its lone structure, but none that leads
-    to an augmenting path: only an augmentation drops a structure, and
-    the phase began with one per free vertex that has an edge, so once
-    its paths apply the matching is maximum.  Any other phase whose
-    bundle loop stops before ``tau_max`` (``early``) leaves no operation
-    behind.
+    A phase whose live structures can no longer meet in an augmenting
+    path (``certified``: no two owners share a component with an odd
+    cycle or sit on the two sides of a bipartite one) may still have an
+    operation left, but none that leads to a path: once its paths
+    apply, the matching is maximum, which ``exact_mcm`` checks apart
+    from the rule.  Any other phase whose bundle loop stops before
+    ``tau_max`` (``early``) leaves no operation behind.  ``apart``
+    counts the certified phases that end with two or more structures
+    live.
     """
 
     def __init__(self):
         self.bundles = 0
         self.early = 0
-        self.lone = 0
+        self.certified = 0
+        self.apart = 0
 
     def on_phase_start(self, params, scale, phase):
         self.bundles = 0
@@ -716,9 +762,10 @@ class LeftoverAudit(TraceHooks):
         self.bundles += 1
 
     def on_phase_end(self, state):
-        if len(state.structures) < 2:
+        if not state.could_meet():
             assert len(exact_mcm(state.g)) == len(state.m) + len(state.found_paths)
-            self.lone += 1
+            self.certified += 1
+            self.apart += len(state.structures) >= 2
         elif self.bundles < state.params.tau_max:
             assert [arc for arc in sorted(state.g.arcs()) if state.classify(*arc)] == []
             self.early += 1
@@ -786,9 +833,25 @@ class TestFixpoint:
         audit = LeftoverAudit()
         for _, g in standard_corpus(10, 8, 40, seed=2026):
             _run_pipeline(g, 0.25, spec, audit)
-        assert audit.lone > 0
-        _run_pipeline(two_gadgets(), 0.25, spec, audit)
+        assert audit.certified > 0
+        _run_pipeline(joined_gadgets(), 0.25, spec, audit)
         assert audit.early > 0
+
+
+class TestCertifiedStop:
+    """A phase whose live structures cannot meet leaves a maximum matching."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(er_graphs(), bipartite_graphs()), st.sampled_from(PIPELINES))
+    def test_every_certified_stop_leaves_a_maximum_matching(self, g, spec):
+        _run_pipeline(g, 0.25, spec, LeftoverAudit())
+
+    @pytest.mark.parametrize("spec", ["greedy", "weak-exact"])
+    def test_certified_stops_see_structures_that_cannot_meet(self, spec):
+        audit = LeftoverAudit()
+        for seed in range(6):
+            _run_pipeline(gen_bipartite(14, 10, 0.2, seed=seed), 0.25, spec, audit)
+        assert audit.apart > 0
 
 
 class CertificateAudit(TraceHooks):
@@ -974,7 +1037,7 @@ class TestBuildersAgainstClassify:
         # (H' is rarely nonempty after the seed matching); a whole boost
         # then runs many bundles of layer graphs.
         audit = BuilderAudit(make_oracle(spec))
-        _phases_then_boost(with_two_gadgets(gen_er(n, p, seed=seed)), seed, audit)
+        _phases_then_boost(with_joined_gadgets(gen_er(n, p, seed=seed)), seed, audit)
         assert audit.checks > 0
 
     def test_reference_sees_both_graphs_nonempty(self):
@@ -1108,7 +1171,7 @@ class TestIndexesAgainstRescan:
     )
     def test_boost(self, n, p, seed, spec):
         audit = IndexAudit(make_oracle(spec, seed=1))
-        _phases_then_boost(with_two_gadgets(gen_er(n, p, seed=seed)), seed, audit)
+        _phases_then_boost(with_joined_gadgets(gen_er(n, p, seed=seed)), seed, audit)
         assert audit.checks > 0
 
     @settings(max_examples=15, deadline=None)
@@ -1130,10 +1193,10 @@ class TestIndexesAgainstRescan:
         # some checks see a working vertex that is a blossom, on both finders
         for spec in ("greedy", "adversarial:2"):
             oracle = IndexAudit(make_oracle(spec))
-            _phases_then_boost(two_gadgets(), 3, oracle)
+            _phases_then_boost(joined_gadgets(), 3, oracle)
             assert oracle.boundaries_seen > 0, spec
         weak = IndexAudit()
-        _sampled_phases_then_static(two_gadgets(), 3, weak)
+        _sampled_phases_then_static(joined_gadgets(), 3, weak)
         assert weak.boundaries_seen > 0
 
 

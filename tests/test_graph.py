@@ -129,6 +129,63 @@ class TestGraph:
         g.remove_edge(1, 0)
         assert g.sorted_adj == [[2, 3], [], [0], [0]]
 
+    def test_sides_name_each_component_and_its_parity(self):
+        # the path 1-0-2, the triangle 3-4-5 and the isolated vertex 6
+        g = Graph(7, [(0, 1), (0, 2), (3, 4), (4, 5), (5, 3)])
+        assert g.sides == [(0, 0), (0, 1), (0, 1), (3, None), (3, None), (3, None), (6, 0)]
+
+    def test_sides_follow_edits(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        first = g.sides
+        assert first == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        assert g.sides is first  # kept while the graph is unchanged
+        g.add_edge(1, 2)
+        assert g.sides == [(0, 0), (0, 1), (0, 0), (0, 1)]
+        g.add_edge(0, 2)  # closes the triangle 0-1-2
+        assert g.sides == [(0, None)] * 4
+        g.remove_edge(1, 2)
+        assert g.sides == [(0, 0), (0, 1), (0, 1), (0, 0)]
+
+    def test_a_copy_labels_its_own_edges(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        first = g.sides
+        h = g.copy()
+        assert h.sides == first and h.sides is not first
+        h.add_edge(0, 2)
+        assert h.sides == [(0, None)] * 3 and g.sides is first
+
+    @given(
+        st.integers(min_value=1, max_value=9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+            )
+        )
+    )
+    def test_sides_agree_with_a_brute_force_two_colouring(self, case):
+        n, pairs = case
+        g = Graph(n, sorted({edge_key(u, v) for u, v in pairs if u != v}))
+        sides = g.sides
+        # a component's id is its smallest vertex: n rounds of passing the
+        # smaller label along every edge carry it to every member
+        comp = list(range(n))
+        for _ in range(n):
+            for u, v in g.edges:
+                comp[u] = comp[v] = min(comp[u], comp[v])
+        assert [c for c, _ in sides] == comp
+        for c in set(comp):
+            members = [v for v in range(n) if comp[v] == c]
+            inner = [(u, v) for u, v in g.edges if u in members]
+            colourable = any(
+                all((mask >> u & 1) != (mask >> v & 1) for u, v in inner)
+                for mask in range(2 ** n)
+            )
+            if not colourable:
+                assert all(sides[v][1] is None for v in members)
+            else:
+                assert all(sides[u][1] is not None and sides[u][1] != sides[v][1] for u, v in inner)
+                assert sides[c][1] == 0
+
     def test_arcs_both_orientations(self):
         g = Graph(2, [(0, 1)])
         assert sorted(g.arcs()) == [Arc(0, 1), Arc(1, 0)]

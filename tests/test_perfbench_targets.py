@@ -8,7 +8,7 @@ import importlib
 from pathlib import Path
 from types import SimpleNamespace
 
-from _inputs import two_gadgets
+from _inputs import joined_gadgets
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,8 +44,9 @@ def test_every_traced_span_records_a_call(monkeypatch):
     corpus = importlib.import_module("matchboost.corpus")
     tracer = tracing.Tracer(mods)
     with tracer:
-        # two gadgets keep two structures live at mu, so op_contract runs
-        g = two_gadgets()
+        # the joined gadgets keep two structures that can meet at mu, so
+        # op_contract runs
+        g = joined_gadgets()
         mods.engine.boost(g, 0.25, mods.oracles.GreedyOracle(seed=1), hooks=tracer.hooks)
         updates = corpus.gen_update_stream(64, 128, seed=1)
         mods.dynamic.problem1_harness(64, updates, 0.25, seed=1)
