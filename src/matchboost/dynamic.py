@@ -40,7 +40,7 @@ from .graph import (
     Graph,
     Matching,
     augment_all,  # unused
-    free_vertices,
+    free_vertices_with_edge,
 )
 from .oracles import Host, OracleStats, counted, exact_mcm, make_weak_backend, require_shape
 from .params import Constants, PhaseParams, normalize_epsilon
@@ -128,12 +128,16 @@ def dyn_initial_matching(g: Graph, weak, epsilon: float) -> Matching:
 
     Sound when the graph's maximum matching is at least
     ``DENSITY_COEFF * epsilon * n``; each non-bottom answer adds at least
-    one edge, so the loop always terminates.
+    one edge, so the loop always terminates.  Each query names only the
+    free vertices that have an edge: the rest add nothing to
+    ``mu(g[S])``, and the answer's threshold reads the host's ``n``, not
+    ``|S|``, so the answers are those of the whole unmatched set while
+    a query costs what the edged part of the graph costs.
     """
     delta = DENSITY_COEFF * epsilon / 3
     m = Matching(g.n)
     for _ in range(g.n + 2):
-        res = weak.query(free_vertices(g, m), delta)
+        res = weak.query(free_vertices_with_edge(g, m), delta)
         if res is None:
             return m
         if not res:

@@ -29,7 +29,15 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InternalConsistencyError, PreconditionError
-from .graph import Arc, AltPath, Graph, Matching, augment_all, edge_key, free_vertices
+from .graph import (
+    Arc,
+    AltPath,
+    Graph,
+    Matching,
+    augment_all,
+    edge_key,
+    free_vertices_with_edge,
+)
 from .oracles import CountedOracle, OracleStats, counted, require_shape
 from .params import Constants, PhaseParams, normalize_epsilon, scale_sequence
 from .structures import PhaseState, Structure
@@ -547,11 +555,15 @@ def initial_matching(g: Graph, oracle: CountedOracle) -> Matching:
 
     Always performs exactly ``2c`` oracle calls (even when the
     unmatched vertices span no edge); the result is at least a quarter
-    of the maximum matching.
+    of the maximum matching.  Each subgraph holds only the free vertices
+    that have an edge: any other would be isolated in it, and
+    ``Graph.induced`` numbers the vertices in ascending order, so the
+    oracle sees the same edges in the same order either way, and costs
+    what the edged part of the graph costs.
     """
     m = Matching(g.n)
     for _ in range(2 * math.ceil(oracle.c)):
-        sub, back = g.induced(free_vertices(g, m))
+        sub, back = g.induced(free_vertices_with_edge(g, m))
         found = oracle.find(sub)
         for a, b in sorted(found.edges):
             m.add(back[a], back[b])

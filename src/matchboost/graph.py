@@ -9,7 +9,7 @@ are simple: no self loops, no parallel edges.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -56,8 +56,12 @@ class Graph:
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.edges: set[Edge] = set()
-        self._sorted_adj: list[list[int]] | None = None
-        self._sides: list[tuple[int, int | None]] | None = None
+        self._sorted_adj: list[Sequence[int]] | None = None
+        # Component labels, filled per component by ``side``: the
+        # component's smallest vertex (-1 while unlabelled), and the side,
+        # 0 or 1, or -1 in a component with an odd cycle.
+        self._comp: list[int] | None = None
+        self._side: list[int] = []
         self._add_edges(edges)
 
     def add_edge(self, u: int, v: int) -> None:
@@ -70,7 +74,7 @@ class Graph:
         inline, since a graph of many edges is built in one call.
         """
         n, adj, seen = self.n, self.adj, self.edges
-        self._sorted_adj = self._sides = None
+        self._sorted_adj = self._comp = None
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UnknownVertexError(f"edge ({u}, {v}) outside vertex range [0, {n})")
@@ -90,49 +94,57 @@ class Graph:
         self.edges.remove(k)
         self.adj[u].remove(v)
         self.adj[v].remove(u)
-        self._sorted_adj = self._sides = None
+        self._sorted_adj = self._comp = None
 
     @property
-    def sorted_adj(self) -> list[list[int]]:
+    def sorted_adj(self) -> list[Sequence[int]]:
         """Every adjacency list in ascending order; read-only.
 
         Built on first use and kept until ``add_edge`` or
         ``remove_edge`` changes the graph, so the phases of one run
-        share it.
+        share it.  The vertices with no edge share one empty tuple.
         """
         if self._sorted_adj is None:
-            self._sorted_adj = [sorted(a) for a in self.adj]
+            self._sorted_adj = [sorted(a) if a else () for a in self.adj]
         return self._sorted_adj
 
-    @property
-    def sides(self) -> list[tuple[int, int | None]]:
-        """Per vertex, ``(component, side)``; read-only.
+    def side(self, v: int) -> tuple[int, int | None]:
+        """``(component, side)`` of the vertex ``v``.
 
-        ``component`` is the smallest vertex of the vertex's connected
+        ``component`` is the smallest vertex of ``v``'s connected
         component.  ``side`` is 0 or 1 by the parity of the distance
         from that vertex when the component is bipartite, and ``None``
-        when it has an odd cycle.  Built by one breadth-first search on
-        first use and kept as ``sorted_adj`` is.
+        when it has an odd cycle.  The first call for any vertex of a
+        component labels the whole component by one breadth-first
+        search, so a caller pays only for the components it asks about.
+        The labels are kept until ``add_edge`` or ``remove_edge`` changes
+        the graph, as ``sorted_adj`` is.
         """
-        if self._sides is None:
-            adj, comp, side = self.adj, [-1] * self.n, [0] * self.n
-            out: list[tuple[int, int | None]] = [(0, None)] * self.n
-            for r in range(self.n):
-                if comp[r] >= 0:
-                    continue
-                comp[r] = r
-                members, bipartite = [r], True
-                for v in members:
-                    for w in adj[v]:
-                        if comp[w] < 0:
-                            comp[w], side[w] = r, side[v] ^ 1
-                            members.append(w)
-                        elif side[w] == side[v]:
-                            bipartite = False
-                for v in members:
-                    out[v] = (r, side[v] if bipartite else None)
-            self._sides = out
-        return self._sides
+        comp = self._comp
+        if comp is None:
+            comp = self._comp = [-1] * self.n
+            self._side = [0] * self.n
+        if comp[v] < 0:
+            self._label_component(v)
+        s = self._side[v]
+        return comp[v], (None if s < 0 else s)
+
+    def _label_component(self, r: int) -> None:
+        adj, comp, side = self.adj, self._comp, self._side
+        comp[r], side[r] = r, 0
+        members, bipartite = [r], True
+        for v in members:
+            for w in adj[v]:
+                if comp[w] < 0:
+                    comp[w], side[w] = r, side[v] ^ 1
+                    members.append(w)
+                elif side[w] == side[v]:
+                    bipartite = False
+        low = min(members)
+        flip = side[low]
+        for v in members:
+            comp[v] = low
+            side[v] = side[v] ^ flip if bipartite else -1
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
@@ -320,6 +332,16 @@ def is_matching(g: Graph, m: Matching) -> bool:
 def free_vertices(g: Graph, m: Matching) -> list[int]:
     """Vertices with no incident matched edge, ascending."""
     return [v for v in range(g.n) if m.mate[v] is None]
+
+
+def free_vertices_with_edge(g: Graph, m: Matching) -> list[int]:
+    """Free vertices that have an edge, ascending.
+
+    Only these can end an augmenting path or an edge of a matching, so
+    they are all that a seed query or a phase needs of the free ones.
+    """
+    adj, mate = g.adj, m.mate
+    return [v for v in range(g.n) if mate[v] is None and adj[v]]
 
 
 class AltPath:

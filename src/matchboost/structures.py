@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from .blossoms import LaminarBlossomSet, TreeView, find_cycle_blossom, lift_full_path
 from .errors import InternalConsistencyError, InvalidPathError, PreconditionError
-from .graph import AltPath, Arc, Graph, Matching, free_vertices
+from .graph import AltPath, Arc, Graph, Matching, free_vertices_with_edge
 from .params import PhaseParams
 
 
@@ -61,9 +61,9 @@ class PhaseState:
     ``labels`` stores only the matched-arc labels an operation lowered;
     :meth:`label` reads any other as ``ell_max + 1``.
 
-    There is one structure per free vertex with an edge.  A free vertex
-    with no edge is in no structure and no index, and nothing in the
-    phase reads it.
+    There is one structure per free vertex with an edge, listed by
+    ``graph.free_vertices_with_edge``.  A free vertex with no edge is in
+    no structure and no index, and nothing in the phase reads it.
 
     Besides the structures themselves it keeps three indexes of them,
     by what they can do next:
@@ -129,7 +129,8 @@ class PhaseState:
     loop stopped with its graph still holding an edge, or at an
     iteration cap; and ``settled``, set by ``engine.run_phase``, whether
     the bundle loop stopped, at its fixpoint or on live structures no
-    two of which can meet (:meth:`could_meet`), with ``held`` and
+    two of which can meet (:meth:`could_meet`, which labels only the
+    live owners' components through ``Graph.side``), with ``held`` and
     ``gave_up`` still false.
 
     ``engine.run_phase`` also keeps ``bundles``, the pass bundles begun,
@@ -146,7 +147,7 @@ class PhaseState:
         self.mate = m.mate
         self.params = params
         # The edge set is fixed for the whole phase; scans want sorted order.
-        self.adj_sorted: list[list[int]] = g.sorted_adj
+        self.adj_sorted: list[Sequence[int]] = g.sorted_adj
         self.omega = LaminarBlossomSet(g.n)
         self.structures: dict[int, Structure] = {}
         self.structure_of: dict[int, int] = {}
@@ -164,9 +165,8 @@ class PhaseState:
         self.bundles = 0
         self.resumed_calls = 0
         self.held_start: PhaseState | None = None
-        for a in free_vertices(g, m):
-            if self.adj_sorted[a]:
-                self.init_structure(a)
+        for a in free_vertices_with_edge(g, m):
+            self.init_structure(a)
         self.fresh: set[int] = {
             a
             for a in self.structures
@@ -269,13 +269,14 @@ class PhaseState:
         or lie on the two sides of a bipartite component.  An augmenting
         path joins two free vertices of one component, and in a
         bipartite one it has odd length, so its ends lie on opposite
-        sides (Berge, PNAS 1957).  Reads ``Graph.sides``, so it costs
-        one pass over the live owners once the graph has it.
+        sides (Berge, PNAS 1957).  Reads ``Graph.side`` of each live
+        owner, so it labels only the owners' components, each once per
+        graph, and then costs one pass over the live owners.
         """
-        sides = self.g.sides
+        side_of = self.g.side
         seen: dict[int, int | None] = {}
         for o in self.structures:
-            comp, side = sides[o]
+            comp, side = side_of(o)
             if comp not in seen:
                 seen[comp] = side
             elif side is None or side != seen[comp]:
@@ -312,7 +313,7 @@ class PhaseState:
             if not s.on_hold:
                 self._file(s)
 
-    def boundary_arcs(self, bid: int) -> Sequence[tuple[int, list[int]]]:
+    def boundary_arcs(self, bid: int) -> Sequence[tuple[int, Sequence[int]]]:
         """The arcs out of the root blossom ``bid``, by tail: ``(x, ys)`` pairs.
 
         ``x`` runs over the members with a neighbour outside the blossom,

@@ -40,6 +40,7 @@ from matchboost.engine import TraceHooks, contract_and_augment, extend_active_pa
 from matchboost.errors import InternalConsistencyError, PreconditionError, UnknownVertexError
 from matchboost.graph import AltPath, Arc, Graph, Matching, edge_key, is_matching
 from matchboost.oracles import (
+    AdversarialOracle,
     CountedWeakOracle,
     ExactOracle,
     GreedyOracle,
@@ -247,6 +248,40 @@ class TestSeedMatching:
 
         with pytest.raises(InternalConsistencyError, match="empty"):
             dyn_initial_matching(Graph(4, [(0, 1)]), Liar(), 0.25)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=14),
+        st.sampled_from([0.1, 0.25, 0.5]),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.001, 0.05, 0.2]),
+    )
+    def test_vertices_with_no_edge_change_no_answer(self, n, p, seed, delta):
+        # The seed queries name only the free vertices that have an edge;
+        # every oracle must answer as it does on the whole set.
+        rng = random.Random(seed)
+        g = shuffled_graph(n, p, rng)
+        s = [v for v in range(n) if rng.random() < 0.7]
+        edged = [v for v in s if g.adj[v]]
+        for oracle in (
+            GreedyOracle(),
+            GreedyOracle(seed),
+            ExactOracle(),
+            AdversarialOracle(2),
+        ):
+            answers = []
+            for vs in (s, edged):
+                sub, back = g.induced(vs)
+                answers.append({edge_key(back[u], back[v]) for u, v in oracle.find(sub).edges})
+            assert answers[0] == answers[1], oracle
+        cover = DoubleCover(g)
+        cs = [x for x in range(cover.n) if rng.random() < 0.7]
+        for host, vs in ((g, s), (cover, cs)):
+            edged = [x for x in vs if g.adj[x % n]]
+            for backend in ("weak-exact", "weak-greedy"):
+                provider = ValidatingWeakProvider(host, make_weak_backend(backend)(host), "H")
+                assert provider.query(vs, delta) == provider.query(edged, delta), backend
+                assert provider.violations == []
 
 
 class TestSampling:
@@ -588,7 +623,7 @@ class TestProblem1:
         class Recording(PhaseState):
             def __init__(self, g, m, params):
                 super().__init__(g, m, params)
-                want = [sorted(a) for a in g.adj]
+                want = [sorted(a) if a else () for a in g.adj]
                 assert self.adj_sorted == want, "phase read a stale sorted adjacency"
                 seen.add(tuple(sorted(g.edges)))
 

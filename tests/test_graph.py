@@ -20,6 +20,7 @@ from matchboost.graph import (
     augment_along,
     edge_key,
     free_vertices,
+    free_vertices_with_edge,
     is_matching,
     load_graph,
     load_matching,
@@ -36,6 +37,10 @@ def test_edge_key_orders():
 def test_arc_reverse():
     assert Arc(1, 5).reverse() == Arc(5, 1)
     assert Arc(1, 5).tail == 1 and Arc(1, 5).head == 5
+
+
+def _sides(g: Graph) -> list:
+    return [g.side(v) for v in range(g.n)]
 
 
 class TestGraph:
@@ -122,50 +127,65 @@ class TestGraph:
     def test_sorted_adj_follows_edits(self):
         g = Graph(4, [(0, 3), (0, 1)])
         first = g.sorted_adj
-        assert first == [[1, 3], [0], [], [0]]
+        assert first == [[1, 3], [0], (), [0]]
         assert g.sorted_adj is first  # kept while the graph is unchanged
         g.add_edge(2, 0)
         assert g.sorted_adj == [[1, 2, 3], [0], [0], [0]]
         g.remove_edge(1, 0)
-        assert g.sorted_adj == [[2, 3], [], [0], [0]]
+        assert g.sorted_adj == [[2, 3], (), [0], [0]]
 
     def test_sides_name_each_component_and_its_parity(self):
         # the path 1-0-2, the triangle 3-4-5 and the isolated vertex 6
         g = Graph(7, [(0, 1), (0, 2), (3, 4), (4, 5), (5, 3)])
-        assert g.sides == [(0, 0), (0, 1), (0, 1), (3, None), (3, None), (3, None), (6, 0)]
+        assert _sides(g) == [(0, 0), (0, 1), (0, 1), (3, None), (3, None), (3, None), (6, 0)]
 
     def test_sides_follow_edits(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        first = g.sides
-        assert first == [(0, 0), (0, 1), (2, 0), (2, 1)]
-        assert g.sides is first  # kept while the graph is unchanged
+        assert _sides(g) == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        first = g._comp
+        assert _sides(g) == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        assert g._comp is first  # kept while the graph is unchanged
         g.add_edge(1, 2)
-        assert g.sides == [(0, 0), (0, 1), (0, 0), (0, 1)]
+        assert _sides(g) == [(0, 0), (0, 1), (0, 0), (0, 1)]
         g.add_edge(0, 2)  # closes the triangle 0-1-2
-        assert g.sides == [(0, None)] * 4
+        assert _sides(g) == [(0, None)] * 4
         g.remove_edge(1, 2)
-        assert g.sides == [(0, 0), (0, 1), (0, 1), (0, 0)]
+        assert _sides(g) == [(0, 0), (0, 1), (0, 1), (0, 0)]
 
     def test_a_copy_labels_its_own_edges(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        first = g.sides
+        first = _sides(g)
+        labels = g._comp
         h = g.copy()
-        assert h.sides == first and h.sides is not first
+        assert h._comp is None  # a copy starts without labels
+        assert _sides(h) == first and h._comp is not labels
         h.add_edge(0, 2)
-        assert h.sides == [(0, None)] * 3 and g.sides is first
+        assert _sides(h) == [(0, None)] * 3 and _sides(g) == first and g._comp is labels
+
+    def test_a_vertex_labels_only_its_own_component(self):
+        # the path 0-1-2, the triangle 3-4-5 and the isolated vertex 6
+        g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
+        assert g.side(4) == (3, None)
+        assert g._comp == [-1, -1, -1, 3, 3, 3, -1]
+        assert g.side(2) == (0, 0)
+        assert g._comp == [0, 0, 0, 3, 3, 3, -1]
 
     @given(
         st.integers(min_value=1, max_value=9).flatmap(
             lambda n: st.tuples(
                 st.just(n),
                 st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+                st.permutations(range(n)),
             )
         )
     )
     def test_sides_agree_with_a_brute_force_two_colouring(self, case):
-        n, pairs = case
+        n, pairs, asked = case
         g = Graph(n, sorted({edge_key(u, v) for u, v in pairs if u != v}))
-        sides = g.sides
+        # ask in a random order, so a component is labelled from any of its vertices
+        sides = [None] * n
+        for v in asked:
+            sides[v] = g.side(v)
         # a component's id is its smallest vertex: n rounds of passing the
         # smaller label along every edge carry it to every member
         comp = list(range(n))
@@ -249,8 +269,10 @@ class TestMatching:
         g = Graph(4, [(0, 1)])
         m = Matching(4, [(0, 1)])
         assert free_vertices(g, m) == [2, 3]
+        assert free_vertices_with_edge(g, m) == []
         m.discard(0, 1)
         assert free_vertices(g, m) == [0, 1, 2, 3]
+        assert free_vertices_with_edge(g, m) == [0, 1]
 
 
 class TestAltPath:
