@@ -38,7 +38,6 @@ from .graph import (
     augment_all,
     augment_along,
     edge_key,
-    free_vertices,
     is_matching,
     load_graph,
     load_matching,
@@ -89,7 +88,6 @@ __all__ = [
     "boost",
     "edge_key",
     "exact_mcm",
-    "free_vertices",
     "initial_matching",
     "is_matching",
     "load_graph",

@@ -393,7 +393,8 @@ class ValidatingWeakProvider:
     enough for the advertised constant, and a bottom answer is only
     legal when the subgraph's maximum matching is below ``delta * n``.
     The bottom check is exact: when ``delta * n <= 1`` it reduces to
-    edge existence, otherwise the exact matcher runs on the subgraph.
+    edge existence, otherwise the exact matcher runs on the subgraph
+    unless it has fewer edges than ``delta * n``, since mu <= m.
     """
 
     def __init__(self, host: Host, inner, label: str):
@@ -408,7 +409,8 @@ class ValidatingWeakProvider:
         sub, _ = self.host.induced(sorted(s))
         if bound <= 1:
             return sub.m > 0
-        return len(exact_mcm(sub)) >= bound
+        # mu <= m, so a subgraph with fewer edges than the bound misses it
+        return sub.m >= bound and len(exact_mcm(sub)) >= bound
 
     def query(self, s, delta: float):
         self.queries += 1

@@ -329,11 +329,6 @@ def is_matching(g: Graph, m: Matching) -> bool:
     return True
 
 
-def free_vertices(g: Graph, m: Matching) -> list[int]:
-    """Vertices with no incident matched edge, ascending."""
-    return [v for v in range(g.n) if m.mate[v] is None]
-
-
 def free_vertices_with_edge(g: Graph, m: Matching) -> list[int]:
     """Free vertices that have an edge, ascending.
 

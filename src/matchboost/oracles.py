@@ -51,7 +51,10 @@ def _blossom_mcm(n: int, adj: list[list[int]]) -> list[int]:
     """Array-based blossom algorithm; returns the mate array (-1 = free).
 
     A search costs what its forest touches: it lists the vertices it
-    puts in the forest, and the next search resets only those.
+    puts in the forest, and the next search resets only those.  A
+    contraction costs what it absorbs: each non-trivial base keeps the
+    list of vertices it stands for, so a new blossom relabels only the
+    members of the bases it swallows, not the whole forest.
     """
     match = [-1] * n
     # Cheap maximal matching first; the search then only runs from the
@@ -68,6 +71,7 @@ def _blossom_mcm(n: int, adj: list[list[int]]) -> list[int]:
     base = list(range(n))
     used = [False] * n  # in the queue: an outer vertex
     touched: list[int] = []  # the forest of the last search, each vertex once
+    members: dict[int, list[int]] = {}  # non-trivial base -> the vertices it stands for
     seen = [0] * n  # seen[x] == stamp: x is on the first path of this lca
     stamp = 0
 
@@ -102,6 +106,7 @@ def _blossom_mcm(n: int, adj: list[list[int]]) -> list[int]:
             base[i] = i
             used[i] = False
         touched.clear()
+        members.clear()
         touched.append(root)
         used[root] = True
         queue = [root]
@@ -113,18 +118,24 @@ def _blossom_mcm(n: int, adj: list[list[int]]) -> list[int]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # Odd cycle found: contract the blossom.  Its members
-                    # are all in the forest, visited in ascending order.
+                    # Odd cycle found: contract the blossom.  The vertices
+                    # of ``curbase`` are already outer, so only those of
+                    # the other bases move, visited in ascending order.
                     curbase = lca(v, to)
                     blossom: set[int] = set()
                     mark_path(v, curbase, to, blossom)
                     mark_path(to, curbase, v, blossom)
-                    for i in sorted(touched):
-                        if base[i] in blossom:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    blossom.discard(curbase)
+                    absorbed: list[int] = []
+                    for b in blossom:
+                        absorbed += members.pop(b, (b,))
+                    absorbed.sort()
+                    for i in absorbed:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+                    members.setdefault(curbase, [curbase]).extend(absorbed)
                 elif p[to] == -1:
                     # Neither ``to`` nor its mate is in the forest yet.
                     p[to] = v
@@ -175,7 +186,10 @@ class AdversarialOracle:
     """Returns exactly ceil(mu/c) edges of a maximum matching.
 
     The worst matching a c-approximate oracle is allowed to return, used
-    to stress the boosting engine.
+    to stress the boosting engine.  It keeps the first ceil(mu/c) pairs
+    ``(u, mate[u])`` of the blossom matcher's mate array with
+    ``u < mate[u]``, in ascending ``u``: the smallest edges of that
+    maximum matching.
     """
 
     def __init__(self, c_target: int):
@@ -184,11 +198,11 @@ class AdversarialOracle:
         self.c = c_target
 
     def find(self, g: Graph) -> Matching:
-        full = exact_mcm(g)
-        mu = len(full)
-        keep = -(-mu // self.c)  # ceil
+        mate = _blossom_mcm(g.n, g.adj)
+        pairs = [(u, v) for u, v in enumerate(mate) if v > u]
+        keep = -(-len(pairs) // self.c)  # ceil
         m = Matching(g.n)
-        for u, v in sorted(full.edges)[:keep]:
+        for u, v in pairs[:keep]:
             m.add(u, v)
         return m
 

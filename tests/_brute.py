@@ -7,8 +7,11 @@ Exponential, fine for n up to the low twenties.
 
 ``full_reset_blossom_mcm`` is a frozen copy of the package's blossom
 matcher from before its searches reset only the forest they touched:
-the same searches in the same order, each resetting every vertex.  The
-current matcher must return exactly its mate arrays.
+the same searches in the same order, each resetting every vertex.  It
+stays frozen.  The current matcher also contracts differently: it
+relabels only the members of the bases a blossom absorbs, where the
+copy scans every vertex.  The current matcher must return exactly its
+mate arrays.
 """
 
 from __future__ import annotations

@@ -526,6 +526,23 @@ class TestValidatingProvider:
         provider.query([0, 1, 2], 0.01)
         assert any("share endpoint 1" in v for v in provider.violations)
 
+    @settings(max_examples=200)
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.one_of(st.integers(min_value=1, max_value=8), st.floats(min_value=0.01, max_value=8)),
+    )
+    def test_the_bottom_audit_reads_mu_against_the_bound(self, n, seed, bound):
+        # _mu_reaches returns False at once when the subgraph has fewer
+        # edges than the bound; the verdict must be the exact matcher's
+        rng = random.Random(seed)
+        p = rng.choice([0.1, 0.3, 0.6])
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        s = [v for v in range(n) if rng.random() < 0.7]
+        provider = ValidatingWeakProvider(g, make_weak_backend("weak-exact")(g), "G")
+        sub, _ = g.induced(s)
+        assert provider._mu_reaches(s, bound) == (len(exact_mcm(sub)) >= bound)
+
     def test_undersized_answer_caught(self):
         class Stingy:
             lam = 1.0

@@ -19,7 +19,6 @@ from matchboost.graph import (
     augment_all,
     augment_along,
     edge_key,
-    free_vertices,
     free_vertices_with_edge,
     is_matching,
     load_graph,
@@ -268,10 +267,8 @@ class TestMatching:
     def test_free_vertices_reads_the_matching(self):
         g = Graph(4, [(0, 1)])
         m = Matching(4, [(0, 1)])
-        assert free_vertices(g, m) == [2, 3]
         assert free_vertices_with_edge(g, m) == []
         m.discard(0, 1)
-        assert free_vertices(g, m) == [0, 1, 2, 3]
         assert free_vertices_with_edge(g, m) == [0, 1]
 
 

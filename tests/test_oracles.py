@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import exhaustive_mcm_edges, exhaustive_mcm_size, full_reset_blossom_mcm
+from _inputs import joined_gadgets
 from matchboost.corpus import gen_bipartite, gen_blossom_gadget, gen_er, gen_planted
 from matchboost.engine import boost
 from matchboost.errors import InternalConsistencyError, OracleContractError
@@ -97,14 +98,8 @@ def test_exact_matches_exhaustive_property(g):
     assert len(m) == exhaustive_mcm_size(g.n, g.edges)
 
 
-@st.composite
-def shuffled_adjacency(draw):
-    """``(n, adj)``: a random general or bipartite graph, each list in random order."""
-    n = draw(st.integers(min_value=0, max_value=64))
-    # sparse graphs leave the most free vertices to search from
-    p = draw(st.sampled_from([1.5, 2.5, 4, 8])) / max(n, 1)
-    bipartite = draw(st.booleans())
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+def random_adjacency(n: int, p: float, bipartite: bool, rng: random.Random):
+    """``(n, adj)``: each edge present with probability ``p``, each list in random order."""
     adj: list[list[int]] = [[] for _ in range(n)]
     # a bipartite graph joins only u < n // 2 to v >= n // 2
     for u in range(n // 2 if bipartite else n):
@@ -117,10 +112,67 @@ def shuffled_adjacency(draw):
     return n, adj
 
 
+@st.composite
+def shuffled_adjacency(draw):
+    """``(n, adj)``: a random general or bipartite graph, each list in random order."""
+    n = draw(st.integers(min_value=0, max_value=64))
+    # sparse graphs leave the most free vertices to search from
+    p = draw(st.sampled_from([1.5, 2.5, 4, 8])) / max(n, 1)
+    bipartite = draw(st.booleans())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return random_adjacency(n, p, bipartite, rng)
+
+
+@st.composite
+def dense_adjacency(draw):
+    """``(n, adj)``: a denser general graph, each list in random order.
+
+    Dense graphs make nested blossoms, whose bases stand for many
+    vertices when a later blossom absorbs them.
+    """
+    n = draw(st.integers(min_value=12, max_value=30))
+    p = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return random_adjacency(n, p, False, rng)
+
+
+def relabelled(g: Graph, rng: random.Random) -> tuple[int, list[list[int]]]:
+    """``(n, adj)`` of ``g`` under a random relabelling, each list in random order."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in sorted(g.edges):
+        adj[perm[u]].append(perm[v])
+        adj[perm[v]].append(perm[u])
+    for nbrs in adj:
+        rng.shuffle(nbrs)
+    return g.n, adj
+
+
+@st.composite
+def relabelled_gadgets(draw):
+    """``(n, adj)``: a blossom gadget or three joined ones, relabelled at random."""
+    make = draw(st.sampled_from([gen_blossom_gadget, joined_gadgets]))
+    g = make(draw(st.integers(min_value=1, max_value=6)))
+    return relabelled(g, random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1))))
+
+
 class TestBlossomSearch:
     @settings(max_examples=300)
     @given(shuffled_adjacency())
     def test_same_mates_as_the_full_reset_search(self, case):
+        n, adj = case
+        assert _blossom_mcm(n, adj) == full_reset_blossom_mcm(n, adj)
+
+    @settings(max_examples=500)
+    @given(dense_adjacency())
+    def test_same_mates_on_dense_graphs(self, case):
+        n, adj = case
+        assert _blossom_mcm(n, adj) == full_reset_blossom_mcm(n, adj)
+
+    @settings(max_examples=100)
+    @given(relabelled_gadgets())
+    def test_same_mates_on_relabelled_gadgets(self, case):
         n, adj = case
         assert _blossom_mcm(n, adj) == full_reset_blossom_mcm(n, adj)
 
@@ -132,6 +184,18 @@ class TestBlossomSearch:
         m = exact_mcm(star)
         assert time.perf_counter() - start < 1.0
         assert len(m) == 1 and m.mate[0] is not None
+
+    def test_a_wide_gadget_is_fast(self):
+        # one failed search contracts a blossom per petal; relabelling
+        # the whole forest at each contraction took about 0.74 s at
+        # 1,000 petals, growing with the square of the petals
+        petals = 3000
+        n, adj = relabelled(gen_blossom_gadget(petals), random.Random(1))
+        g = Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+        start = time.perf_counter()
+        m = exact_mcm(g)
+        assert time.perf_counter() - start < 1.0
+        assert len(m) == 3 * petals
 
 
 @st.composite
@@ -196,6 +260,14 @@ class TestAdversarial:
                 m = AdversarialOracle(c).find(g)
                 assert is_matching(g, m)
                 assert len(m) == math.ceil(mu / c)
+
+    def test_keeps_the_smallest_edges_of_the_exact_matching(self, small_er_corpus):
+        graphs = small_er_corpus + [gen_blossom_gadget(4), joined_gadgets(3)]
+        for g in graphs:
+            full = sorted(exact_mcm(g).edges)
+            for c in (1, 2, 3):
+                keep = math.ceil(len(full) / c)
+                assert AdversarialOracle(c).find(g).edges == set(full[:keep])
 
     def test_rejects_bad_constant(self):
         with pytest.raises(ValueError):
