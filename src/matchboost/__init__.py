@@ -36,7 +36,6 @@ from .graph import (
     Graph,
     Matching,
     augment_all,
-    augment_along,
     edge_key,
     is_matching,
     load_graph,
@@ -84,7 +83,6 @@ __all__ = [
     "SampledFinder",
     "TraceHooks",
     "augment_all",
-    "augment_along",
     "boost",
     "edge_key",
     "exact_mcm",

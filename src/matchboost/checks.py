@@ -8,13 +8,15 @@ boundary is accounted for; no short augmenting path escapes unnoticed).
 They are wired into a run through :class:`InvariantHooks`, which also
 keeps the contamination ledger the two coverage checks read: the
 undirected edges a simulation round left as candidates without acting
-on them.
+on them.  The ledger reads the arc types from ``PhaseState.classify``,
+the reference definition the checks share, and not from the engine's
+builders.
 """
 
 from __future__ import annotations
 
 from .blossoms import TreeView, check_laminarity, validate_blossom
-from .engine import TraceHooks, build_h_prime_s
+from .engine import TraceHooks
 from .errors import InternalConsistencyError
 from .graph import Graph, edge_key
 from .params import PhaseParams
@@ -321,11 +323,13 @@ class InvariantHooks(TraceHooks):
     """Raises on the first violated invariant; counts what it checked.
 
     Keeps the contamination ledger of the phase whose state it last saw:
-    the candidate arcs each extension stage leaves, and every type-2
-    edge after each contract-and-augment round.  A new ``PhaseState``
-    starts an empty ledger, unless it is the held start of the last
-    phase (``engine.run_phase``): then it starts from a copy of the
-    ledger as it stood when that copy was made.
+    the candidate arcs each extension stage leaves (the type-3 arcs out
+    of the members of each ready working vertex), and every type-2 edge
+    after each contract-and-augment round, both read from
+    ``PhaseState.classify``.  A new ``PhaseState`` starts an empty
+    ledger, unless it is the held start of the last phase
+    (``engine.run_phase``): then it starts from a copy of the ledger as
+    it stood when that copy was made.
     ``audit_paths`` additionally runs the short-path coverage audit at
     every bundle boundary, which is only affordable on small graphs.
     """
@@ -390,8 +394,13 @@ class InvariantHooks(TraceHooks):
         self.bundles_checked += 1
 
     def on_stage_end(self, state: PhaseState, stage: int) -> None:
-        arcs = build_h_prime_s(state, stage)[1]
-        self.ledger_of(state).update(edge_key(x, y) for x, y in arcs)
+        self.ledger_of(state).update(
+            edge_key(x, y)
+            for s in state.ready_at(stage)
+            for x in state.omega.members_of(s.working)
+            for y in state.g.adj[x]
+            if state.classify(x, y) == 3
+        )
 
     def on_augment_round_end(self, state: PhaseState) -> None:
         self.ledger_of(state).update(e for e in state.g.edges if state.classify(*e) == 2)

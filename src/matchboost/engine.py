@@ -146,17 +146,16 @@ def _head_eligible(state: PhaseState, y: int, stage: int) -> bool:
     return t is not None and state.label((y, t)) > stage + 1
 
 
-def build_h_prime_s(state: PhaseState, stage: int):
-    """Bipartite layer graph for one stage.
+def build_h_prime_s(state: PhaseState, stage: int) -> dict[tuple[int, int], Arc]:
+    """Bipartite layer graph for one stage, as one witness arc per edge.
 
     Left: working vertices with entry label ``stage`` of structures that
     are neither on hold nor already extended, read from
     ``state.ready_at(stage)``.  Right: inner or unvisited matched
     vertices whose downward label exceeds ``stage + 1`` and that have at
-    least one candidate arc from the left.  Returns ``(pairs, arcs)``:
-    one witness arc per (owner, head) pair, and the full candidate arc
-    list, which the contamination ledger reads.  Heads are found among
-    the arcs that leave each working vertex, read from
+    least one candidate arc from the left.  Returns ``pairs``, which maps
+    each (owner, head) edge to its smallest candidate arc.  Heads are
+    found among the arcs that leave each working vertex, read from
     ``state.boundary_arcs`` (an arc inside it never reaches a head),
     and each head is tested once per call.
     """
@@ -164,8 +163,8 @@ def build_h_prime_s(state: PhaseState, stage: int):
     mate = state.mate
     head_ok: dict[int, bool] = {}
     pairs: dict[tuple[int, int], Arc] = {}
-    arcs: list[Arc] = []
     for s in left:
+        owner = s.owner
         for x, ys in state.boundary_arcs(s.working):
             for y in ys:
                 if mate[x] == y:
@@ -175,11 +174,11 @@ def build_h_prime_s(state: PhaseState, stage: int):
                     ok = head_ok[y] = _head_eligible(state, y, stage)
                 if not ok:
                     continue
-                arc = Arc(x, y)
-                arcs.append(arc)
+                key = (owner, y)
                 # x ascends, so an owner's first arc to a head is its smallest
-                pairs.setdefault((s.owner, y), arc)
-    return pairs, arcs
+                if key not in pairs:
+                    pairs[key] = Arc(x, y)
+    return pairs
 
 
 def _aux_graph_pairs(pairs) -> tuple[Graph, list[int]]:
@@ -308,7 +307,7 @@ def extend_active_path(state: PhaseState, finder, hooks: TraceHooks | None = Non
         changed |= finder.sweep(state, stage)
         fruitless = 0
         for _ in range(iterations):
-            pairs, _ = build_h_prime_s(state, stage)
+            pairs = build_h_prime_s(state, stage)
             if not pairs:
                 break
             if fruitless >= finder.fruitless_limit:

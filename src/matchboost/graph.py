@@ -293,11 +293,6 @@ class Matching:
     def copy(self) -> "Matching":
         return Matching(self.n, self.edges)
 
-    def to_edge_list(self) -> str:
-        lines = [f"# n={self.n}"]
-        lines += [f"{u} {v}" for u, v in sorted(self.edges)]
-        return "\n".join(lines) + "\n"
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matching) and self.n == other.n and self.edges == other.edges
@@ -390,37 +385,23 @@ class AltPath:
         return True
 
 
-def augment_along(m: Matching, p: AltPath) -> Matching:
-    """Symmetric difference of ``m`` with an augmenting path.
-
-    ``p`` must start and end at free vertices, have pairwise-distinct
-    vertices, and alternate unmatched/matched.  Returns a new matching
-    one edge larger.
-    """
-    out = m.copy()
-    _augment_in_place(out, p)
-    return out
-
-
-def _augment_in_place(m: Matching, p: AltPath) -> None:
-    vs = p.vertices
-    if len(set(vs)) != len(vs):
-        raise InvalidPathError(f"repeated vertex in path {vs}")
-    if not p.is_augmenting(m):
-        raise InvalidPathError(f"path {vs} is not augmenting for the matching")
-    for i in range(1, len(vs) - 1, 2):
-        m.discard(vs[i], vs[i + 1])
-    for i in range(0, len(vs) - 1, 2):
-        m.add(vs[i], vs[i + 1])
-
-
 def augment_all(m: Matching, paths: Iterable[AltPath]) -> Matching:
     """Apply a collection of vertex-disjoint augmenting paths in order.
 
-    Each path is checked against the matching left by the ones before
-    it.  Returns a new matching; ``m`` itself is not modified.
+    Each path must start and end at free vertices, repeat no vertex and
+    alternate unmatched/matched, checked against the matching left by
+    the ones before it; a path that is not raises ``InvalidPathError``.
+    Returns a new matching; ``m`` itself is not modified.
     """
     out = m.copy()
     for p in paths:
-        _augment_in_place(out, p)
+        vs = p.vertices
+        if len(set(vs)) != len(vs):
+            raise InvalidPathError(f"repeated vertex in path {vs}")
+        if not p.is_augmenting(out):
+            raise InvalidPathError(f"path {vs} is not augmenting for the matching")
+        for i in range(1, len(vs) - 1, 2):
+            out.discard(vs[i], vs[i + 1])
+        for i in range(0, len(vs) - 1, 2):
+            out.add(vs[i], vs[i + 1])
     return out

@@ -21,7 +21,7 @@ from matchboost.checks import (
 )
 from matchboost.corpus import gen_blossom_gadget, gen_er
 from matchboost.dynamic import static_from_weak
-from matchboost.engine import boost
+from matchboost.engine import boost, build_h_prime_s
 from matchboost.errors import InternalConsistencyError
 from matchboost.graph import Arc, Graph, Matching, edge_key, is_matching
 from matchboost.oracles import GreedyOracle, exact_mcm, make_oracle
@@ -253,6 +253,23 @@ class TestInvariantHooks:
         assert check_no_actionable_arcs(st, hooks.ledger_of(st)) != []
         hooks.on_stage_end(st, 0)
         assert hooks.ledger == {(0, 1), (4, 5)}
+        assert check_no_actionable_arcs(st, hooks.ledger) == []
+
+    def test_stage_end_records_every_member_arc_to_a_shared_head(self):
+        # the working blossom {0, 1, 2} reaches the unvisited head 3 from
+        # two members: the layer graph keeps one witness, (1, 3), and the
+        # ledger must hold both edges, or (2, 3) is left unaccounted for
+        g = Graph(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 3), (3, 4)])
+        st = PhaseState(g, Matching(5, [(1, 2), (3, 4)]), params())
+        st.op_overtake(Arc(0, 1), Arc(1, 2), 1)
+        st.op_contract(Arc(2, 0))
+        st.mark_for_pass_bundle()
+        s = st.structure_at(0)
+        assert st.omega.members_of(s.working) == {0, 1, 2} and s.ready_label == 0
+        assert build_h_prime_s(st, 0) == {(0, 3): Arc(1, 3)}
+        hooks = InvariantHooks(g, 0.25)
+        hooks.on_stage_end(st, 0)
+        assert hooks.ledger == {(1, 3), (2, 3)}
         assert check_no_actionable_arcs(st, hooks.ledger) == []
 
     def test_augment_round_end_records_type2_edges(self):

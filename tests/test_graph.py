@@ -17,7 +17,6 @@ from matchboost.graph import (
     Graph,
     Matching,
     augment_all,
-    augment_along,
     edge_key,
     free_vertices_with_edge,
     is_matching,
@@ -297,19 +296,19 @@ class TestAltPath:
         assert not AltPath([0, 1, 2]).is_augmenting(m)  # odd vertex count
         assert not AltPath([0]).is_augmenting(m)
 
-    def test_augment_along(self):
+    def test_augment_all_one_path(self):
         m = Matching(4, [(1, 2)])
-        out = augment_along(m, AltPath([0, 1, 2, 3]))
+        out = augment_all(m, [AltPath([0, 1, 2, 3])])
         assert out.edges == {(0, 1), (2, 3)}
         assert m.edges == {(1, 2)}  # input untouched
 
-    def test_augment_along_rejects_non_augmenting(self):
+    def test_augment_all_rejects_non_augmenting(self):
         m = Matching(2)
         with pytest.raises(InvalidPathError):
-            augment_along(m, AltPath([0, 1, 0, 1]))
+            augment_all(m, [AltPath([0, 1, 0, 1])])
         m2 = Matching(3, [(0, 1)])
         with pytest.raises(InvalidPathError):
-            augment_along(m2, AltPath([0, 1]))
+            augment_all(m2, [AltPath([0, 1])])
 
     def test_augment_all(self):
         m = Matching(6)
@@ -357,6 +356,6 @@ def test_full_path_augmentation_gives_perfect_matching(k):
     n = 2 * k
     g = Graph(n, [(i, i + 1) for i in range(n - 1)])
     m = Matching(n, [(2 * i + 1, 2 * i + 2) for i in range(k - 1)])
-    out = augment_along(m, AltPath(list(range(n))))
+    out = augment_all(m, [AltPath(list(range(n)))])
     assert len(out) == k
     assert is_matching(g, out)
